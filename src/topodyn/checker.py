@@ -1,4 +1,12 @@
-"""Model checkers for the three semantics.
+"""Model checkers for the three semantics, over one evaluator core.
+
+``evaluate`` runs through a compiled formula (see ``formula.compile``) and
+computes the connectives itself.  A semantics supplies the rest: ``full(c)``,
+every point at context ``c``; ``atom(node, c)``; ``modal(node, body, c)``, a
+modality applied to its body's extension; and ``shifts``, the modalities whose
+body is read at another context, ``step(node, c)``.  Contexts are ints: the
+scenario set in subset spaces, the stratum for network spaces, 0 where truth
+does not depend on one.
 
 Relational: ``<prog>`` is existential preimage along the program relation.
 
@@ -9,17 +17,22 @@ the closure (dually, interior) of the preimage of the body's extension.
 
 Subset-space: truth sits at scenarios (x, U).  Knowledge quantifies over U,
 interior is taken in the ambient space, and ``O[prog]`` moves the whole
-scenario along a partial open map.  Extensions are memoized per (formula,
+scenario along a partial open map.  Extensions are memoized per (node id,
 open) pair, which keeps batch sweeps linear.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import repeat
+from operator import or_
 from typing import Optional, Sequence
 
 from .formula import (
+    BOOLEAN,
     And,
     Atom,
+    Atomic,
     BoxPdl,
     Cl,
     Diamond,
@@ -32,12 +45,20 @@ from .formula import (
     Know,
     Language,
     Next,
+    Node,
+    NodeArray,
     Not,
     Or,
     Program,
+    Seq,
+    Test,
     Top,
+    compile,
+    fold,
     format_formula,
     in_language,
+    kinds,
+    seq_steps,
 )
 from .models import (
     DTModel,
@@ -48,100 +69,164 @@ from .models import (
     program_function,
     validate_scenario,
 )
-from .formula import Atomic, Seq, Test
+from .topology import iter_points
+
+PROGRAMS = (Atomic, Seq, Test)
+
+
+def evaluate(f: Formula, sem, ctx: int = 0, memo: Optional[dict] = None) -> int:
+    """Extension of f at context ctx, by one loop over the node array.
+
+    ``memo`` maps ``context * len(array) + id`` to masks; pass the same dict
+    again, for the same formula, to reuse what it holds.  When no node of f
+    shifts the context, every node is read at ctx, in order (nodes inside
+    test programs too, harmlessly); otherwise ``_demand`` first lists the
+    (node, context) pairs the root needs.
+    """
+    nodes = compile(f)
+    width = len(nodes)
+    root = ctx * width + width - 1
+    if memo is None:
+        memo = {}
+    elif root in memo:
+        return memo[root]
+    full, atom, modal = sem.full, sem.atom, sem.modal
+    if not sem.shifts or sem.shifts.isdisjoint(kinds(f)):
+        tasks = zip(range(width), repeat(ctx), repeat(ctx))
+    else:
+        tasks = _demand(nodes, ctx, memo, sem)
+    for i, c, s in tasks:
+        cls, kids, node = nodes[i]
+        base = c * width
+        if cls is Atom:
+            m = atom(node, c)
+        elif cls is And:
+            m = memo[base + kids[0]] & memo[base + kids[1]]
+        elif cls is Or:
+            m = memo[base + kids[0]] | memo[base + kids[1]]
+        elif cls is Not:
+            m = full(c) & ~memo[base + kids[0]]
+        elif cls is Implies:
+            m = (full(c) & ~memo[base + kids[0]]) | memo[base + kids[1]]
+        elif cls is Iff:
+            m = full(c) & ~(memo[base + kids[0]] ^ memo[base + kids[1]])
+        elif cls is Top:
+            m = full(c)
+        elif cls in PROGRAMS:
+            continue
+        else:  # a modality, its body read at context s
+            m = modal(node, memo[s * width + kids[-1]], c)
+        memo[base + i] = m
+    return memo[root]
+
+
+def _demand(nodes: NodeArray, ctx: int, memo: dict, sem) -> list[tuple[int, int, int]]:
+    """(node id, context, body context) for each extension the root at ctx
+    needs and memo lacks, children first: one loop from the root down."""
+    width = len(nodes)
+    need: list[Optional[dict[int, int]]] = [None] * width  # context -> body context
+    need[-1] = {ctx: ctx}
+    for i in range(width - 1, -1, -1):
+        cs = need[i]
+        if cs is None:
+            continue
+        cls, kids, node = nodes[i]
+        if not kids:
+            continue
+        if cls in BOOLEAN:
+            targets = cs  # the children are read at the node's own contexts
+        else:
+            if cls in sem.shifts:
+                for c in cs:
+                    cs[c] = sem.step(node, c)
+            targets = cs.values()
+            kids = kids[-1:]
+        for k in kids:
+            got = need[k]
+            for c in targets:
+                if c * width + k not in memo:
+                    if got is None:
+                        got = need[k] = {c: c}
+                    else:
+                        got[c] = c
+    return [(i, c, s) for i, cs in enumerate(need) if cs for c, s in cs.items()]
 
 
 def translate_pdl(f: Formula) -> Formula:
     """Embed the relational language: <prog> becomes dia O[prog], [prog]
     becomes box O[prog]."""
-    if isinstance(f, (Atom, Top)):
-        return f
-    if isinstance(f, Not):
-        return Not(translate_pdl(f.body))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(translate_pdl(f.left), translate_pdl(f.right))
-    if isinstance(f, Diamond):
-        return Cl(Next(f.prog, translate_pdl(f.body)))
-    if isinstance(f, BoxPdl):
-        return Int(Next(f.prog, translate_pdl(f.body)))
-    raise ValueError(f"not a relational-language formula: {format_formula(f)}")
+    if not in_language(f, Language.PDL):
+        raise ValueError(f"not a relational-language formula: {format_formula(f)}")
+
+    def visit(node: Node, kids: list) -> Node:
+        if type(node) is Diamond:
+            return Cl(Next(*kids))
+        if type(node) is BoxPdl:
+            return Int(Next(*kids))
+        return node.rebuild(kids)
+
+    return fold(f, visit)
+
+
+class _Semantics:
+    """One context, every atom as valued, and programs interpreted once each."""
+
+    shifts: frozenset = frozenset()
+
+    def __init__(self, model):
+        self.model = model
+        self.space = getattr(model, "space", None)
+        self.all = (1 << model.n) - 1
+        self._programs: dict[Program, tuple] = {}
+
+    def full(self, c: int) -> int:
+        return self.all
+
+    def atom(self, node: Node, c: int) -> int:
+        return self.model.val.get(node.name, 0)
+
+    def program(self, prog: Program) -> tuple:
+        got = self._programs.get(prog)
+        if got is None:
+            got = self._programs[prog] = self.interpret(prog)
+        return got
+
+    def interpret(self, prog: Program) -> tuple[Optional[int], ...]:
+        return program_function(self.model, prog)
+
+
+class _Relational(_Semantics):
+    def interpret(self, prog: Program) -> tuple[int, ...]:
+        """Successor masks per point; sequencing composes relations."""
+        table = None
+        for part in seq_steps(prog):
+            if type(part) is Test:
+                raise ValueError("test programs have no relational interpretation")
+            try:
+                rel = self.model.rel[part.name]
+            except KeyError:
+                raise ValueError(f"unknown program {part.name!r}") from None
+            if table is None:
+                table = rel
+            else:  # the successors of a point's successors
+                table = tuple(reduce(or_, [rel[y] for y in iter_points(m)], 0) for m in table)
+        return table
+
+    def modal(self, node: Node, body: int, c: int) -> int:
+        if type(node) is not Diamond and type(node) is not BoxPdl:
+            raise ValueError(f"no relational semantics for {format_formula(node)}")
+        table = self.program(node.prog)
+        m = 0
+        for x in range(self.model.n):
+            # Diamond: some successor in the body; BoxPdl: all of them
+            if table[x] & body if type(node) is Diamond else not table[x] & ~body:
+                m |= 1 << x
+        return m
 
 
 def eval_pdl_relational(model: PDLModel, f: Formula) -> int:
-    """Extension of f as a bitmask.  Sequencing composes relations."""
-    succ_cache: dict[Program, tuple[int, ...]] = {}
-
-    def succ(prog: Program) -> tuple[int, ...]:
-        got = succ_cache.get(prog)
-        if got is not None:
-            return got
-        if isinstance(prog, Atomic):
-            try:
-                table = model.rel[prog.name]
-            except KeyError:
-                raise ValueError(f"unknown program {prog.name!r}") from None
-        elif isinstance(prog, Seq):
-            first, second = succ(prog.left), succ(prog.right)
-            table = tuple(
-                _union_over(second, first[x]) for x in range(model.n)
-            )
-        else:
-            raise ValueError("test programs have no relational interpretation")
-        succ_cache[prog] = table
-        return table
-
-    full = (1 << model.n) - 1
-    memo: dict[Formula, int] = {}
-
-    def ext(g: Formula) -> int:
-        got = memo.get(g)
-        if got is not None:
-            return got
-        if isinstance(g, Atom):
-            m = model.val.get(g.name, 0)
-        elif isinstance(g, Top):
-            m = full
-        elif isinstance(g, Not):
-            m = full & ~ext(g.body)
-        elif isinstance(g, And):
-            m = ext(g.left) & ext(g.right)
-        elif isinstance(g, Or):
-            m = ext(g.left) | ext(g.right)
-        elif isinstance(g, Implies):
-            m = (full & ~ext(g.left)) | ext(g.right)
-        elif isinstance(g, Iff):
-            m = full & ~(ext(g.left) ^ ext(g.right))
-        elif isinstance(g, Diamond):
-            body, table = ext(g.body), succ(g.prog)
-            m = 0
-            for x in range(model.n):
-                if table[x] & body:
-                    m |= 1 << x
-        elif isinstance(g, BoxPdl):
-            body, table = ext(g.body), succ(g.prog)
-            m = 0
-            for x in range(model.n):
-                if table[x] & ~body == 0:
-                    m |= 1 << x
-        else:
-            raise ValueError(
-                f"no relational semantics for {format_formula(g)}"
-            )
-        memo[g] = m
-        return m
-
-    return ext(f)
-
-
-def _union_over(table: Sequence[int], mask: int) -> int:
-    m = 0
-    x = 0
-    while mask:
-        if mask & 1:
-            m |= table[x]
-        mask >>= 1
-        x += 1
-    return m
+    """Extension of f as a bitmask."""
+    return evaluate(f, _Relational(model))
 
 
 def _preimage(fn: Sequence[Optional[int]], body: int, n: int) -> int:
@@ -153,134 +238,78 @@ def _preimage(fn: Sequence[Optional[int]], body: int, n: int) -> int:
     return m
 
 
+class _DynamicTopological(_Semantics):
+    def modal(self, node: Node, body: int, c: int) -> int:
+        cls = type(node)
+        if cls is Know or cls is KHat:
+            raise FragmentViolation(
+                f"knowledge needs subset-space semantics: {format_formula(node)}"
+            )
+        if cls is Int:
+            return self.space.interior(body)
+        if cls is Cl:
+            return self.space.closure(body)
+        pre = _preimage(self.program(node.prog), body, self.model.n)
+        if cls is Next:
+            return pre
+        return self.space.closure(pre) if cls is Diamond else self.space.interior(pre)
+
+
 def eval_dtl(model: DTModel, f: Formula) -> int:
     """Extension of f on a dynamic-topological model.
 
     Accepts the relational language (through the embedding) and the box/next
     language; knowledge and test programs are rejected.
     """
-    space = model.space
-    full = space.full
-    fn_cache: dict[Program, tuple[Optional[int], ...]] = {}
-
-    def fn_for(prog: Program) -> tuple[Optional[int], ...]:
-        got = fn_cache.get(prog)
-        if got is None:
-            got = fn_cache[prog] = program_function(model, prog)
-        return got
-
-    memo: dict[Formula, int] = {}
-
-    def ext(g: Formula) -> int:
-        got = memo.get(g)
-        if got is not None:
-            return got
-        if isinstance(g, Atom):
-            m = model.val.get(g.name, 0)
-        elif isinstance(g, Top):
-            m = full
-        elif isinstance(g, Not):
-            m = full & ~ext(g.body)
-        elif isinstance(g, And):
-            m = ext(g.left) & ext(g.right)
-        elif isinstance(g, Or):
-            m = ext(g.left) | ext(g.right)
-        elif isinstance(g, Implies):
-            m = (full & ~ext(g.left)) | ext(g.right)
-        elif isinstance(g, Iff):
-            m = full & ~(ext(g.left) ^ ext(g.right))
-        elif isinstance(g, Int):
-            m = space.interior(ext(g.body))
-        elif isinstance(g, Cl):
-            m = space.closure(ext(g.body))
-        elif isinstance(g, Next):
-            m = _preimage(fn_for(g.prog), ext(g.body), model.n)
-        elif isinstance(g, Diamond):
-            m = space.closure(_preimage(fn_for(g.prog), ext(g.body), model.n))
-        elif isinstance(g, BoxPdl):
-            m = space.interior(_preimage(fn_for(g.prog), ext(g.body), model.n))
-        elif isinstance(g, (Know, KHat)):
-            raise FragmentViolation(
-                f"knowledge needs subset-space semantics: {format_formula(g)}"
-            )
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-        memo[g] = m
-        return m
-
-    return ext(f)
+    return evaluate(f, _DynamicTopological(model))
 
 
-class SubsetEvaluator:
+class SubsetEvaluator(_Semantics):
     """Relativized extensions on one subset-space model, memoized.
 
     ``extension(f, u)`` returns the set of points of the open u at which f
     holds in scenario (., u).  Keeping one evaluator alive across many queries
-    on the same model shares the memo.
+    on the same model shares the memo.  A node's context is its scenario set.
     """
 
-    def __init__(self, model: SubsetModel):
-        self.model = model
-        self.space = model.space
-        self._memo: dict[tuple[Formula, int], int] = {}
-        self._fns: dict[Program, tuple[Optional[int], ...]] = {}
+    shifts = frozenset({Next})
 
-    def _fn(self, prog: Program) -> tuple[Optional[int], ...]:
-        got = self._fns.get(prog)
-        if got is None:
-            got = self._fns[prog] = program_function(self.model, prog)
-        return got
+    def __init__(self, model: SubsetModel):
+        super().__init__(model)
+        self._memos: dict[Formula, dict[int, int]] = {}
 
     def extension(self, f: Formula, u: int) -> int:
-        key = (f, u)
-        got = self._memo.get(key)
-        if got is not None:
-            return got
-        m = self._compute(f, u)
-        self._memo[key] = m
-        return m
+        memo = self._memos.get(f)
+        if memo is None:
+            memo = self._memos[f] = {}
+        return evaluate(f, self, u, memo)
 
-    def _compute(self, f: Formula, u: int) -> int:
-        if isinstance(f, Atom):
-            return self.model.val.get(f.name, 0) & u
-        if isinstance(f, Top):
-            return u
-        if isinstance(f, Not):
-            return u & ~self.extension(f.body, u)
-        if isinstance(f, And):
-            return self.extension(f.left, u) & self.extension(f.right, u)
-        if isinstance(f, Or):
-            return self.extension(f.left, u) | self.extension(f.right, u)
-        if isinstance(f, Implies):
-            return (u & ~self.extension(f.left, u)) | self.extension(f.right, u)
-        if isinstance(f, Iff):
-            return u & ~(self.extension(f.left, u) ^ self.extension(f.right, u))
-        if isinstance(f, Know):
-            # knowledge is truth throughout the scenario set
-            return u if self.extension(f.body, u) == u else 0
-        if isinstance(f, KHat):
-            return u if self.extension(f.body, u) != 0 else 0
-        if isinstance(f, Int):
-            return self.space.interior(self.extension(f.body, u))
-        if isinstance(f, Cl):
-            return u & ~self.space.interior(u & ~self.extension(f.body, u))
-        if isinstance(f, Next):
-            fn = self._fn(f.prog)
-            v = image(fn, u)
-            body = self.extension(f.body, v)
-            m = 0
-            for x in range(self.model.n):
-                if u >> x & 1:
-                    y = fn[x]
-                    if y is not None and body >> y & 1:
-                        m |= 1 << x
-            return m
-        if isinstance(f, (Diamond, BoxPdl)):
+    def full(self, u: int) -> int:
+        return u
+
+    def atom(self, node: Node, u: int) -> int:
+        return self.model.val.get(node.name, 0) & u
+
+    def step(self, node: Node, u: int) -> int:
+        return image(self.program(node.prog), u)
+
+    def modal(self, node: Node, body: int, u: int) -> int:
+        cls = type(node)
+        if cls is Diamond or cls is BoxPdl:
             raise ValueError(
                 f"relational modalities are not defined on subset-space models: "
-                f"{format_formula(f)}"
+                f"{format_formula(node)}"
             )
-        raise TypeError(f"not a formula: {f!r}")
+        if cls is Know:
+            # knowledge is truth throughout the scenario set
+            return u if body == u else 0
+        if cls is KHat:
+            return u if body != 0 else 0
+        if cls is Int:
+            return self.space.interior(body)
+        if cls is Cl:
+            return u & ~self.space.interior(u & ~body)
+        return _preimage(self.program(node.prog), body, self.model.n) & u
 
     def truth(self, f: Formula, s: Scenario) -> bool:
         validate_scenario(self.model, s)

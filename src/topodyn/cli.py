@@ -163,7 +163,9 @@ def _cmd_transform(args: argparse.Namespace) -> int:
             if piece:
                 formulas.append(parse(piece))
     if formulas:
-        report = transform.check_truth_preservation(model, formulas, args.depth, args.budget)
+        report = transform.check_truth_preservation(
+            model, formulas, args.depth, args.budget, space=space
+        )
         out["preservation"] = report.to_json()
         code = 0 if report.ok else 1
     _emit(out)

@@ -12,18 +12,26 @@ Programs are atomic names, sequential compositions ``a;b`` and test programs
 ``?(f)``.  Test bodies must stay inside the box/next fragment; the constructor
 enforces this.
 
+Nodes are immutable.  Each one computes its structural hash once, at
+construction, from its children's hashes, so hashing and most unequal
+comparisons cost O(1) whatever the depth.  ``compile`` flattens a formula into
+a post-order node array, built once and cached on the root; every structural
+query below is one loop over that array, so none of them recurses.
+
 Concrete syntax (ASCII): atoms are ``[a-z][a-z0-9_]*``; ``box``, ``dia`` and
 ``top`` are reserved words.  Unary modalities bind tighter than ``&``, which
 binds tighter than ``|``, then ``->`` (right associative), then ``<->``.
-``;`` in programs is left associative.
+``;`` in programs is left associative.  Parsed formulas nest at most
+``MAX_NESTING`` levels, counting both AST depth and open brackets.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Union
+from typing import Callable, Mapping, TypeVar
+
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -45,11 +53,91 @@ class Language(Enum):
     K_BOX_NEXT = "k_box_next"
 
 
+_ALL = frozenset(Language)
+_TOPOLOGICAL = frozenset({Language.BOX_NEXT, Language.K_BOX_NEXT})
+
+
 # --- AST -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Formula:
+class Node:
+    """A formula or program node.  ``children`` holds the subterms in field
+    order (program before body), and the named fields read from it.  Nodes
+    are never mutated: their hash, language set and node array are cached."""
+
+    __slots__ = ("children", "name", "_hash", "_nodes", "_kinds", "_in")
+    _fields: tuple[str, ...] = ()
+    _tag = ""  # JSON type name
+    _langs = _ALL  # languages the node may occur in
+
+    def __init_subclass__(cls) -> None:
+        fields = cls.__dict__.get("_fields", ())
+        for i, field in enumerate(fields):
+            setattr(cls, field, property(lambda self, i=i: self.children[i]))
+        if "__init__" not in cls.__dict__ and fields:
+            cls.__init__ = _unary_init if len(fields) == 1 else _binary_init
+
+    def __init__(self) -> None:
+        self.children = ()
+        self._hash = hash((type(self),))
+
+    def rebuild(self, children) -> "Node":
+        """The same node over new children; itself when none changed."""
+        if all(a is b for a, b in zip(children, self.children)):
+            return self
+        return type(self)(*children)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Node):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a._hash != b._hash or type(a) is not type(b):
+                return False
+            if a.children:
+                stack.extend(zip(a.children, b.children))
+            elif getattr(a, "name", None) != getattr(b, "name", None):
+                return False
+        return True
+
+    def __repr__(self) -> str:
+        args = (self.name,) if hasattr(self, "name") else self.children
+        return f"{type(self).__name__}({', '.join(map(repr, args))})"
+
+    def __str__(self) -> str:
+        return format_formula(self)
+
+
+# constructors by arity: the hash is computed here, once, from the children's
+
+
+def _leaf_init(self: Node, name: str) -> None:
+    self.name = name
+    self.children = ()
+    self._hash = hash((type(self), name))
+
+
+def _unary_init(self: Node, body: Node) -> None:
+    self.children = (body,)
+    self._hash = hash((type(self), body._hash))
+
+
+def _binary_init(self: Node, left: Node, right: Node) -> None:
+    self.children = (left, right)
+    self._hash = hash((type(self), left._hash, right._hash))
+
+
+class Formula(Node):
+    __slots__ = ()
+
     def __invert__(self) -> "Formula":
         return Not(self)
 
@@ -62,380 +150,309 @@ class Formula:
     def __rshift__(self, other: "Formula") -> "Formula":
         return Implies(self, other)
 
-    def __str__(self) -> str:
-        return format_formula(self)
+
+class Program(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ()
+    _tag = "atom"
+    __init__ = _leaf_init
 
 
-@dataclass(frozen=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
+    _tag = "top"
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    body: Formula
+    __slots__ = ()
+    _fields, _tag = ("body",), "not"
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ()
+    _fields, _tag = ("left", "right"), "and"
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ()
+    _fields, _tag = ("left", "right"), "or"
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ()
+    _fields, _tag = ("left", "right"), "implies"
 
 
-@dataclass(frozen=True)
 class Iff(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ()
+    _fields, _tag = ("left", "right"), "iff"
 
 
-@dataclass(frozen=True)
 class Diamond(Formula):
     """Relational possibility: some execution of the program reaches body."""
 
-    prog: "Program"
-    body: Formula
+    __slots__ = ()
+    _fields, _tag, _langs = ("prog", "body"), "pdl_dia", frozenset({Language.PDL})
 
 
-@dataclass(frozen=True)
 class BoxPdl(Formula):
     """Relational necessity, the dual of Diamond."""
 
-    prog: "Program"
-    body: Formula
+    __slots__ = ()
+    _fields, _tag, _langs = ("prog", "body"), "pdl_box", frozenset({Language.PDL})
 
 
-@dataclass(frozen=True)
 class Int(Formula):
     """Topological interior (printed ``box``)."""
 
-    body: Formula
+    __slots__ = ()
+    _fields, _tag, _langs = ("body",), "interior", _TOPOLOGICAL
 
 
-@dataclass(frozen=True)
 class Cl(Formula):
     """Topological closure (printed ``dia``)."""
 
-    body: Formula
+    __slots__ = ()
+    _fields, _tag, _langs = ("body",), "closure", _TOPOLOGICAL
 
 
-@dataclass(frozen=True)
 class Know(Formula):
-    body: Formula
+    __slots__ = ()
+    _fields, _tag, _langs = ("body",), "know", frozenset({Language.K_BOX_NEXT})
 
 
-@dataclass(frozen=True)
 class KHat(Formula):
-    body: Formula
+    __slots__ = ()
+    _fields, _tag, _langs = ("body",), "khat", frozenset({Language.K_BOX_NEXT})
 
 
-@dataclass(frozen=True)
 class Next(Formula):
     """One execution step of a (possibly partial) program."""
 
-    prog: "Program"
-    body: Formula
+    __slots__ = ()
+    _fields, _tag, _langs = ("prog", "body"), "next", _TOPOLOGICAL
 
 
-@dataclass(frozen=True)
-class Atomic:
-    name: str
-
-    def __str__(self) -> str:
-        return format_program(self)
+class Atomic(Program):
+    __slots__ = ()
+    _tag = "prog"
+    __init__ = _leaf_init
 
 
-@dataclass(frozen=True)
-class Seq:
-    left: "Program"
-    right: "Program"
-
-    def __str__(self) -> str:
-        return format_program(self)
+class Seq(Program):
+    __slots__ = ()
+    _fields, _tag = ("left", "right"), "seq"
 
 
-@dataclass(frozen=True)
-class Test:
-    body: Formula
+class Test(Program):
+    # Tests are a subset-space construct; L_PDL programs are names and seqs.
+    __slots__ = ()
+    _fields, _tag, _langs = ("body",), "test", _TOPOLOGICAL
 
-    def __post_init__(self) -> None:
-        if not in_language(self.body, Language.BOX_NEXT):
+    def __init__(self, body: Formula):
+        if not in_language(body, Language.BOX_NEXT):
             raise FragmentViolation(
-                f"test body must stay in the box/next fragment: {format_formula(self.body)}"
+                f"test body must stay in the box/next fragment: {format_formula(body)}"
             )
+        _unary_init(self, body)
 
-    def __str__(self) -> str:
-        return format_program(self)
-
-
-Program = Union[Atomic, Seq, Test]
 
 TOP = Top()
 
-_BINARY = (And, Or, Implies, Iff)
+BOOLEAN = frozenset({Top, Not, And, Or, Implies, Iff})
+MODAL = (Diamond, BoxPdl, Next)
+
+
+# --- the node array and folds over it ------------------------------------------
+
+NodeArray = tuple[tuple[type, tuple[int, ...], Node], ...]
+
+
+def compile(f: Node) -> NodeArray:
+    """Post-order node array of f: entry i is ``(class, child ids, node)``.
+
+    Children precede their parents, equal subterms (programs and test bodies
+    included) share one id, and the root comes last.  Built without recursion,
+    once per root, and cached on it; the array holds nothing model-dependent.
+    """
+    nodes = getattr(f, "_nodes", None)
+    if nodes is not None:
+        return nodes
+    if not isinstance(f, Node):
+        raise TypeError(f"not a formula: {f!r}")
+    index: dict[int, int] = {}  # id() of a node object -> its array id
+    ids: dict[tuple, int] = {}  # (class, child ids or name) -> array id
+    out = []
+    stack = [(f, False)]  # (node, children done?)
+    while stack:
+        n, ready = stack.pop()
+        cls = type(n)
+        if ready:
+            kids = tuple([index[id(c)] for c in n.children])
+            key = (cls, kids)
+        elif id(n) in index:
+            continue
+        elif n.children:
+            stack.append((n, True))
+            stack.extend([(c, False) for c in reversed(n.children) if id(c) not in index])
+            continue
+        else:
+            kids = ()
+            key = (cls, ()) if cls is Top else (cls, n.name)
+        # nodes are equal iff their classes and names or child ids are
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(out)
+            out.append((cls, kids, n))
+        index[id(n)] = i
+    nodes = f._nodes = tuple(out)
+    return nodes
+
+
+T = TypeVar("T")
+
+
+def fold(f: Node, visit: Callable[[Node, list], T]) -> T:
+    """Bottom-up value of f: ``visit(node, values of its children)`` runs once
+    per distinct subterm, children first."""
+    vals: list = []
+    for _, kids, node in compile(f):
+        vals.append(visit(node, [vals[k] for k in kids]))
+    return vals[-1]
+
+
+def seq_steps(p: Program) -> list[Program]:
+    """The non-sequence parts of a program in execution order."""
+    out, stack = [], [p]
+    while stack:
+        q = stack.pop()
+        if type(q) is Seq:
+            stack += (q.right, q.left)
+        else:
+            out.append(q)
+    return out
 
 
 # --- language membership and measures ---------------------------------------
 
 
-def _pdl_program(p: Program) -> bool:
-    # Tests are a subset-space construct; L_PDL programs are names and seqs.
-    if isinstance(p, Atomic):
-        return True
-    if isinstance(p, Seq):
-        return _pdl_program(p.left) and _pdl_program(p.right)
-    return False
+def kinds(f: Node) -> frozenset[type]:
+    """The node classes occurring in f, cached on f like its array."""
+    got = getattr(f, "_kinds", None)
+    if got is None:
+        got = f._kinds = frozenset([cls for cls, _, _ in compile(f)])
+    return got
 
 
 def in_language(f: Formula, lang: Language) -> bool:
-    if isinstance(f, (Atom, Top)):
-        return True
-    if isinstance(f, Not):
-        return in_language(f.body, lang)
-    if isinstance(f, _BINARY):
-        return in_language(f.left, lang) and in_language(f.right, lang)
-    if isinstance(f, (Diamond, BoxPdl)):
-        return lang is Language.PDL and _pdl_program(f.prog) and in_language(f.body, lang)
-    if isinstance(f, (Int, Cl)):
-        return lang is not Language.PDL and in_language(f.body, lang)
-    if isinstance(f, (Know, KHat)):
-        return lang is Language.K_BOX_NEXT and in_language(f.body, lang)
-    if isinstance(f, Next):
-        # Test subprograms carry their own fragment check from construction.
-        return lang is not Language.PDL and in_language(f.body, lang)
-    raise TypeError(f"not a formula: {f!r}")
+    # Test bodies sit in the box/next fragment by construction, so a test is
+    # allowed exactly where box and next are.
+    langs = getattr(f, "_in", None)
+    if langs is None:
+        langs = f._in = _ALL.intersection(*[cls._langs for cls in kinds(f)])
+    return lang in langs
 
 
-def program_depth(p: Program) -> int:
-    if isinstance(p, Atomic):
+def _depth_step(node: Node, kids: list[int]) -> int:
+    if type(node) is Atomic:
         return 1
-    if isinstance(p, Seq):
-        return program_depth(p.left) + program_depth(p.right)
-    if isinstance(p, Test):
-        return modal_depth(p.body)
-    raise TypeError(f"not a program: {p!r}")
+    if type(node) is Seq or type(node) in MODAL:
+        return kids[0] + kids[1]
+    return max(kids, default=0)
 
 
 def modal_depth(f: Formula) -> int:
     """Maximum nesting of execution modalities; a seq of length k counts k."""
-    if isinstance(f, (Atom, Top)):
-        return 0
-    if isinstance(f, (Not, Int, Cl, Know, KHat)):
-        return modal_depth(f.body)
-    if isinstance(f, _BINARY):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    if isinstance(f, (Diamond, BoxPdl, Next)):
-        return program_depth(f.prog) + modal_depth(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, _depth_step)
+
+
+program_depth = modal_depth  # a program's depth is the same measure
 
 
 def atoms(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset({f.name})
-    if isinstance(f, Top):
-        return frozenset()
-    if isinstance(f, (Not, Int, Cl, Know, KHat)):
-        return atoms(f.body)
-    if isinstance(f, _BINARY):
-        return atoms(f.left) | atoms(f.right)
-    if isinstance(f, (Diamond, BoxPdl, Next)):
-        return _program_formula_atoms(f.prog) | atoms(f.body)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _program_formula_atoms(p: Program) -> frozenset[str]:
-    if isinstance(p, Atomic):
-        return frozenset()
-    if isinstance(p, Seq):
-        return _program_formula_atoms(p.left) | _program_formula_atoms(p.right)
-    return atoms(p.body)
+    return frozenset(n.name for cls, _, n in compile(f) if cls is Atom)
 
 
 def program_names(f: Formula) -> frozenset[str]:
     """Atomic program names occurring anywhere in f, tests included."""
-    if isinstance(f, (Atom, Top)):
-        return frozenset()
-    if isinstance(f, (Not, Int, Cl, Know, KHat)):
-        return program_names(f.body)
-    if isinstance(f, _BINARY):
-        return program_names(f.left) | program_names(f.right)
-    if isinstance(f, (Diamond, BoxPdl, Next)):
-        return _program_names_in(f.prog) | program_names(f.body)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _program_names_in(p: Program) -> frozenset[str]:
-    if isinstance(p, Atomic):
-        return frozenset({p.name})
-    if isinstance(p, Seq):
-        return _program_names_in(p.left) | _program_names_in(p.right)
-    return program_names(p.body)
+    return frozenset(n.name for cls, _, n in compile(f) if cls is Atomic)
 
 
 def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Uniform substitution of atoms.  Reaches into test bodies; substituting
     a knowledge formula into a test raises FragmentViolation, as it must."""
-    if isinstance(f, Atom):
-        return mapping.get(f.name, f)
-    if isinstance(f, Top):
-        return f
-    if isinstance(f, Not):
-        return Not(substitute(f.body, mapping))
-    if isinstance(f, _BINARY):
-        return type(f)(substitute(f.left, mapping), substitute(f.right, mapping))
-    if isinstance(f, (Int, Cl, Know, KHat)):
-        return type(f)(substitute(f.body, mapping))
-    if isinstance(f, (Diamond, BoxPdl, Next)):
-        return type(f)(_substitute_prog(f.prog, mapping), substitute(f.body, mapping))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _substitute_prog(p: Program, mapping: Mapping[str, Formula]) -> Program:
-    if isinstance(p, Atomic):
-        return p
-    if isinstance(p, Seq):
-        return Seq(_substitute_prog(p.left, mapping), _substitute_prog(p.right, mapping))
-    return Test(substitute(p.body, mapping))
+    return fold(f, lambda n, kids: mapping.get(n.name, n) if type(n) is Atom else n.rebuild(kids))
 
 
 def substitute_programs(f: Formula, mapping: Mapping[str, Program]) -> Formula:
     """Replace atomic program names throughout, used to instantiate schemes."""
-    if isinstance(f, (Atom, Top)):
-        return f
-    if isinstance(f, Not):
-        return Not(substitute_programs(f.body, mapping))
-    if isinstance(f, _BINARY):
-        return type(f)(
-            substitute_programs(f.left, mapping), substitute_programs(f.right, mapping)
-        )
-    if isinstance(f, (Int, Cl, Know, KHat)):
-        return type(f)(substitute_programs(f.body, mapping))
-    if isinstance(f, (Diamond, BoxPdl, Next)):
-        return type(f)(
-            _substitute_prog_names(f.prog, mapping), substitute_programs(f.body, mapping)
-        )
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, lambda n, kids: mapping.get(n.name, n) if type(n) is Atomic else n.rebuild(kids))
 
 
-def _substitute_prog_names(p: Program, mapping: Mapping[str, Program]) -> Program:
-    if isinstance(p, Atomic):
-        return mapping.get(p.name, p)
-    if isinstance(p, Seq):
-        return Seq(
-            _substitute_prog_names(p.left, mapping), _substitute_prog_names(p.right, mapping)
-        )
-    return Test(substitute_programs(p.body, mapping))
+def _expand(node: Node, kids: list) -> Node:
+    cls = type(node)
+    if cls is Cl:
+        return Not(Int(Not(kids[0])))
+    if cls is KHat:
+        return Not(Know(Not(kids[0])))
+    if cls is BoxPdl:
+        return Not(Diamond(kids[0], Not(kids[1])))
+    return node.rebuild(kids)
 
 
 def expand_duals(f: Formula) -> Formula:
     """Rewrite [prog], dia and Khat through their negation duals."""
-    if isinstance(f, (Atom, Top)):
-        return f
-    if isinstance(f, Not):
-        return Not(expand_duals(f.body))
-    if isinstance(f, _BINARY):
-        return type(f)(expand_duals(f.left), expand_duals(f.right))
-    if isinstance(f, Int):
-        return Int(expand_duals(f.body))
-    if isinstance(f, Cl):
-        return Not(Int(Not(expand_duals(f.body))))
-    if isinstance(f, Know):
-        return Know(expand_duals(f.body))
-    if isinstance(f, KHat):
-        return Not(Know(Not(expand_duals(f.body))))
-    if isinstance(f, Diamond):
-        return Diamond(_expand_duals_prog(f.prog), expand_duals(f.body))
-    if isinstance(f, BoxPdl):
-        return Not(Diamond(_expand_duals_prog(f.prog), Not(expand_duals(f.body))))
-    if isinstance(f, Next):
-        return Next(_expand_duals_prog(f.prog), expand_duals(f.body))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _expand_duals_prog(p: Program) -> Program:
-    if isinstance(p, Atomic):
-        return p
-    if isinstance(p, Seq):
-        return Seq(_expand_duals_prog(p.left), _expand_duals_prog(p.right))
-    return Test(expand_duals(p.body))
+    return fold(f, _expand)
 
 
 # --- printer -----------------------------------------------------------------
 
 _PREC_IFF, _PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = range(6)
 
+# connective -> (symbol, precedence, extra binding demanded of left and right)
+_INFIX = {
+    And: (" & ", _PREC_AND, 0, 1),
+    Or: (" | ", _PREC_OR, 0, 1),
+    Implies: (" -> ", _PREC_IMPLIES, 1, 0),
+    Iff: (" <-> ", _PREC_IFF, 1, 0),
+}
+_PREFIX = {Not: "~", Int: "box ", Cl: "dia ", Know: "K ", KHat: "Khat "}
+_BRACKETS = {Diamond: ("<", ">"), BoxPdl: ("[", "]"), Next: ("O[", "]")}
+
+
+def _wrap(value: tuple[str, int], ctx: int) -> str:
+    text, prec = value
+    return f"({text})" if prec < ctx else text
+
+
+def _show(node: Node, kids: list) -> tuple[str, int]:
+    """Text and precedence of a node; programs use 0 for seqs, 1 otherwise."""
+    cls = type(node)
+    if cls is Atom or cls is Atomic:
+        return node.name, _PREC_ATOM
+    if cls is Top:
+        return "top", _PREC_ATOM
+    if cls in _INFIX:
+        op, prec, left, right = _INFIX[cls]
+        return f"{_wrap(kids[0], prec + left)}{op}{_wrap(kids[1], prec + right)}", prec
+    if cls in _PREFIX:
+        return _PREFIX[cls] + _wrap(kids[0], _PREC_UNARY), _PREC_UNARY
+    if cls in _BRACKETS:
+        left, right = _BRACKETS[cls]
+        return f"{left}{kids[0][0]}{right} {_wrap(kids[1], _PREC_UNARY)}", _PREC_UNARY
+    if cls is Seq:
+        return f"{kids[0][0]};{_wrap(kids[1], 1)}", 0
+    return f"?({kids[0][0]})", 1  # Test
+
 
 def format_formula(f: Formula) -> str:
-    return _fmt(f, _PREC_IFF)
+    return fold(f, _show)[0]
 
 
-def _fmt(f: Formula, ctx: int) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Top):
-        return "top"
-    if isinstance(f, Not):
-        s, prec = "~" + _fmt(f.body, _PREC_UNARY), _PREC_UNARY
-    elif isinstance(f, And):
-        s = f"{_fmt(f.left, _PREC_AND)} & {_fmt(f.right, _PREC_AND + 1)}"
-        prec = _PREC_AND
-    elif isinstance(f, Or):
-        s = f"{_fmt(f.left, _PREC_OR)} | {_fmt(f.right, _PREC_OR + 1)}"
-        prec = _PREC_OR
-    elif isinstance(f, Implies):
-        s = f"{_fmt(f.left, _PREC_IMPLIES + 1)} -> {_fmt(f.right, _PREC_IMPLIES)}"
-        prec = _PREC_IMPLIES
-    elif isinstance(f, Iff):
-        s = f"{_fmt(f.left, _PREC_IFF + 1)} <-> {_fmt(f.right, _PREC_IFF)}"
-        prec = _PREC_IFF
-    elif isinstance(f, Diamond):
-        s, prec = f"<{format_program(f.prog)}> {_fmt(f.body, _PREC_UNARY)}", _PREC_UNARY
-    elif isinstance(f, BoxPdl):
-        s, prec = f"[{format_program(f.prog)}] {_fmt(f.body, _PREC_UNARY)}", _PREC_UNARY
-    elif isinstance(f, Int):
-        s, prec = f"box {_fmt(f.body, _PREC_UNARY)}", _PREC_UNARY
-    elif isinstance(f, Cl):
-        s, prec = f"dia {_fmt(f.body, _PREC_UNARY)}", _PREC_UNARY
-    elif isinstance(f, Know):
-        s, prec = f"K {_fmt(f.body, _PREC_UNARY)}", _PREC_UNARY
-    elif isinstance(f, KHat):
-        s, prec = f"Khat {_fmt(f.body, _PREC_UNARY)}", _PREC_UNARY
-    elif isinstance(f, Next):
-        s, prec = f"O[{format_program(f.prog)}] {_fmt(f.body, _PREC_UNARY)}", _PREC_UNARY
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    return f"({s})" if prec < ctx else s
-
-
-def format_program(p: Program) -> str:
-    return _fmt_prog(p, 0)
-
-
-def _fmt_prog(p: Program, ctx: int) -> str:
-    if isinstance(p, Atomic):
-        return p.name
-    if isinstance(p, Test):
-        return f"?({format_formula(p.body)})"
-    if isinstance(p, Seq):
-        s = f"{_fmt_prog(p.left, 0)};{_fmt_prog(p.right, 1)}"
-        return f"({s})" if ctx > 0 else s
-    raise TypeError(f"not a program: {p!r}")
+format_program = format_formula
 
 
 # --- parser ------------------------------------------------------------------
@@ -450,6 +467,9 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+_PREFIX_TOKENS = {"~": Not, "box": Int, "dia": Cl, "K": Know, "Khat": KHat}
+_MODAL_TOKENS = {"<": (Diamond, ">"), "[": (BoxPdl, "]"), "O": (Next, "]")}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
@@ -477,9 +497,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
 
 
 class _Parser:
+    """Recursive descent that recurses only into brackets, whose nesting it
+    caps; operator chains are parsed by loops."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int, int]:
         return self.tokens[self.pos]
@@ -499,19 +523,32 @@ class _Parser:
             raise ParseError(f"expected {what}, found {got!r}", tok[2], tok[3])
         return self.advance()
 
-    def formula(self) -> Formula:
-        left = self.implication()
-        if self.at("<->"):
+    def bracketed(self, inner: Callable[[], T], close: str) -> T:
+        """Parse inside an already consumed opening bracket, up to ``close``."""
+        _, _, line, col = self.peek()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"brackets nest deeper than {MAX_NESTING} levels", line, col)
+        result = inner()
+        self.expect(close, f"'{close}'")
+        self.depth -= 1
+        return result
+
+    def right_chain(self, operand: Callable[[], Formula], op: str, cls: type) -> Formula:
+        parts = [operand()]
+        while self.at(op):
             self.advance()
-            return Iff(left, self.formula())
-        return left
+            parts.append(operand())
+        f = parts.pop()
+        while parts:
+            f = cls(parts.pop(), f)
+        return f
+
+    def formula(self) -> Formula:
+        return self.right_chain(self.implication, "<->", Iff)
 
     def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.at("->"):
-            self.advance()
-            return Implies(left, self.implication())
-        return left
+        return self.right_chain(self.disjunction, "->", Implies)
 
     def disjunction(self) -> Formula:
         f = self.conjunction()
@@ -528,39 +565,25 @@ class _Parser:
         return f
 
     def unary(self) -> Formula:
-        kind, _, line, col = self.peek()
-        if kind == "~":
+        wrappers: list[Callable[[Formula], Formula]] = []
+        while True:
+            kind = self.peek()[0]
+            if kind in _PREFIX_TOKENS:
+                self.advance()
+                wrappers.append(_PREFIX_TOKENS[kind])
+                continue
+            if kind not in _MODAL_TOKENS:
+                break
             self.advance()
-            return Not(self.unary())
-        if kind == "box":
-            self.advance()
-            return Int(self.unary())
-        if kind == "dia":
-            self.advance()
-            return Cl(self.unary())
-        if kind == "K":
-            self.advance()
-            return Know(self.unary())
-        if kind == "Khat":
-            self.advance()
-            return KHat(self.unary())
-        if kind == "<":
-            self.advance()
-            prog = self.program()
-            self.expect(">", "'>'")
-            return Diamond(prog, self.unary())
-        if kind == "[":
-            self.advance()
-            prog = self.program()
-            self.expect("]", "']'")
-            return BoxPdl(prog, self.unary())
-        if kind == "O":
-            self.advance()
-            self.expect("[", "'[' after 'O'")
-            prog = self.program()
-            self.expect("]", "']'")
-            return Next(prog, self.unary())
-        return self.primary()
+            if kind == "O":
+                self.expect("[", "'[' after 'O'")
+            cls, close = _MODAL_TOKENS[kind]
+            prog = self.bracketed(self.program, close)
+            wrappers.append(lambda body, cls=cls, prog=prog: cls(prog, body))
+        f = self.primary()
+        for wrap in reversed(wrappers):
+            f = wrap(f)
+        return f
 
     def primary(self) -> Formula:
         kind, value, line, col = self.peek()
@@ -572,9 +595,7 @@ class _Parser:
             return Atom(value)
         if kind == "(":
             self.advance()
-            f = self.formula()
-            self.expect(")", "')'")
-            return f
+            return self.bracketed(self.formula, ")")
         got = value or "end of input"
         raise ParseError(f"expected a formula, found {got!r}", line, col)
 
@@ -593,108 +614,75 @@ class _Parser:
         if kind == "?":
             self.advance()
             self.expect("(", "'(' after '?'")
-            body = self.formula()
-            self.expect(")", "')'")
+            body = self.bracketed(self.formula, ")")
             try:
                 return Test(body)
             except FragmentViolation as exc:
                 raise FragmentViolation(exc.args[0].split(" (line")[0], line, col) from None
         if kind == "(":
             self.advance()
-            p = self.program()
-            self.expect(")", "')'")
-            return p
+            return self.bracketed(self.program, ")")
         got = value or "end of input"
         raise ParseError(f"expected a program, found {got!r}", line, col)
+
+    def finish(self, result: T) -> T:
+        tok = self.peek()
+        if tok[0] != "eof":
+            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2], tok[3])
+        if fold(result, lambda _, kids: 1 + max(kids, default=0)) > MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels")
+        return result
 
 
 def parse(text: str) -> Formula:
     p = _Parser(text)
-    f = p.formula()
-    tok = p.peek()
-    if tok[0] != "eof":
-        raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2], tok[3])
-    return f
+    return p.finish(p.formula())
 
 
 def parse_program(text: str) -> Program:
     p = _Parser(text)
-    prog = p.program()
-    tok = p.peek()
-    if tok[0] != "eof":
-        raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2], tok[3])
-    return prog
+    return p.finish(p.program())
 
 
 # --- JSON views --------------------------------------------------------------
 
-_FORMULA_TAGS = {
-    Atom: "atom",
-    Top: "top",
-    Not: "not",
-    And: "and",
-    Or: "or",
-    Implies: "implies",
-    Iff: "iff",
-    Diamond: "pdl_dia",
-    BoxPdl: "pdl_box",
-    Int: "interior",
-    Cl: "closure",
-    Know: "know",
-    KHat: "khat",
-    Next: "next",
-}
+_CLASSES = {cls._tag: cls for cls in (
+    Atom, Top, Not, And, Or, Implies, Iff, Diamond, BoxPdl, Int, Cl, Know, KHat, Next,
+    Atomic, Seq, Test,
+)}
 
 
-def formula_to_json(f: Formula) -> dict:
-    tag = _FORMULA_TAGS[type(f)]
-    if isinstance(f, Atom):
-        return {"type": tag, "name": f.name}
-    if isinstance(f, Top):
-        return {"type": tag}
-    if isinstance(f, (Not, Int, Cl, Know, KHat)):
-        return {"type": tag, "body": formula_to_json(f.body)}
-    if isinstance(f, _BINARY):
-        return {"type": tag, "left": formula_to_json(f.left), "right": formula_to_json(f.right)}
-    return {
-        "type": tag,
-        "program": program_to_json(f.prog),
-        "body": formula_to_json(f.body),
-    }
+_JSON_NAMES = {"prog": "program"}  # JSON keys that differ from field names
 
 
-def program_to_json(p: Program) -> dict:
-    if isinstance(p, Atomic):
-        return {"type": "prog", "name": p.name}
-    if isinstance(p, Seq):
-        return {"type": "seq", "left": program_to_json(p.left), "right": program_to_json(p.right)}
-    return {"type": "test", "body": formula_to_json(p.body)}
+def formula_to_json(f: Node) -> dict:
+    """JSON view of a formula or program."""
+
+    def visit(node: Node, kids: list) -> dict:
+        out = {"type": node._tag}
+        if type(node) is Atom or type(node) is Atomic:
+            out["name"] = node.name
+        out.update((_JSON_NAMES.get(field, field), kid) for field, kid in zip(node._fields, kids))
+        return out
+
+    return fold(f, visit)
 
 
-_FORMULA_UNTAGS = {tag: cls for cls, tag in _FORMULA_TAGS.items()}
+def _from_json(obj: dict, kind: type) -> Node:
+    cls = _CLASSES.get(obj.get("type"))
+    if cls is None or not issubclass(cls, kind):
+        raise ValueError(f"unknown {kind.__name__.lower()} node: {obj.get('type')!r}")
+    if cls is Atom or cls is Atomic:
+        return cls(obj["name"])
+    return cls(*[
+        _from_json(obj[_JSON_NAMES.get(field, field)], Program if field == "prog" or cls is Seq else Formula)
+        for field in cls._fields
+    ])
 
 
 def formula_from_json(obj: dict) -> Formula:
-    cls = _FORMULA_UNTAGS.get(obj.get("type"))
-    if cls is None:
-        raise ValueError(f"unknown formula node: {obj.get('type')!r}")
-    if cls is Atom:
-        return Atom(obj["name"])
-    if cls is Top:
-        return Top()
-    if cls in (Not, Int, Cl, Know, KHat):
-        return cls(formula_from_json(obj["body"]))
-    if cls in _BINARY:
-        return cls(formula_from_json(obj["left"]), formula_from_json(obj["right"]))
-    return cls(program_from_json(obj["program"]), formula_from_json(obj["body"]))
+    return _from_json(obj, Formula)
 
 
 def program_from_json(obj: dict) -> Program:
-    tag = obj.get("type")
-    if tag == "prog":
-        return Atomic(obj["name"])
-    if tag == "seq":
-        return Seq(program_from_json(obj["left"]), program_from_json(obj["right"]))
-    if tag == "test":
-        return Test(formula_from_json(obj["body"]))
-    raise ValueError(f"unknown program node: {tag!r}")
+    return _from_json(obj, Program)

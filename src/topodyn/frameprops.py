@@ -66,15 +66,11 @@ class FrameReport:
         return out
 
 
-def _sorted_opens(space: TopoSpace) -> list[int]:
-    return space.opens_sorted()
-
-
 def is_continuous(space: TopoSpace, fn: Sequence[int]) -> FrameReport:
     """Preimage of every open is open; cross-checked against the pointwise
     minimal-neighbourhood criterion."""
     witness = None
-    for v in _sorted_opens(space):
+    for v in space.opens_sorted():
         pre = _total_preimage(fn, v, space.n)
         if not space.is_open(pre):
             bad = pre & ~space.interior(pre)
@@ -93,7 +89,7 @@ def is_open_map(space: TopoSpace, fn: Sequence[Optional[int]]) -> FrameReport:
     """Image of every open is open.  Handles partial maps, so subset-model
     validation can share it."""
     witness = None
-    for u in _sorted_opens(space):
+    for u in space.opens_sorted():
         img = image(fn, u)
         if not space.is_open(img):
             witness = FrameWitness(open_set=u)
@@ -147,7 +143,7 @@ def build_continuity_countermodel(
     x of a outside int(a); with p true exactly on v, x satisfies the
     antecedent but not the consequent.  Returns None for continuous maps.
     """
-    for v in _sorted_opens(space):
+    for v in space.opens_sorted():
         a = _total_preimage(fn, v, space.n)
         if not space.is_open(a):
             x = next(iter_points(a & ~space.interior(a)))
@@ -165,7 +161,7 @@ def build_openness_countermodel(
     sent into a \\ int(a); with p true exactly on a, x satisfies the
     antecedent but not the consequent.  Returns None for open maps.
     """
-    for u in _sorted_opens(space):
+    for u in space.opens_sorted():
         a = image(fn, u)
         if not space.is_open(a):
             bad = a & ~space.interior(a)

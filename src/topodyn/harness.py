@@ -8,6 +8,7 @@ and then fall back to constructive families rather than spinning forever.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 import time
@@ -16,6 +17,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from . import checker
 from .formula import (
+    MODAL,
     And,
     Atom,
     Atomic,
@@ -36,9 +38,9 @@ from .formula import (
     Seq,
     Test,
     Top,
-    atoms as formula_atoms,
+    compile,
     format_formula,
-    program_names,
+    modal_depth,
 )
 from .frameprops import is_continuous, is_open_map
 from .models import (
@@ -50,7 +52,7 @@ from .models import (
     model_to_json,
     points_from_mask,
 )
-from .proofkit import ProofSystem, get_system, instantiate_scheme
+from .proofkit import get_system, instantiate_scheme
 from .topology import TopoSpace, all_functions, all_topologies, iter_points
 
 MODEL_CLASSES = ("pdl_serial", "dtl", "dtl_open", "dtl_continuous", "subset")
@@ -189,6 +191,33 @@ def gen_model(cfg: GenConfig, index: int = 0) -> Model:
 # --- random formulas -----------------------------------------------------------
 
 
+# kinds and weights in the order gen_formula offers them; Atom stands for
+# "an atom, or top"
+_BASE_KINDS = ((Atom, 2.0), (Not, 1.5), (And, 1.5), (Or, 1.2), (Implies, 1.2), (Iff, 0.6))
+
+
+def _kind_table(lang: Language, modal: bool) -> tuple[tuple[type, ...], list[float], float]:
+    """Kinds with their cumulative weights and total, as ``random.choices``
+    would build them from the weights."""
+    choices = list(_BASE_KINDS)
+    if modal:
+        if lang is Language.PDL:
+            choices += [(Diamond, 2.0), (BoxPdl, 2.0)]
+        else:
+            choices += [(Next, 2.2)]
+    if lang is not Language.PDL:
+        choices += [(Int, 1.2), (Cl, 1.2)]
+        if lang is Language.K_BOX_NEXT:
+            choices += [(Know, 1.2), (KHat, 0.8)]
+    cum = list(itertools.accumulate(w for _, w in choices))
+    return tuple(c for c, _ in choices), cum, cum[-1] + 0.0
+
+
+# per language: the table without, then with, modalities
+_KIND_TABLES = {lang: (_kind_table(lang, False), _kind_table(lang, True)) for lang in Language}
+_BINARY = frozenset({And, Or, Implies, Iff})
+
+
 def gen_formula(
     rng: random.Random,
     atom_names: Sequence[str],
@@ -200,93 +229,57 @@ def gen_formula(
     allow_tests: bool = False,
 ) -> Formula:
     """Grammar-stratified sampler; modal depth never exceeds modal_budget."""
-    if size_budget <= 0 or (rng.random() < 0.18 and size_budget < 4):
-        return Top() if rng.random() < 0.08 else Atom(rng.choice(list(atom_names)))
+    return _Sampler(rng, atom_names, programs, lang, allow_seq, allow_tests).formula(
+        modal_budget, size_budget
+    )
 
-    def sub(mb: int = modal_budget) -> Formula:
-        return gen_formula(
-            rng, atom_names, programs, mb, size_budget - 1, lang, allow_seq, allow_tests
-        )
 
-    def pick_program(budget: int) -> tuple[Program, int]:
-        if allow_seq and budget >= 2 and len(programs) > 0 and rng.random() < 0.25:
-            return Seq(Atomic(rng.choice(list(programs))), Atomic(rng.choice(list(programs)))), 2
+class _Sampler:
+    def __init__(self, rng, atom_names, programs, lang, allow_seq, allow_tests):
+        self.rng = rng
+        self.atom_names = atom_names
+        self.programs = programs
+        self.lang = lang
+        self.tables = _KIND_TABLES[lang]
+        self.has_programs = len(programs) > 0
+        self.allow_seq = allow_seq
+        self.allow_tests = allow_tests
+
+    def leaf(self) -> Formula:
+        return Top() if self.rng.random() < 0.08 else Atom(self.rng.choice(self.atom_names))
+
+    def formula(self, modal_budget: int, size_budget: int) -> Formula:
+        rng = self.rng
+        if size_budget <= 0 or (rng.random() < 0.18 and size_budget < 4):
+            return self.leaf()
+        # the draw random.choices(kinds, weights) makes, from a precomputed table
+        kinds, cum, total = self.tables[modal_budget >= 1 and self.has_programs]
+        kind = kinds[bisect.bisect(cum, rng.random() * total, 0, len(cum) - 1)]
+        if kind is Atom:
+            return self.leaf()
+        if kind in _BINARY:
+            left = self.formula(modal_budget, size_budget - 1)
+            return kind(left, self.formula(modal_budget, size_budget - 1))
+        if kind not in MODAL:
+            return kind(self.formula(modal_budget, size_budget - 1))
+        prog, cost = self.program(modal_budget, size_budget)
+        return kind(prog, self.formula(modal_budget - cost, size_budget - 1))
+
+    def program(self, modal_budget: int, size_budget: int) -> tuple[Program, int]:
+        rng, programs = self.rng, self.programs
+        if self.allow_seq and modal_budget >= 2 and self.has_programs and rng.random() < 0.25:
+            return Seq(Atomic(rng.choice(programs)), Atomic(rng.choice(programs))), 2
         if (
-            allow_tests
-            and lang is not Language.PDL
-            and budget >= 1
+            self.allow_tests
+            and self.lang is not Language.PDL
+            and modal_budget >= 1
             and rng.random() < 0.15
         ):
-            body = gen_formula(
-                rng,
-                atom_names,
-                programs,
-                modal_budget - 1,
-                size_budget // 2,
-                Language.BOX_NEXT,
-                allow_seq,
-                allow_tests,
-            )
-            from .formula import modal_depth
-
+            body = _Sampler(
+                rng, self.atom_names, programs, Language.BOX_NEXT, self.allow_seq, self.allow_tests
+            ).formula(modal_budget - 1, size_budget // 2)
             return Test(body), max(modal_depth(body), 1)
-        return Atomic(rng.choice(list(programs))), 1
-
-    choices: list[tuple[str, float]] = [
-        ("atom", 2.0),
-        ("not", 1.5),
-        ("and", 1.5),
-        ("or", 1.2),
-        ("implies", 1.2),
-        ("iff", 0.6),
-    ]
-    if modal_budget >= 1 and programs:
-        if lang is Language.PDL:
-            choices += [("dia_pdl", 2.0), ("box_pdl", 2.0)]
-        else:
-            choices += [("next", 2.2)]
-    if lang is not Language.PDL:
-        choices += [("int", 1.2), ("cl", 1.2)]
-        if lang is Language.K_BOX_NEXT:
-            choices += [("know", 1.2), ("khat", 0.8)]
-
-    kind = rng.choices([c for c, _ in choices], weights=[w for _, w in choices])[0]
-    if kind == "atom":
-        return Top() if rng.random() < 0.08 else Atom(rng.choice(list(atom_names)))
-    if kind == "not":
-        return Not(sub())
-    if kind == "and":
-        return And(sub(), sub())
-    if kind == "or":
-        return Or(sub(), sub())
-    if kind == "implies":
-        return Implies(sub(), sub())
-    if kind == "iff":
-        return Iff(sub(), sub())
-    if kind == "int":
-        return Int(sub())
-    if kind == "cl":
-        return Cl(sub())
-    if kind == "know":
-        return Know(sub())
-    if kind == "khat":
-        return KHat(sub())
-    prog, cost = pick_program(modal_budget)
-    body = gen_formula(
-        rng,
-        atom_names,
-        programs,
-        modal_budget - cost,
-        size_budget - 1,
-        lang,
-        allow_seq,
-        allow_tests,
-    )
-    if kind == "dia_pdl":
-        return Diamond(prog, body)
-    if kind == "box_pdl":
-        return BoxPdl(prog, body)
-    return Next(prog, body)
+        return Atomic(rng.choice(programs)), 1
 
 
 # --- audits ---------------------------------------------------------------------
@@ -375,10 +368,6 @@ def _global_failure(model: Model, inst: Formula) -> Union[None, int, Scenario]:
     return None
 
 
-def _instance_language(system: ProofSystem) -> Language:
-    return system.language
-
-
 def audit(
     system_name: str,
     cfg: GenConfig,
@@ -398,7 +387,7 @@ def audit(
         atoms=cfg.atoms,
         max_attempts=cfg.max_attempts,
     )
-    lang = _instance_language(system)
+    lang = system.language
     wanted = set(schemes) if schemes is not None else None
     scheme_list: list[tuple[str, Optional[Formula]]] = [("CPL", None)]
     scheme_list += [(name, template) for name, template in system.schemes]
@@ -428,7 +417,7 @@ def audit(
                     for v in ("p", "q", "r")
                 }
                 pmap = {
-                    v: Atomic(rng.choice(list(model.alphabet)))
+                    v: Atomic(rng.choice(model.alphabet))
                     for v in ("pi", "pi1", "pi2")
                 }
                 if template is None:
@@ -482,8 +471,10 @@ def search_countermodel(
     """
     if model_class not in ("dtl", "dtl_open", "dtl_continuous", "pdl_serial", "subset"):
         raise ValueError(f"unknown model class {model_class!r}")
-    names = sorted(formula_atoms(f))
-    progs = tuple(sorted(program_names(f)))
+    # one node array serves every model below
+    nodes = compile(f)
+    names = sorted({n.name for cls, _, n in nodes if cls is Atom})
+    progs = tuple(sorted({n.name for cls, _, n in nodes if cls is Atomic}))
 
     for n in range(1, bound + 1):
         if model_class == "pdl_serial":

@@ -11,15 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
-from .formula import (
-    Atomic,
-    Program,
-    Seq,
-    Test,
-    format_program,
-    formula_from_json,
-    formula_to_json,
-)
+from .formula import Atomic, Program, Test, format_program, seq_steps
 from .topology import (
     TopoSpace,
     full_mask,
@@ -209,26 +201,27 @@ def program_function(model: Union[DTModel, SubsetModel], prog: Program) -> tuple
     first.  Test programs restrict the identity to the interior of the body's
     extension and are only meaningful on subset models.
     """
-    if isinstance(prog, Atomic):
-        table = model.fn if isinstance(model, DTModel) else model.pfn
-        try:
-            return tuple(table[prog.name])
-        except KeyError:
-            raise ValueError(f"unknown program {prog.name!r}") from None
-    if isinstance(prog, Seq):
-        return compose(
-            program_function(model, prog.left), program_function(model, prog.right)
-        )
-    if isinstance(prog, Test):
-        if not isinstance(model, SubsetModel):
-            raise ValueError(
-                f"test program {format_program(prog)} needs a subset-space model"
-            )
-        from .checker import state_extension
+    result = None
+    for part in seq_steps(prog):
+        if isinstance(part, Atomic):
+            table = model.fn if isinstance(model, DTModel) else model.pfn
+            try:
+                fn = tuple(table[part.name])
+            except KeyError:
+                raise ValueError(f"unknown program {part.name!r}") from None
+        elif isinstance(part, Test):
+            if not isinstance(model, SubsetModel):
+                raise ValueError(
+                    f"test program {format_program(part)} needs a subset-space model"
+                )
+            from .checker import state_extension
 
-        guard = model.space.interior(state_extension(model, prog.body))
-        return tuple(x if guard >> x & 1 else None for x in range(model.n))
-    raise TypeError(f"not a program: {prog!r}")
+            guard = model.space.interior(state_extension(model, part.body))
+            fn = tuple(x if guard >> x & 1 else None for x in range(model.n))
+        else:
+            raise TypeError(f"not a program: {part!r}")
+        result = fn if result is None else compose(result, fn)
+    return result
 
 
 # --- JSON ----------------------------------------------------------------------
@@ -238,7 +231,28 @@ def _val_to_json(val: Mapping[str, int]) -> dict:
     return {a: points_from_mask(m) for a, m in sorted(val.items())}
 
 
-def _val_from_json(obj: Mapping[str, list], n: int) -> dict[str, int]:
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _is_list_of(value: object, ok) -> bool:
+    return isinstance(value, list) and all(ok(v) for v in value)
+
+
+def _is_point(v: object) -> bool:
+    return type(v) is int  # bool and float are not points
+
+
+def _is_pair(v: object) -> bool:
+    return _is_list_of(v, _is_point) and len(v) == 2
+
+
+def _val_from_json(obj: object, n: int) -> dict[str, int]:
+    _require(
+        isinstance(obj, dict) and all(isinstance(pts, list) for pts in obj.values()),
+        "valuation must map atoms to lists of points",
+    )
     return {a: mask_from_points(pts, n) for a, pts in obj.items()}
 
 
@@ -272,13 +286,24 @@ def model_to_json(model: Model) -> dict:
 
 
 def model_from_json(obj: dict) -> Model:
+    """Decode a model, rejecting wrongly typed fields with ValueError."""
+    _require(isinstance(obj, dict), "a model must be a JSON object")
     kind = obj.get("type")
     programs = obj.get("programs", {})
+    _require(
+        isinstance(programs, dict) and all(isinstance(s, dict) for s in programs.values()),
+        "programs must map names to objects",
+    )
     alphabet = tuple(programs)  # document order, so round trips are exact
     if kind == "pdl":
         n = obj["points"]
+        _require(_is_point(n) and n >= 0, "points must be a nonnegative integer")
         rel = {}
         for name, spec in programs.items():
+            _require(
+                _is_list_of(spec["rel"], _is_pair),
+                f"program {name!r}: rel must be a list of [x, y] integer pairs",
+            )
             succ = [0] * n
             for x, y in spec["rel"]:
                 if not (0 <= x < n and 0 <= y < n):
@@ -294,6 +319,11 @@ def model_from_json(obj: dict) -> Model:
         )
     if kind in ("dtl", "subset"):
         space = TopoSpace.from_json(obj["space"])
+        for name, spec in programs.items():
+            _require(
+                _is_list_of(spec["map"], lambda y: y is None or _is_point(y)),
+                f"program {name!r}: map entries must be integers or null",
+            )
         maps = {name: tuple(spec["map"]) for name, spec in programs.items()}
         for name, fn in maps.items():
             if len(fn) != space.n:

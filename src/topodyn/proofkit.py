@@ -16,125 +16,97 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
+from .checker import evaluate
 from .formula import (
-    And,
+    BOOLEAN,
     Atom,
     Atomic,
     BoxPdl,
-    Cl,
-    Diamond,
     Formula,
-    Iff,
     Implies,
     Int,
-    KHat,
     Know,
     Language,
     Next,
-    Not,
-    Or,
     ParseError,
     Program,
-    Seq,
-    Test,
-    Top,
+    compile,
+    fold,
     format_formula,
     in_language,
     parse,
     parse_program,
     substitute,
-    substitute_programs,
 )
-
-_BINARY = (And, Or, Implies, Iff)
 
 MAX_TABLE_VARS = 16
 
 
+class _TruthTable:
+    """Semantics whose points are the rows of a truth table: atoms and modal
+    subformulas are opaque variables, and variable j holds at row r iff bit j
+    of r is set."""
+
+    def __init__(self, leaves: list[Formula]):
+        rows = 1 << len(leaves)
+        self.all = (1 << rows) - 1
+        self.var = {}
+        for j, leaf in enumerate(leaves):
+            half = 1 << j  # rows come in runs of 2^j with variable j off, then on
+            self.var[leaf] = self.all // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
+
+    shifts = frozenset()
+
+    def full(self, c: int) -> int:
+        return self.all
+
+    def atom(self, node: Formula, c: int) -> int:
+        return self.var.get(node, 0)  # 0 below the leaves, where nothing reads it
+
+    def modal(self, node: Formula, body: int, c: int) -> int:
+        return self.var.get(node, 0)
+
+
 def is_tautology(f: Formula) -> bool:
     """Truth-table check treating modal subformulas as opaque variables."""
-    leaves: list[Formula] = []
-    seen: set[Formula] = set()
-
-    def scan(g: Formula) -> None:
-        if isinstance(g, Top):
-            return
-        if isinstance(g, Not):
-            scan(g.body)
-            return
-        if isinstance(g, _BINARY):
-            scan(g.left)
-            scan(g.right)
-            return
-        if g not in seen:
-            seen.add(g)
-            leaves.append(g)
-
-    scan(f)
+    nodes = compile(f)
+    # the leaves are the non-Boolean nodes reached from the root through
+    # connectives only; children precede parents, so scan downwards
+    reached = {len(nodes) - 1}
+    leaves = []
+    for i in range(len(nodes) - 1, -1, -1):
+        if i in reached:
+            cls, kids, node = nodes[i]
+            if cls in BOOLEAN:
+                reached.update(kids)
+            else:
+                leaves.append(node)
     if len(leaves) > MAX_TABLE_VARS:
         raise ValueError(
             f"tautology check needs {len(leaves)} variables, over the cap of {MAX_TABLE_VARS}"
         )
-
-    def truth(g: Formula, bits: int) -> bool:
-        if isinstance(g, Top):
-            return True
-        if isinstance(g, Not):
-            return not truth(g.body, bits)
-        if isinstance(g, And):
-            return truth(g.left, bits) and truth(g.right, bits)
-        if isinstance(g, Or):
-            return truth(g.left, bits) or truth(g.right, bits)
-        if isinstance(g, Implies):
-            return not truth(g.left, bits) or truth(g.right, bits)
-        if isinstance(g, Iff):
-            return truth(g.left, bits) == truth(g.right, bits)
-        return bool(bits >> index[g] & 1)
-
-    index = {g: i for i, g in enumerate(leaves)}
-    return all(truth(f, bits) for bits in range(1 << len(leaves)))
+    table = _TruthTable(leaves)
+    return evaluate(f, table) == table.all
 
 
 def match_scheme(
     f: Formula, template: Formula
 ) -> Optional[tuple[dict[str, Formula], dict[str, Program]]]:
     """Bindings under which the template instantiates to f, or None."""
-    fenv: dict[str, Formula] = {}
-    penv: dict[str, Program] = {}
-
-    def m(t: Formula, g: Formula) -> bool:
-        if isinstance(t, Atom):
-            bound = fenv.get(t.name)
-            if bound is None:
-                fenv[t.name] = g
-                return True
-            return bound == g
-        if isinstance(t, Top):
-            return isinstance(g, Top)
-        if type(t) is not type(g):
-            return False
-        if isinstance(t, (Not, Int, Cl, Know, KHat)):
-            return m(t.body, g.body)
-        if isinstance(t, _BINARY):
-            return m(t.left, g.left) and m(t.right, g.right)
-        if isinstance(t, (Diamond, BoxPdl, Next)):
-            return mp(t.prog, g.prog) and m(t.body, g.body)
-        raise TypeError(f"not a formula: {t!r}")
-
-    def mp(t: Program, g: Program) -> bool:
-        if isinstance(t, Atomic):
-            bound = penv.get(t.name)
-            if bound is None:
-                penv[t.name] = g
-                return True
-            return bound == g
-        if isinstance(t, Seq):
-            return isinstance(g, Seq) and mp(t.left, g.left) and mp(t.right, g.right)
-        if isinstance(t, Test):
-            return isinstance(g, Test) and m(t.body, g.body)
-        raise TypeError(f"not a program: {t!r}")
-
-    return (fenv, penv) if m(template, f) else None
+    env: dict[type, dict] = {Atom: {}, Atomic: {}}
+    stack = [(template, f)]
+    while stack:
+        t, g = stack.pop()
+        names = env.get(type(t))
+        if names is not None:  # a formula or program metavariable
+            bound = names.setdefault(t.name, g)
+            if bound is not g and bound != g:
+                return None
+        elif type(t) is not type(g):
+            return None
+        else:
+            stack.extend(reversed(list(zip(t.children, g.children))))
+    return env[Atom], env[Atomic]
 
 
 def instantiate_scheme(
@@ -143,8 +115,18 @@ def instantiate_scheme(
     programs: Mapping[str, Program],
 ) -> Formula:
     """Programs first, then atoms, so substituted formulas are never touched
-    by the program pass."""
-    return substitute(substitute_programs(template, programs), formulas)
+    by the program pass, while atoms inside substituted programs are.  One
+    pass over the template's node array does both."""
+
+    def visit(node: Formula, kids: list) -> Formula:
+        if type(node) is Atom:
+            return formulas.get(node.name, node)
+        if type(node) is Atomic:
+            prog = programs.get(node.name, node)
+            return prog if type(prog) is Atomic else substitute(prog, formulas)
+        return node.rebuild(kids)
+
+    return fold(template, visit)
 
 
 @dataclass(frozen=True)

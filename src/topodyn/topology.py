@@ -17,6 +17,8 @@ from typing import Iterable, Iterator, Sequence
 def mask_from_points(points: Iterable[int], n: int) -> int:
     m = 0
     for x in points:
+        if type(x) is not int:  # bool and float are not points
+            raise ValueError(f"point {x!r} is not an integer")
         if not 0 <= x < n:
             raise ValueError(f"point {x} outside 0..{n - 1}")
         m |= 1 << x
@@ -208,15 +210,24 @@ class TopoSpace:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TopoSpace":
+        if not isinstance(obj, dict):
+            raise ValueError("a space must be a JSON object")
         n = obj["points"]
+        if type(n) is not int or n < 0:
+            raise ValueError("points must be a nonnegative integer")
         keys = [k for k in ("opens", "subbasis", "preorder") if k in obj]
         if len(keys) != 1:
             raise ValueError("topology needs exactly one of opens/subbasis/preorder")
+        sets = obj[keys[0]]
+        if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
+            raise ValueError(f"{keys[0]} must be a list of lists of points")
         if keys[0] == "opens":
             return cls.from_opens(n, obj["opens"])
         if keys[0] == "subbasis":
             return cls.from_subbasis(n, obj["subbasis"])
-        return cls.from_preorder(n, [tuple(p) for p in obj["preorder"]])
+        if not all(len(p) == 2 and all(type(x) is int for x in p) for p in sets):
+            raise ValueError("preorder must be a list of [x, y] integer pairs")
+        return cls.from_preorder(n, [tuple(p) for p in sets])
 
 
 # --- exhaustive enumerations ---------------------------------------------------

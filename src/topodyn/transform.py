@@ -14,27 +14,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
+from .checker import eval_pdl_relational, evaluate
 from .formula import (
-    And,
-    Atom,
     Atomic,
     BoxPdl,
     Diamond,
     Formula,
-    Iff,
-    Implies,
     Language,
-    Not,
-    Or,
-    Top,
+    Node,
     format_formula,
     in_language,
     modal_depth,
 )
 from .models import PDLModel
-from .topology import iter_points, points_from_mask
+from .topology import iter_points
 
 
 class NonSerialModel(ValueError):
@@ -83,8 +78,7 @@ class NetworkSpace:
     # derived lookup tables, filled in __post_init__
     index: tuple[dict[BoundedNetwork, int], ...] = field(init=False, repr=False)
     shift_index: tuple[tuple[tuple[int, ...], ...], ...] = field(init=False, repr=False)
-    cells: tuple[dict[int, int], ...] = field(init=False, repr=False)
-    root_mask: tuple[dict[int, int], ...] = field(init=False, repr=False)
+    cells: tuple[dict[int, int], ...] = field(init=False, repr=False)  # root -> networks
 
     def __post_init__(self) -> None:
         self.index = tuple(
@@ -104,15 +98,12 @@ class NetworkSpace:
             )
         self.shift_index = tuple(shift)
         cells = []
-        roots = []
         for stratum in self.strata:
             by_root: dict[int, int] = {}
             for i, net in enumerate(stratum):
                 by_root[net.root] = by_root.get(net.root, 0) | (1 << i)
             cells.append(by_root)
-            roots.append(dict(by_root))
         self.cells = tuple(cells)
-        self.root_mask = tuple(roots)
 
     def stratum_sizes(self) -> list[int]:
         return [len(s) for s in self.strata]
@@ -120,6 +111,41 @@ class NetworkSpace:
     def shift(self, d: int, prog_index: int, i: int) -> int:
         """Index in stratum d-1 of the shift of network i of stratum d."""
         return self.shift_index[d][i][prog_index]
+
+    # the network semantics checker.evaluate reads; a node's context is its stratum
+
+    shifts = frozenset({Diamond, BoxPdl})
+
+    def full(self, d: int) -> int:
+        return (1 << len(self.strata[d])) - 1
+
+    def atom(self, node: Node, d: int) -> int:
+        m = 0
+        for x in iter_points(self.source.val.get(node.name, 0)):
+            m |= self.cells[d].get(x, 0)
+        return m
+
+    def step(self, node: Node, d: int) -> int:
+        if type(node.prog) is not Atomic:
+            raise ValueError(
+                f"network semantics treats programs as atomic: {format_formula(node)}"
+            )
+        return d - 1
+
+    def modal(self, node: Node, body: int, d: int) -> int:
+        if type(node) is not Diamond and type(node) is not BoxPdl:
+            raise ValueError(f"no network semantics for {format_formula(node)}")
+        p = self.source.alphabet.index(node.prog.name)
+        shifts = self.shift_index[d]
+        m = 0
+        # closure/interior of a shift preimage on a partition topology:
+        # a cell passes if some (dually, every) member shifts into the body
+        for cell in self.cells[d].values():
+            members = list(iter_points(cell))
+            hits = sum(1 for i in members if body >> shifts[i][p] & 1)
+            if hits > 0 if type(node) is Diamond else hits == len(members):
+                m |= cell
+        return m
 
 
 def stratum_counts(model: PDLModel, depth: int) -> list[list[int]]:
@@ -192,55 +218,7 @@ def network_extension(space: NetworkSpace, f: Formula, d: int) -> int:
         raise DepthExceeded(
             f"formula needs depth {modal_depth(f)} but stratum {d} was requested"
         )
-    memo: dict[tuple[Formula, int], int] = {}
-
-    def ext(g: Formula, d: int) -> int:
-        key = (g, d)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        stratum = space.strata[d]
-        full = (1 << len(stratum)) - 1
-        if isinstance(g, Atom):
-            v = space.source.val.get(g.name, 0)
-            m = 0
-            for x in iter_points(v):
-                m |= space.root_mask[d].get(x, 0)
-        elif isinstance(g, Top):
-            m = full
-        elif isinstance(g, Not):
-            m = full & ~ext(g.body, d)
-        elif isinstance(g, And):
-            m = ext(g.left, d) & ext(g.right, d)
-        elif isinstance(g, Or):
-            m = ext(g.left, d) | ext(g.right, d)
-        elif isinstance(g, Implies):
-            m = (full & ~ext(g.left, d)) | ext(g.right, d)
-        elif isinstance(g, Iff):
-            m = full & ~(ext(g.left, d) ^ ext(g.right, d))
-        elif isinstance(g, (Diamond, BoxPdl)):
-            if not isinstance(g.prog, Atomic):
-                raise ValueError(
-                    f"network semantics treats programs as atomic: {format_formula(g)}"
-                )
-            p = space.source.alphabet.index(g.prog.name)
-            body = ext(g.body, d - 1)
-            shifts = space.shift_index[d]
-            m = 0
-            # closure/interior of a shift preimage on a partition topology:
-            # a cell passes if some (dually, every) member shifts into the body
-            for cell in space.cells[d].values():
-                members = list(iter_points(cell))
-                hits = sum(1 for i in members if body >> shifts[i][p] & 1)
-                passed = hits > 0 if isinstance(g, Diamond) else hits == len(members)
-                if passed:
-                    m |= cell
-        else:
-            raise ValueError(f"no network semantics for {format_formula(g)}")
-        memo[key] = m
-        return m
-
-    return ext(f, d)
+    return evaluate(f, space, d)
 
 
 def eval_network(space: NetworkSpace, f: Formula, net: BoundedNetwork) -> bool:
@@ -265,7 +243,7 @@ def check_shift_openness(space: NetworkSpace) -> list[dict]:
                     got |= 1 << shifts[i][p]
                 want = 0
                 for y in iter_points(space.source.rel[name][x]):
-                    want |= space.root_mask[d - 1].get(y, 0)
+                    want |= space.cells[d - 1].get(y, 0)
                 if got != want:
                     failures.append(
                         {"depth": d, "program": name, "root": x}
@@ -291,13 +269,17 @@ class PreservationReport:
 
 
 def check_truth_preservation(
-    model: PDLModel, formulas: Iterable[Formula], depth: int, budget: int = 100_000
+    model: PDLModel,
+    formulas: Iterable[Formula],
+    depth: int,
+    budget: int = 100_000,
+    space: Optional[NetworkSpace] = None,
 ) -> PreservationReport:
     """Compare source truth with network truth at every deepest-stratum
-    network, for each formula."""
-    from .checker import eval_pdl_relational
-
-    space = build_network_space(model, depth, budget)
+    network, for each formula.  Pass ``space`` to reuse a space already built
+    from the same model and depth."""
+    if space is None:
+        space = build_network_space(model, depth, budget)
     checked = 0
     disagreements: list[dict] = []
     for f in formulas:

@@ -386,3 +386,81 @@ def test_usage_errors_and_help(capsys):
     code, out, _ = run(capsys, ["--help"])
     assert code == 0
     assert "usage" in out
+
+
+# --- robustness: every input gets an answer or a one-line error --------------------
+
+
+def _one_line_error(err):
+    return err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("formula", [
+    "~" * 3000 + "p",
+    "O[" + ";".join(["a"] * 3000) + "] p",
+    "(" * 3000 + "p" + ")" * 3000,
+    " -> ".join(["p"] * 3000),
+], ids=["negations", "sequence", "brackets", "implications"])
+def test_deep_formulas_exit_2_without_traceback(capsys, swap_file, formula):
+    code, out, err = run(capsys, ["eval", "-m", swap_file, "-f", formula])
+    assert code == 2 and out == "" and _one_line_error(err)
+    assert "deeper than 100 levels" in err
+
+
+def test_formulas_within_the_nesting_cap_evaluate(capsys, swap_file):
+    code, out, _ = run(capsys, ["eval", "-m", swap_file, "-f", "~" * 98 + "p"])
+    assert code == 0 and json.loads(out) == {"extension": [1]}
+    code, out, _ = run(capsys, ["parse", "-f", "O[" + ";".join(["a"] * 40) + "] p"])
+    assert code == 0 and json.loads(out)["text"].count("a") == 40
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"programs": {"a": 5}}, "programs"),
+    ({"valuation": {"p": "x"}}, "valuation"),
+    ({"programs": {"a": {"map": [1.5, 0]}}}, "map entries"),
+    ({"programs": {"a": {"map": [True, 0]}}}, "map entries"),
+    ({"valuation": {"p": [True]}}, "not an integer"),
+    ({"space": {"points": 2, "opens": [[], [True], [0, 1]]}}, "not an integer"),
+    ({"space": {"points": 2.0, "opens": [[], [1], [0, 1]]}}, "points"),
+], ids=["program", "valuation", "float-map", "bool-map", "bool-valuation", "bool-open",
+        "float-points"])
+def test_malformed_models_exit_2(capsys, tmp_path, change, message):
+    doc = {
+        "type": "dtl",
+        "space": {"points": 2, "opens": [[], [1], [0, 1]]},
+        "programs": {"a": {"map": [1, 0]}},
+        "valuation": {"p": [1]},
+    }
+    doc.update(change)
+    path = write_json(tmp_path, "bad.json", doc)
+    code, out, err = run(capsys, ["eval", "-m", path, "-f", "O[a] p"])
+    assert code == 2 and out == "" and _one_line_error(err) and message in err
+
+
+def test_malformed_relational_model_exits_2(capsys, tmp_path):
+    for doc in (
+        {"type": "pdl", "points": 2, "programs": {"a": {"rel": [[0, True]]}}},
+        {"type": "pdl", "points": 2, "programs": {"a": {"rel": [[0, 1.0]]}}},
+        {"type": "pdl", "points": "2", "programs": {}},
+        [1, 2],
+    ):
+        path = write_json(tmp_path, "bad.json", doc)
+        code, _, err = run(capsys, ["eval", "-m", path, "-f", "top"])
+        assert code == 2 and _one_line_error(err)
+
+
+def test_transform_builds_the_network_space_once(capsys, pdl_file, monkeypatch):
+    from topodyn import transform
+
+    built = []
+    original = transform.build_network_space
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "build_network_space", counting)
+    code, out, _ = run(capsys, [
+        "transform", "-m", pdl_file, "--depth", "2", "--check", "zero; <rand>one",
+    ])
+    assert code == 0 and json.loads(out)["preservation"]["ok"] and len(built) == 1

@@ -248,3 +248,15 @@ def test_network_space_json_strata_annotation():
     depths = [s["depth"] for s in obj["strata"]]
     assert depths == [0, 1]
     assert [len(s["networks"]) for s in obj["strata"]] == [2, 4]
+
+
+def test_truth_preservation_accepts_a_prebuilt_space():
+    m = gen_model(TRANSFORM_CFG_SMALL, 4)
+    formulas = [parse("<a>p -> [b]q"), parse("[a][b]p | <b>~q")]
+    space = build_network_space(m, 2)
+    with_space = check_truth_preservation(m, formulas, 2, space=space)
+    assert with_space == check_truth_preservation(m, formulas, 2)
+    assert with_space.ok and with_space.checked == 2 * len(space.strata[2])
+
+
+TRANSFORM_CFG_SMALL = GenConfig(seed=44, max_points=3, num_programs=2, model_class="pdl_serial")
