@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from operator import is_
 from typing import Callable, Mapping, TypeVar
 
 MAX_NESTING = 100
@@ -83,7 +84,7 @@ class Node:
 
     def rebuild(self, children) -> "Node":
         """The same node over new children; itself when none changed."""
-        if all(a is b for a, b in zip(children, self.children)):
+        if all(map(is_, children, self.children)):
             return self
         return type(self)(*children)
 
@@ -650,8 +651,6 @@ _CLASSES = {cls._tag: cls for cls in (
     Atom, Top, Not, And, Or, Implies, Iff, Diamond, BoxPdl, Int, Cl, Know, KHat, Next,
     Atomic, Seq, Test,
 )}
-
-
 _JSON_NAMES = {"prog": "program"}  # JSON keys that differ from field names
 
 
@@ -674,10 +673,8 @@ def _from_json(obj: dict, kind: type) -> Node:
         raise ValueError(f"unknown {kind.__name__.lower()} node: {obj.get('type')!r}")
     if cls is Atom or cls is Atomic:
         return cls(obj["name"])
-    return cls(*[
-        _from_json(obj[_JSON_NAMES.get(field, field)], Program if field == "prog" or cls is Seq else Formula)
-        for field in cls._fields
-    ])
+    wanted = [Program if field == "prog" or cls is Seq else Formula for field in cls._fields]
+    return cls(*[_from_json(obj[_JSON_NAMES.get(f, f)], w) for f, w in zip(cls._fields, wanted)])
 
 
 def formula_from_json(obj: dict) -> Formula:

@@ -38,9 +38,10 @@ from .formula import (
     Seq,
     Test,
     Top,
-    compile,
+    atoms as formula_atoms,
     format_formula,
     modal_depth,
+    program_names,
 )
 from .frameprops import is_continuous, is_open_map
 from .models import (
@@ -235,6 +236,9 @@ def gen_formula(
 
 
 class _Sampler:
+    """gen_formula's recursion: kinds, atoms and programs are drawn from rng in
+    a fixed order, so one seed gives one stream of formulas."""
+
     def __init__(self, rng, atom_names, programs, lang, allow_seq, allow_tests):
         self.rng = rng
         self.atom_names = atom_names
@@ -471,10 +475,9 @@ def search_countermodel(
     """
     if model_class not in ("dtl", "dtl_open", "dtl_continuous", "pdl_serial", "subset"):
         raise ValueError(f"unknown model class {model_class!r}")
-    # one node array serves every model below
-    nodes = compile(f)
-    names = sorted({n.name for cls, _, n in nodes if cls is Atom})
-    progs = tuple(sorted({n.name for cls, _, n in nodes if cls is Atomic}))
+    # atoms() compiles f; every evaluation below reuses the array cached on f
+    names = sorted(formula_atoms(f))
+    progs = tuple(sorted(program_names(f)))
 
     for n in range(1, bound + 1):
         if model_class == "pdl_serial":
