@@ -71,7 +71,7 @@ from .models import (
 )
 from .topology import iter_points
 
-PROGRAMS = (Atomic, Seq, Test)
+_PROGRAMS = (Atomic, Seq, Test)
 
 
 def evaluate(f: Formula, sem, ctx: int = 0, memo: Optional[dict] = None) -> int:
@@ -112,7 +112,7 @@ def evaluate(f: Formula, sem, ctx: int = 0, memo: Optional[dict] = None) -> int:
             m = full(c) & ~(memo[base + kids[0]] ^ memo[base + kids[1]])
         elif cls is Top:
             m = full(c)
-        elif cls in PROGRAMS:
+        elif cls in _PROGRAMS:
             continue
         else:  # a modality, its body read at context s
             m = modal(node, memo[s * width + kids[-1]], c)

@@ -12,7 +12,7 @@ Programs are atomic names, sequential compositions ``a;b`` and test programs
 ``?(f)``.  Test bodies must stay inside the box/next fragment; the constructor
 enforces this.
 
-Nodes are immutable.  Each one computes its structural hash once, at
+Nodes are never mutated.  Each one computes its structural hash once, at
 construction, from its children's hashes, so hashing and most unequal
 comparisons cost O(1) whatever the depth.  ``compile`` flattens a formula into
 a post-order node array, built once and cached on the root; every structural

@@ -78,7 +78,7 @@ class NetworkSpace:
     # derived lookup tables, filled in __post_init__
     index: tuple[dict[BoundedNetwork, int], ...] = field(init=False, repr=False)
     shift_index: tuple[tuple[tuple[int, ...], ...], ...] = field(init=False, repr=False)
-    cells: tuple[dict[int, int], ...] = field(init=False, repr=False)  # root -> networks
+    cells: tuple[dict[int, int], ...] = field(init=False, repr=False)  # root -> its networks
 
     def __post_init__(self) -> None:
         self.index = tuple(
