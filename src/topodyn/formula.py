@@ -110,8 +110,8 @@ class Node:
         return True
 
     def __repr__(self) -> str:
-        args = (self.name,) if hasattr(self, "name") else self.children
-        return f"{type(self).__name__}({', '.join(map(repr, args))})"
+        pairs = [("name", self.name)] if hasattr(self, "name") else zip(self._fields, self.children)
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
 
     def __str__(self) -> str:
         return format_formula(self)
