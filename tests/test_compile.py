@@ -27,8 +27,8 @@ from topodyn.harness import GenConfig, _derived_rng, gen_formula, gen_model
 from topodyn.models import DTModel, SubsetModel
 from topodyn.topology import TopoSpace
 
-# SHA-256 of the newline-joined formulas below, recorded before the sampler
-# drew its kinds from precomputed tables; any change to the stream shows here
+# SHA-256 of the newline-joined formulas below, as random.choices-based
+# sampling produced them; any change to the random stream shows here
 GOLDEN = {
     Language.PDL: "b2b0c1230aaf09f4e08663d46bb2236e0a2caf5adb727624e3cedb0fb4ddc070",
     Language.BOX_NEXT: "4ee0fcdf4f35e5e8a09e906be6e496053e9bd9a61e48b821c0011fd379f5efc6",
