@@ -9,6 +9,7 @@ errors.  ``TOPODYN_MAX_POINTS`` (default 12) caps enumeration sizes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -51,15 +52,20 @@ def _emit(obj: dict) -> None:
 def _load_model(path: str):
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
+    # cap the declared size before anything is built from it; malformed
+    # shapes are left to model_from_json's errors
+    n = None
+    if isinstance(obj, dict):
+        holder = obj if obj.get("type") == "pdl" else obj.get("space")
+        if isinstance(holder, dict):
+            n = holder.get("points")
+    if type(n) is int and n > _max_points():
+        raise ValueError(f"model has {n} points, over TOPODYN_MAX_POINTS={_max_points()}")
     model = model_from_json(obj)
     problems = validate(model)
     if problems:
         raise ValueError(
             "invalid model: " + "; ".join(json.dumps(v.to_json()) for v in problems)
-        )
-    if model.n > _max_points():
-        raise ValueError(
-            f"model has {model.n} points, over TOPODYN_MAX_POINTS={_max_points()}"
         )
     return model
 
@@ -239,7 +245,9 @@ def _cmd_refute(args: argparse.Namespace) -> int:
     return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="topodyn",
         description="Model checking and frame analysis for program logics "

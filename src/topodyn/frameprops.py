@@ -2,10 +2,11 @@
 
 Continuity of a program map is equivalent to validity of the scheme
 ``O[prog] box p -> box O[prog] p`` over all valuations of p; openness matches
-``box O[prog] p -> O[prog] box p``.  The deciders compute the semantic
-property two ways (preimage criterion and minimal-neighbourhood criterion)
-and insist the routes agree; the builders turn a semantic failure into an
-explicit refuting valuation and point.
+``box O[prog] p -> O[prog] box p``.  The deciders use the pointwise
+minimal-neighbourhood criterion, which costs n image computations, and search
+the opens in canonical order for a witness only when it fails; the tests check
+that criterion against the every-open definition.  The builders turn a
+semantic failure into an explicit refuting valuation and point.
 """
 
 from __future__ import annotations
@@ -67,40 +68,26 @@ class FrameReport:
 
 
 def is_continuous(space: TopoSpace, fn: Sequence[int]) -> FrameReport:
-    """Preimage of every open is open; cross-checked against the pointwise
-    minimal-neighbourhood criterion."""
-    witness = None
-    for v in space.opens_sorted():
-        pre = _total_preimage(fn, v, space.n)
-        if not space.is_open(pre):
-            bad = pre & ~space.interior(pre)
-            witness = FrameWitness(point=next(iter_points(bad)), open_set=v)
-            break
-    pointwise = all(
+    """Preimage of every open is open, i.e. each point's minimal
+    neighbourhood maps into the minimal neighbourhood of its image."""
+    if all(
         image(fn, space.min_nbhd(x)) & ~space.min_nbhd(fn[x]) == 0
         for x in range(space.n)
-    )
-    if pointwise != (witness is None):
-        raise AssertionError("continuity criteria disagree; decider bug")
-    return FrameReport(CONTINUITY, witness is None, witness)
+    ):
+        return FrameReport(CONTINUITY, True)
+    v, x = build_continuity_countermodel(space, fn)
+    return FrameReport(CONTINUITY, False, FrameWitness(point=x, open_set=v))
 
 
 def is_open_map(space: TopoSpace, fn: Sequence[Optional[int]]) -> FrameReport:
     """Image of every open is open.  Handles partial maps, so subset-model
-    validation can share it."""
-    witness = None
-    for u in space.opens_sorted():
-        img = image(fn, u)
-        if not space.is_open(img):
-            witness = FrameWitness(open_set=u)
-            break
-    # minimal neighbourhoods generate all opens, so checking them suffices
-    pointwise = all(
-        space.is_open(image(fn, space.min_nbhd(x))) for x in range(space.n)
-    )
-    if pointwise != (witness is None):
-        raise AssertionError("openness criteria disagree; decider bug")
-    return FrameReport(OPENNESS, witness is None, witness)
+    validation can share it.  Minimal neighbourhoods generate all opens, so
+    checking their images suffices; the witness is the first open in
+    canonical order with a non-open image."""
+    if all(space.is_open(image(fn, space.min_nbhd(x))) for x in range(space.n)):
+        return FrameReport(OPENNESS, True)
+    u = next(u for u in space.opens_sorted() if not space.is_open(image(fn, u)))
+    return FrameReport(OPENNESS, False, FrameWitness(open_set=u))
 
 
 def is_serial(model: PDLModel) -> FrameReport:
@@ -161,10 +148,11 @@ def build_openness_countermodel(
     sent into a \\ int(a); with p true exactly on a, x satisfies the
     antecedent but not the consequent.  Returns None for open maps.
     """
-    for u in space.opens_sorted():
-        a = image(fn, u)
-        if not space.is_open(a):
-            bad = a & ~space.interior(a)
-            x = next(x for x in iter_points(u) if bad >> fn[x] & 1)
-            return a, x
-    return None
+    report = is_open_map(space, fn)
+    if report.holds:
+        return None
+    u = report.witness.open_set
+    a = image(fn, u)
+    bad = a & ~space.interior(a)
+    x = next(x for x in iter_points(u) if bad >> fn[x] & 1)
+    return a, x

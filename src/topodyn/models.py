@@ -145,6 +145,8 @@ def validate(model: Model) -> list[Violation]:
         return out
 
     if isinstance(model, SubsetModel):
+        from .frameprops import is_open_map
+
         out = _check_valuation(model.val, model.n)
         out += _check_alphabet(model.alphabet, model.pfn)
         for name in model.alphabet:
@@ -162,10 +164,11 @@ def validate(model: Model) -> list[Violation]:
             if bad:
                 continue
             # partial maps must send opens to opens
-            for u in model.space.opens_sorted():
-                if not model.space.is_open(image(fn, u)):
-                    out.append(Violation("OpennessFailure", program=name, subset=u))
-                    break
+            report = is_open_map(model.space, fn)
+            if not report.holds:
+                out.append(
+                    Violation("OpennessFailure", program=name, subset=report.witness.open_set)
+                )
         return out
 
     raise TypeError(f"not a model: {model!r}")

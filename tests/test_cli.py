@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from topodyn.cli import main
+from topodyn.cli import build_parser, main
 from topodyn.formula import parse
 
 
@@ -363,6 +363,19 @@ def test_max_points_cap(capsys, monkeypatch, tmp_path):
     assert code == 2 and "TOPODYN_MAX_POINTS" in err
 
 
+@pytest.mark.parametrize("model", [
+    # 30 unrelated points have 2^30 opens, so the space must never be built
+    {"type": "dtl", "space": {"points": 30, "preorder": [[x, x] for x in range(30)]},
+     "programs": {}, "valuation": {}},
+    {"type": "pdl", "points": 10**6, "programs": {"a": {"rel": []}}, "valuation": {}},
+])
+def test_max_points_cap_comes_before_building(capsys, monkeypatch, tmp_path, model):
+    monkeypatch.delenv("TOPODYN_MAX_POINTS", raising=False)
+    path = write_json(tmp_path, "huge.json", model)
+    code, _, err = run(capsys, ["eval", "-m", path, "-f", "top"])
+    assert code == 2 and _one_line_error(err) and "TOPODYN_MAX_POINTS" in err
+
+
 def test_max_points_must_be_numeric(capsys, monkeypatch):
     monkeypatch.setenv("TOPODYN_MAX_POINTS", "plenty")
     code, _, err = run(capsys, ["refute", "-f", "p", "--bound", "2"])
@@ -379,13 +392,22 @@ def test_invalid_model_file(capsys, tmp_path):
     assert code == 2 and "SerialityFailure" in err
 
 
-def test_usage_errors_and_help(capsys):
-    assert run(capsys, ["frobnicate"])[0] == 2
-    assert run(capsys, [])[0] == 2
-    assert run(capsys, ["eval", "-f", "p"])[0] == 2  # missing -m
-    code, out, _ = run(capsys, ["--help"])
-    assert code == 0
-    assert "usage" in out
+def test_usage_errors_and_help(capsys, pdl_file):
+    # every call shares one parser, so no call may leave state for the next
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        assert run(capsys, ["frobnicate"])[0] == 2
+        assert run(capsys, [])[0] == 2
+        assert run(capsys, ["eval", "-f", "p"])[0] == 2  # missing -m
+        code, out, _ = run(capsys, ["--help"])
+        assert code == 0
+        assert "usage" in out
+        code, out, _ = run(capsys, ["eval", "-m", pdl_file, "-f", "<at>zero", "--at", "0"])
+        assert code == 0 and json.loads(out) == {"at": 0, "truth": True}
+        code, out, _ = run(capsys, ["eval", "-m", pdl_file, "-f", "<at>zero"])
+        assert code == 0 and json.loads(out) == {"extension": [0]}
+        code, out, _ = run(capsys, ["parse", "-f", "p"])
+        assert code == 0 and json.loads(out)["text"] == "p"
 
 
 # --- robustness: every input gets an answer or a one-line error --------------------

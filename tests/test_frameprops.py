@@ -9,6 +9,7 @@ from topodyn.formula import parse
 from topodyn.frameprops import (
     CONTINUITY,
     OPENNESS,
+    FrameWitness,
     build_continuity_countermodel,
     build_openness_countermodel,
     is_continuous,
@@ -17,7 +18,7 @@ from topodyn.frameprops import (
     scheme_formula,
     validates_scheme,
 )
-from topodyn.models import DTModel, PDLModel
+from topodyn.models import DTModel, PDLModel, image
 from topodyn.topology import TopoSpace, all_functions, all_topologies
 
 
@@ -82,6 +83,38 @@ def test_partial_open_maps(sierpinski):
     assert is_open_map(sierpinski, (None, None)).holds
     assert is_open_map(sierpinski, (None, 1)).holds
     assert not is_open_map(sierpinski, (None, 0)).holds
+
+
+# --- the pointwise criteria against the every-open definitions ----------------------
+
+
+def _preimage(fn, v):
+    return sum(1 << x for x, y in enumerate(fn) if v >> y & 1)
+
+
+def test_continuity_criteria_agree_on_three_points():
+    pairs = [(space, fn) for space in all_topologies(3) for fn in all_functions(3)]
+    assert len(pairs) == 783
+    for space, fn in pairs:
+        bad = [v for v in space.opens_sorted() if not space.is_open(_preimage(fn, v))]
+        rep = is_continuous(space, fn)
+        assert rep.holds == (not bad)
+        if bad:
+            a = _preimage(fn, bad[0])
+            assert rep.witness.open_set == bad[0]
+            assert (a & ~space.interior(a)) >> rep.witness.point & 1
+
+
+def test_openness_criteria_agree_on_three_point_partial_maps():
+    spaces = list(all_topologies(3))
+    maps = list(itertools.product([None, 0, 1, 2], repeat=3))
+    assert (len(spaces), len(maps)) == (29, 64)
+    for space in spaces:
+        for fn in maps:
+            bad = [u for u in space.opens_sorted() if not space.is_open(image(fn, u))]
+            rep = is_open_map(space, fn)
+            assert rep.holds == (not bad)
+            assert rep.witness == (FrameWitness(open_set=bad[0]) if bad else None)
 
 
 def test_is_serial():

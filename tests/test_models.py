@@ -55,11 +55,13 @@ def test_dt_model_must_be_total(sierpinski):
 
 
 def test_subset_maps_must_be_open(sierpinski):
-    # swap sends the open {1} to {0}, which is not open
-    m = SubsetModel(sierpinski, ("a",), {"a": (1, 0)}, {})
-    vs = validate(m)
-    assert kinds(vs) == ["OpennessFailure"]
-    assert vs[0].subset == 0b10
+    # swap, and its partial restriction to 1, send the open {1} to {0},
+    # which is not open
+    for fn in [(1, 0), (None, 0)]:
+        m = SubsetModel(sierpinski, ("a",), {"a": fn}, {})
+        vs = validate(m)
+        assert kinds(vs) == ["OpennessFailure"]
+        assert vs[0].to_json() == {"kind": "OpennessFailure", "program": "a", "subset": [1]}
 
 
 def test_subset_partial_maps_allowed(sierpinski):

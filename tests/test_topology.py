@@ -62,6 +62,9 @@ def test_from_opens_requires_empty_set():
 def test_union_closure_is_checked():
     with pytest.raises(ValueError, match="union"):
         TopoSpace.from_opens(3, [[], [0], [1], [0, 1, 2]])
+    # the empty set, the singletons and the carrier of 16 points
+    with pytest.raises(ValueError, match="union"):
+        TopoSpace.from_opens(16, [[], *([x] for x in range(16)), list(range(16))])
 
 
 def test_intersection_closure_is_checked():
@@ -88,6 +91,15 @@ def test_from_subbasis_idempotent():
     space = TopoSpace.from_subbasis(4, [[0, 1], [1, 2], [3]])
     again = TopoSpace.from_opens(4, [points_from_mask(u) for u in space.opens])
     assert again.opens == space.opens
+
+
+def test_from_preorder_builds_a_long_chain():
+    # x <= y on 0 < 1 < ... < 39: the opens are the 41 final segments
+    n = 40
+    space = TopoSpace.from_preorder(n, [(x, y) for x in range(n) for y in range(x, n)])
+    assert len(space.opens) == n + 1
+    assert space.min_nbhd(0) == full_mask(n)
+    assert space.opens_sorted()[1] == 1 << (n - 1)
 
 
 def test_discrete_and_indiscrete():
