@@ -45,8 +45,48 @@ def _max_points() -> int:
         raise ValueError("TOPODYN_MAX_POINTS must be an integer") from None
 
 
+_ascii = json.encoder.encode_basestring_ascii
+
+
+def _dumps(o, pad: str = "\n") -> str:
+    """``json.dumps(o, indent=2, sort_keys=True)``, byte for byte.
+
+    The stdlib runs its pure-Python chunk generator whenever ``indent`` is
+    set; this builds each container's text with one join.  ``pad`` is a
+    newline plus the indentation of the level ``o`` sits at.  Dict keys must
+    be strings, as in every document the CLI prints; any other key raises
+    TypeError.
+    """
+    if isinstance(o, str):
+        return _ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if type(o) is int:
+        return int.__repr__(o)
+    inner = pad + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            _ascii(k) + ": " + _dumps(v, inner)
+            for k, v in sorted(o.items())
+        ]) + pad + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if all(type(x) is int for x in o):
+            return "[" + inner + ("," + inner).join(map(int.__repr__, o)) + pad + "]"
+        return "[" + inner + ("," + inner).join([_dumps(x, inner) for x in o]) + pad + "]"
+    # floats, and the stdlib's TypeError for anything unserializable
+    return json.dumps(o)
+
+
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(_dumps(obj))
 
 
 def _load_model(path: str):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 def mask_from_points(points: Iterable[int], n: int) -> int:
@@ -65,6 +65,10 @@ def _unions(table: Sequence[int]) -> frozenset[int]:
     return frozenset(found)
 
 
+def _canonical_key(o: int) -> tuple[int, int]:
+    return o.bit_count(), o
+
+
 def _missing(op: str, a: int, b: int, c: int) -> str:
     return (
         f"not closed under {op}: {points_from_mask(a)} and {points_from_mask(b)} "
@@ -77,6 +81,16 @@ class TopoSpace:
     n: int
     opens: frozenset[int]
     _min_nbhd: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # canonical orders, sorted on first use and stored with object.__setattr__:
+    # functools.cached_property writes through __dict__, which turns the
+    # instance's inline attribute values into a dict and slows every later
+    # attribute read on it
+    _sorted_opens: Optional[tuple[int, ...]] = field(
+        init=False, default=None, repr=False, compare=False
+    )
+    _basis: Optional[tuple[int, ...]] = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "opens", frozenset(self.opens))
@@ -188,8 +202,19 @@ class TopoSpace:
         return m
 
     def opens_sorted(self) -> list[int]:
-        """Canonical listing: by cardinality, then lexicographic on elements."""
-        return sorted(self.opens, key=lambda o: (o.bit_count(), o))
+        """Canonical listing: by cardinality, then lexicographic on elements.
+        The order is computed once per space; each call returns a new list."""
+        if self._sorted_opens is None:
+            object.__setattr__(self, "_sorted_opens", tuple(sorted(self.opens, key=_canonical_key)))
+        return list(self._sorted_opens)
+
+    @property
+    def minimal_basis(self) -> tuple[int, ...]:
+        """The distinct minimal neighbourhoods, the least basis of the
+        topology, in canonical order (computed once per space)."""
+        if self._basis is None:
+            object.__setattr__(self, "_basis", tuple(sorted(set(self._min_nbhd), key=_canonical_key)))
+        return self._basis
 
     def specialization(self) -> list[tuple[int, int]]:
         """The preorder recovering this topology: x <= y iff y is in every

@@ -44,10 +44,19 @@ class DepthExceeded(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundedNetwork:
     root: int
     children: tuple["BoundedNetwork", ...]  # one per program, alphabet order
+    # computed once from the children's stored hashes, so hashing a network
+    # never walks its subtree
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.root, self.children)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def depth(self) -> int:
@@ -311,8 +320,24 @@ def check_truth_preservation(
 def network_space_to_json(space: NetworkSpace) -> dict:
     """Emit the space as a subset-space model JSON: points are all networks,
     opens are generated by the root cells, shifts are partial maps, undefined
-    on stratum 0."""
+    on stratum 0.
+
+    Each network's ``to_json`` dict is built once, bottom-up, and every
+    parent one stratum up holds that same dict as a child, so the returned
+    document shares its network dicts: callers must not mutate them."""
     model = space.source
+    networks = [[net.to_json(model.alphabet) for net in space.strata[0]]]
+    for d in range(1, space.depth + 1):
+        below = networks[-1]
+        stratum = []
+        for net, shifts in zip(space.strata[d], space.shift_index[d]):
+            out: dict = {"root": net.root}
+            if shifts:
+                out["children"] = {
+                    name: below[j] for name, j in zip(model.alphabet, shifts)
+                }
+            stratum.append(out)
+        networks.append(stratum)
     offsets = []
     total = 0
     for stratum in space.strata:
@@ -347,7 +372,7 @@ def network_space_to_json(space: NetworkSpace) -> dict:
             {
                 "depth": d,
                 "points": list(range(offsets[d], offsets[d] + len(space.strata[d]))),
-                "networks": [net.to_json(model.alphabet) for net in space.strata[d]],
+                "networks": networks[d],
             }
             for d in range(space.depth + 1)
         ],

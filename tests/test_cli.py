@@ -1,11 +1,15 @@
 """Exit codes and JSON output of every CLI subcommand."""
 
+import hashlib
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from topodyn.cli import build_parser, main
-from topodyn.formula import parse
+from topodyn.cli import _dumps, build_parser, main
+from topodyn.formula import MAX_NESTING, parse
 
 
 def run(capsys, argv):
@@ -436,6 +440,17 @@ def test_formulas_within_the_nesting_cap_evaluate(capsys, swap_file):
     assert code == 0 and json.loads(out)["text"].count("a") == 40
 
 
+def test_parse_prints_a_formula_at_the_nesting_cap(capsys):
+    text = "~" * (MAX_NESTING - 1) + "p"
+    code, out, _ = run(capsys, ["parse", "-f", text])
+    assert code == 0
+    ast, depth = json.loads(out)["ast"], 1
+    while "body" in ast:
+        ast, depth = ast["body"], depth + 1
+    assert depth == MAX_NESTING and ast == {"name": "p", "type": "atom"}
+    assert run(capsys, ["parse", "-f", "~" + text])[0] == 2
+
+
 @pytest.mark.parametrize("change, message", [
     ({"programs": {"a": 5}}, "programs"),
     ({"valuation": {"p": "x"}}, "valuation"),
@@ -486,3 +501,63 @@ def test_transform_builds_the_network_space_once(capsys, pdl_file, monkeypatch):
         "transform", "-m", pdl_file, "--depth", "2", "--check", "zero; <rand>one",
     ])
     assert code == 0 and json.loads(out)["preservation"]["ok"] and len(built) == 1
+
+
+# --- output bytes -----------------------------------------------------------------
+
+# SHA-256 of each command's stdout followed by its exit code, recorded while the
+# CLI still printed through json.dumps(doc, indent=2, sort_keys=True); any byte
+# drift in a printed document shows here
+OUTPUT_GOLDEN = {
+    "transform": "9a2a36f1cf2869fd2446a2d062b790c407948a80ca7e647f84daff3975b228df",
+    "refute-dtl": "9a156a6aabdc0967694da9c7bc60c6304d02ac358d2d49542c2319da548c4125",
+    "refute-subset": "47476c35d5ea20721124b0b5ac851d074e7a3a6d36934fbdb5139e1a6e02e06f",
+    "frame-scheme": "e0e95e3004a2d7dea3359abf9e66b4e39dd1939a1e3c1444912a2d5df5f159b9",
+    "audit": "4bb1736e946c73298c8b6605be7bbac94f910c9d5858e2fc41d59b389ff53d5c",
+}
+
+
+@pytest.mark.parametrize("name", list(OUTPUT_GOLDEN))
+def test_output_bytes_are_pinned(capsys, tmp_path, pdl_file, name):
+    chain = write_json(tmp_path, "chain.json", {
+        "type": "dtl",
+        "space": {"points": 3, "opens": [[], [2], [1, 2], [0, 1, 2]]},
+        "programs": {"a": {"map": [2, 0, 1]}, "b": {"map": [0, 2, 2]}},
+        "valuation": {"p": [1]},
+    })
+    argv = {
+        "transform": ["transform", "-m", pdl_file, "--depth", "2",
+                      "--check", "zero; <rand>one; [at]zero -> <rand>[at]one"],
+        "refute-dtl": ["refute", "-f", "O[a] box p -> box O[a] p", "--bound", "3"],
+        "refute-subset": ["refute", "-f", "O[a] K p -> K O[a] p", "--bound", "3",
+                          "--model-class", "subset"],
+        "frame-scheme": ["frame", "-m", chain, "--prop", "openness", "--scheme"],
+        "audit": ["audit", "--system", "DTEL", "--trials", "6", "--seed", "5",
+                  "--points", "4"],
+    }[name]
+    code, out, _ = run(capsys, argv)
+    text = out + f"exit {code}\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == OUTPUT_GOLDEN[name]
+
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64).map(lambda n: -n)
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]) | st.text()
+)
+
+
+@settings(max_examples=200)
+@given(st.recursive(_SCALARS, lambda kids: (
+    st.lists(kids) | st.lists(kids).map(tuple) | st.lists(st.integers())
+    | st.dictionaries(st.text(), kids)
+), max_leaves=40))
+def test_dumps_matches_the_stdlib_encoder(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_dumps_rejects_what_the_stdlib_rejects():
+    for doc in ({1, 2}, {"a": [0, {"b": {1}}]}, {("a",): 1}, [object()]):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            _dumps(doc)

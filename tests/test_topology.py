@@ -239,6 +239,19 @@ def test_opens_sorted_canonical_order(sierpinski):
     assert space.opens_sorted() == [0, 0b01, 0b10, 0b11]
 
 
+def test_opens_sorted_returns_a_new_list_each_call(sierpinski):
+    first = sierpinski.opens_sorted()
+    first.clear()
+    assert sierpinski.opens_sorted() == [0, 0b10, 0b11]
+
+
+def test_minimal_basis_is_the_distinct_entries_in_canonical_order():
+    for n in (1, 2, 3, 4):
+        for space in all_topologies(n):
+            entries = {space.min_nbhd(x) for x in range(n)}
+            assert list(space.minimal_basis) == [u for u in space.opens_sorted() if u in entries]
+
+
 def test_json_roundtrip():
     space = TopoSpace.from_subbasis(4, [[0, 1], [2]])
     again = TopoSpace.from_json(space.to_json())

@@ -224,6 +224,18 @@ def test_foreign_network_is_rejected():
         eval_network(space, parse("p"), BoundedNetwork(5, ()))
 
 
+def test_networks_are_found_by_value():
+    space = build_network_space(TOTAL2, 2)
+
+    def rebuild(net):
+        return BoundedNetwork(net.root, tuple(rebuild(c) for c in net.children))
+
+    for i, net in enumerate(space.strata[2]):
+        copy = rebuild(net)
+        assert copy is not net and copy == net and hash(copy) == hash(net)
+        assert space.index[2][copy] == i
+
+
 # --- JSON --------------------------------------------------------------------------
 
 
@@ -248,6 +260,18 @@ def test_network_space_json_strata_annotation():
     depths = [s["depth"] for s in obj["strata"]]
     assert depths == [0, 1]
     assert [len(s["networks"]) for s in obj["strata"]] == [2, 4]
+
+
+@pytest.mark.parametrize("model", [
+    *(gen_model(GenConfig(seed=45, max_points=3, num_programs=2, model_class="pdl_serial"), i)
+      for i in range(6)),
+    PDLModel(2, (), {}, {"p": 0b01}, serial_flag=True),
+], ids=[*(f"generated-{i}" for i in range(6)), "no-programs"])
+def test_network_space_json_networks_match_to_json(model):
+    space = build_network_space(model, 3)
+    strata = network_space_to_json(space)["strata"]
+    for d, stratum in enumerate(space.strata):
+        assert strata[d]["networks"] == [net.to_json(model.alphabet) for net in stratum]
 
 
 def test_truth_preservation_accepts_a_prebuilt_space():
