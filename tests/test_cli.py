@@ -514,6 +514,9 @@ OUTPUT_GOLDEN = {
     "refute-subset": "47476c35d5ea20721124b0b5ac851d074e7a3a6d36934fbdb5139e1a6e02e06f",
     "frame-scheme": "e0e95e3004a2d7dea3359abf9e66b4e39dd1939a1e3c1444912a2d5df5f159b9",
     "audit": "4bb1736e946c73298c8b6605be7bbac94f910c9d5858e2fc41d59b389ff53d5c",
+    "refute-dtl-open": "4f4788954a4daff4eef884d2d8c160cbfb9422390cd2f4d2c9e9608f08a42544",
+    "refute-dtl-continuous": "0f0379bcc7c01f811dc5e4fbf47b20c258e12dfecd34fc4364be688c3c1fce9c",
+    "refute-pdl-serial": "1f09b8b958f975a5b1dbd0c9943de33791d2e6933f9a0457dcddb007016d59a7",
 }
 
 
@@ -534,6 +537,12 @@ def test_output_bytes_are_pinned(capsys, tmp_path, pdl_file, name):
         "frame-scheme": ["frame", "-m", chain, "--prop", "openness", "--scheme"],
         "audit": ["audit", "--system", "DTEL", "--trials", "6", "--seed", "5",
                   "--points", "4"],
+        "refute-dtl-open": ["refute", "-f", "O[a] box p -> box O[a] p", "--bound", "3",
+                            "--model-class", "dtl_open"],
+        "refute-dtl-continuous": ["refute", "-f", "box O[a] p -> O[a] box p", "--bound", "3",
+                                  "--model-class", "dtl_continuous"],
+        "refute-pdl-serial": ["refute", "-f", "<a;b>p -> <b;a>p", "--bound", "3",
+                              "--model-class", "pdl_serial"],
     }[name]
     code, out, _ = run(capsys, argv)
     text = out + f"exit {code}\n"

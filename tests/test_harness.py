@@ -1,5 +1,6 @@
 """Seeded generators, randomized audits, bounded countermodel search."""
 
+import hashlib
 import json
 
 import pytest
@@ -34,6 +35,31 @@ def test_gen_model_is_deterministic():
     for cls in MODEL_CLASSES:
         cfg = GenConfig(seed=12345, max_points=5, num_programs=2, model_class=cls)
         assert model_to_json(gen_model(cfg, index=9)) == model_to_json(gen_model(cfg, index=9))
+
+
+# SHA-256 of the newline-joined JSON of models 0..59 per (class, max_attempts),
+# recorded before generation and search shared one class table; max_attempts 0
+# sends every constrained map to the constructive fallback
+MODEL_GOLDEN = {
+    ("pdl_serial", 10_000): "c2b3f723b791c7dab0c01f1969644291514a320e47e99c4ee56b11e9ea68b2e3",
+    ("dtl", 10_000): "1edaebcf0c4d7ac990c4e4a961922acc55867ca907781767e38fd1f7190a74f5",
+    ("dtl_open", 10_000): "8801896ebd351e0c4495ceb5b0bc775d6341377414c2a969ed56bb7e85308646",
+    ("dtl_open", 0): "323e0cb0150043481c54459287fdfdbcf11c5ac1f70ee46434a98297d4a50117",
+    ("dtl_continuous", 10_000): "b953a472859d2b8871d5af3d9f674d65bb9dd5ac05981ce115c56d19581949d4",
+    ("dtl_continuous", 0): "a6439c0a818e4fa7519b859b5afcf9a72e5c41cfa7d47d26f7dbe79db3c5f6fa",
+    ("subset", 10_000): "605567d3adfa64798430207b0c92eddbb052a4cc606aa0dee4ecd0126cb24a88",
+    ("subset", 0): "d3d8d4af1346c2a029b5ce583a6ef57ddbb6996d5fdcd160ad6978ac46c3c447",
+}
+
+
+@pytest.mark.parametrize("model_class, max_attempts", list(MODEL_GOLDEN))
+def test_gen_model_stream_is_pinned(model_class, max_attempts):
+    cfg = GenConfig(seed=20261018, max_points=5, num_programs=2, model_class=model_class,
+                    max_attempts=max_attempts)
+    text = "\n".join(
+        json.dumps(model_to_json(gen_model(cfg, i)), sort_keys=True) for i in range(60)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == MODEL_GOLDEN[model_class, max_attempts]
 
 
 def test_gen_model_varies_with_index():
