@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import repeat
 from operator import or_
-from typing import Optional, Sequence
+from typing import Optional
 
 from .formula import (
     BOOLEAN,
@@ -66,6 +66,7 @@ from .models import (
     Scenario,
     SubsetModel,
     image,
+    preimage,
     program_function,
     validate_scenario,
 )
@@ -229,15 +230,6 @@ def eval_pdl_relational(model: PDLModel, f: Formula) -> int:
     return evaluate(f, _Relational(model))
 
 
-def _preimage(fn: Sequence[Optional[int]], body: int, n: int) -> int:
-    m = 0
-    for x in range(n):
-        y = fn[x]
-        if y is not None and body >> y & 1:
-            m |= 1 << x
-    return m
-
-
 class _DynamicTopological(_Semantics):
     def modal(self, node: Node, body: int, c: int) -> int:
         cls = type(node)
@@ -249,7 +241,7 @@ class _DynamicTopological(_Semantics):
             return self.space.interior(body)
         if cls is Cl:
             return self.space.closure(body)
-        pre = _preimage(self.program(node.prog), body, self.model.n)
+        pre = preimage(self.program(node.prog), body)
         if cls is Next:
             return pre
         return self.space.closure(pre) if cls is Diamond else self.space.interior(pre)
@@ -309,7 +301,7 @@ class SubsetEvaluator(_Semantics):
             return self.space.interior(body)
         if cls is Cl:
             return u & ~self.space.interior(u & ~body)
-        return _preimage(self.program(node.prog), body, self.model.n) & u
+        return preimage(self.program(node.prog), body) & u
 
     def truth(self, f: Formula, s: Scenario) -> bool:
         validate_scenario(self.model, s)

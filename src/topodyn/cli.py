@@ -17,15 +17,7 @@ from typing import Optional
 
 from . import checker, frameprops, harness, proofkit, transform
 from .announce import announce, check_test_announcement_identity
-from .formula import (
-    Formula,
-    Language,
-    ParseError,
-    format_formula,
-    formula_to_json,
-    in_language,
-    parse,
-)
+from .formula import Formula, ParseError, format_formula, formula_to_json, parse
 from .models import (
     DTModel,
     PDLModel,
@@ -365,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--model-class",
         default="dtl",
-        choices=["dtl", "dtl_open", "dtl_continuous", "pdl_serial", "subset"],
+        choices=list(harness.MODEL_CLASSES),
     )
     p.set_defaults(func=_cmd_refute)
 

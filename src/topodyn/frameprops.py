@@ -2,11 +2,11 @@
 
 Continuity of a program map is equivalent to validity of the scheme
 ``O[prog] box p -> box O[prog] p`` over all valuations of p; openness matches
-``box O[prog] p -> O[prog] box p``.  The deciders use the pointwise
-minimal-neighbourhood criterion, which costs n image computations, and search
-the opens in canonical order for a witness only when it fails; the tests check
-that criterion against the every-open definition.  The builders turn a
-semantic failure into an explicit refuting valuation and point.
+``box O[prog] p -> O[prog] box p``.  Both deciders scan the minimal basis in
+canonical order: every open is a union of basis blocks, so the blocks decide
+the property, and the first failing block is the first failing open, which
+is the witness.  The tests check this against the every-open definition.  The
+builders turn a semantic failure into an explicit refuting valuation and point.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .formula import Atom, Atomic, Formula, Implies, Int, Next
-from .models import DTModel, PDLModel, image
+from .models import DTModel, PDLModel, image, preimage
 from .topology import TopoSpace, iter_points, points_from_mask
 
 CONTINUITY = "continuity"
@@ -68,15 +68,16 @@ class FrameReport:
 
 
 def is_continuous(space: TopoSpace, fn: Sequence[int]) -> FrameReport:
-    """Preimage of every open is open, i.e. each point's minimal
-    neighbourhood maps into the minimal neighbourhood of its image."""
-    if all(
-        image(fn, space.min_nbhd(x)) & ~space.min_nbhd(fn[x]) == 0
-        for x in range(space.n)
-    ):
-        return FrameReport(CONTINUITY, True)
-    v, x = build_continuity_countermodel(space, fn)
-    return FrameReport(CONTINUITY, False, FrameWitness(point=x, open_set=v))
+    """Preimage of every open is open.  Preimages preserve unions, so
+    checking the minimal neighbourhoods suffices, and the first open in
+    canonical order with a non-open preimage is one of them.  The witness
+    point lies in that preimage but outside its interior."""
+    for v in space.minimal_basis:
+        a = preimage(fn, v)
+        if not space.is_open(a):
+            x = next(iter_points(a & ~space.interior(a)))
+            return FrameReport(CONTINUITY, False, FrameWitness(point=x, open_set=v))
+    return FrameReport(CONTINUITY, True)
 
 
 def is_open_map(space: TopoSpace, fn: Sequence[Optional[int]]) -> FrameReport:
@@ -114,14 +115,6 @@ def validates_scheme(space: TopoSpace, fn: Sequence[int], kind: str) -> FrameRep
     return FrameReport(kind, True)
 
 
-def _total_preimage(fn: Sequence[int], v: int, n: int) -> int:
-    m = 0
-    for x in range(n):
-        if v >> fn[x] & 1:
-            m |= 1 << x
-    return m
-
-
 def build_continuity_countermodel(
     space: TopoSpace, fn: Sequence[int]
 ) -> Optional[tuple[int, int]]:
@@ -132,12 +125,10 @@ def build_continuity_countermodel(
     x of a outside int(a); with p true exactly on v, x satisfies the
     antecedent but not the consequent.  Returns None for continuous maps.
     """
-    for v in space.opens_sorted():
-        a = _total_preimage(fn, v, space.n)
-        if not space.is_open(a):
-            x = next(iter_points(a & ~space.interior(a)))
-            return v, x
-    return None
+    report = is_continuous(space, fn)
+    if report.holds:
+        return None
+    return report.witness.open_set, report.witness.point
 
 
 def build_openness_countermodel(

@@ -12,8 +12,8 @@ import bisect
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import checker
 from .formula import (
@@ -51,7 +51,6 @@ from .models import (
     Scenario,
     SubsetModel,
     model_to_json,
-    points_from_mask,
 )
 from .proofkit import get_system, instantiate_scheme
 from .topology import TopoSpace, all_functions, all_topologies, iter_points
@@ -128,22 +127,27 @@ def _gen_serial_successors(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _map_condition(model_class: str) -> Optional[Callable]:
+    """The frame property every program map of the class has, or None when
+    any map will do.  Looked up when called, so a wrapper put on this
+    module's deciders sees every call."""
+    if model_class in ("dtl_open", "subset"):
+        return is_open_map
+    return is_continuous if model_class == "dtl_continuous" else None
+
+
 def _gen_constrained_map(
-    rng: random.Random, space: TopoSpace, wanted: str, cap: int
+    rng: random.Random, space: TopoSpace, condition: Callable, cap: int
 ) -> tuple[int, ...]:
-    check = is_open_map if wanted == "open" else is_continuous
     for _ in range(cap):
         fn = _gen_total_map(rng, space.n)
-        if check(space, fn).holds:
+        if condition(space, fn).holds:
             return fn
-    # constructive fallback: the identity always qualifies, as do constant
-    # maps to an open singleton (open case) or to any point (continuous case)
-    candidates: list[tuple[int, ...]] = [tuple(range(space.n))]
-    for y in range(space.n):
-        const = tuple(y for _ in range(space.n))
-        if wanted == "continuous" or space.is_open(1 << y):
-            candidates.append(const)
-    return rng.choice(candidates)
+    # constructive fallback: the identity and the constant maps that meet the
+    # condition; the identity always does (a constant map is always
+    # continuous, and open when its point is an open singleton)
+    candidates = [tuple(range(space.n))] + [(y,) * space.n for y in range(space.n)]
+    return rng.choice([fn for fn in candidates if condition(space, fn).holds])
 
 
 def gen_model(cfg: GenConfig, index: int = 0) -> Model:
@@ -151,10 +155,10 @@ def gen_model(cfg: GenConfig, index: int = 0) -> Model:
     model_class = cfg.model_class or "dtl"
     if model_class not in MODEL_CLASSES:
         raise ValueError(f"unknown model class {model_class!r}")
+    condition = _map_condition(model_class)
     rng = _derived_rng(cfg.seed, index)
     n = rng.randint(1, cfg.max_points)
     alphabet = _PROGRAM_NAMES[: cfg.num_programs]
-    val = None
 
     if model_class == "pdl_serial":
         rel = {name: _gen_serial_successors(rng, n) for name in alphabet}
@@ -162,13 +166,10 @@ def gen_model(cfg: GenConfig, index: int = 0) -> Model:
         return PDLModel(n=n, alphabet=alphabet, rel=rel, val=val, serial_flag=True)
 
     space = _gen_space(rng, n)
-    if model_class == "dtl":
-        fn = {name: _gen_total_map(rng, n) for name in alphabet}
-        return DTModel(space, alphabet, fn, _gen_valuation(rng, n, cfg.atoms))
-    if model_class in ("dtl_open", "dtl_continuous"):
-        wanted = "open" if model_class == "dtl_open" else "continuous"
+    if model_class != "subset":
         fn = {
-            name: _gen_constrained_map(rng, space, wanted, cfg.max_attempts)
+            name: _gen_total_map(rng, n) if condition is None
+            else _gen_constrained_map(rng, space, condition, cfg.max_attempts)
             for name in alphabet
         }
         return DTModel(space, alphabet, fn, _gen_valuation(rng, n, cfg.atoms))
@@ -177,7 +178,7 @@ def gen_model(cfg: GenConfig, index: int = 0) -> Model:
     opens = space.opens_sorted()
     pfn = {}
     for name in alphabet:
-        total = _gen_constrained_map(rng, space, "open", cfg.max_attempts)
+        total = _gen_constrained_map(rng, space, condition, cfg.max_attempts)
         dom = rng.choice(opens)
         pfn[name] = tuple(total[x] if dom >> x & 1 else None for x in range(n))
     return SubsetModel(space, alphabet, pfn, _gen_valuation(rng, n, cfg.atoms))
@@ -347,23 +348,19 @@ class AuditReport:
 
 def _global_failure(model: Model, inst: Formula) -> Union[None, int, Scenario]:
     """None when the instance holds everywhere; otherwise a witness."""
+    if isinstance(model, SubsetModel):
+        ev = checker.SubsetEvaluator(model)
+        for u in model.space.opens_sorted():
+            got = ev.extension(inst, u)
+            if got != u:
+                return Scenario(next(iter_points(u & ~got)), u)
+        return None
     if isinstance(model, PDLModel):
         ext = checker.eval_pdl_relational(model, inst)
-        full = (1 << model.n) - 1
-        if ext != full:
-            return next(iter_points(full & ~ext))
-        return None
-    if isinstance(model, DTModel):
+    else:
         ext = checker.eval_dtl(model, inst)
-        if ext != model.space.full:
-            return next(iter_points(model.space.full & ~ext))
-        return None
-    ev = checker.SubsetEvaluator(model)
-    for u in model.space.opens_sorted():
-        got = ev.extension(inst, u)
-        if got != u:
-            return Scenario(next(iter_points(u & ~got)), u)
-    return None
+    missing = (1 << model.n) - 1 & ~ext
+    return next(iter_points(missing)) if missing else None
 
 
 def audit(
@@ -377,14 +374,9 @@ def audit(
     collect global-truth failures."""
     system = get_system(system_name)
     model_class = cfg.model_class or _DEFAULT_CLASS[system.name]
-    run_cfg = GenConfig(
-        seed=cfg.seed,
-        max_points=cfg.max_points,
-        num_programs=cfg.num_programs,
-        model_class=model_class,
-        atoms=cfg.atoms,
-        max_attempts=cfg.max_attempts,
-    )
+    if not 1 <= cfg.num_programs <= len(_PROGRAM_NAMES):
+        raise ValueError(f"audits use 1 to {len(_PROGRAM_NAMES)} programs, not {cfg.num_programs}")
+    run_cfg = replace(cfg, model_class=model_class)
     lang = system.language
     wanted = set(schemes) if schemes is not None else None
     scheme_list: list[tuple[str, Optional[Formula]]] = [("CPL", None)]
@@ -450,70 +442,51 @@ def audit(
 # --- exhaustive countermodel search ----------------------------------------------
 
 
-def _open_partial_maps(space: TopoSpace) -> list[tuple[Optional[int], ...]]:
-    out = []
-    for fn in itertools.product([None, *range(space.n)], repeat=space.n):
-        if is_open_map(space, fn).holds:
-            out.append(fn)
-    return out
+def _class_models(
+    model_class: str, n: int, progs: tuple[str, ...], atoms: Sequence[str]
+) -> Iterator[Model]:
+    """Every model of the class on n points interpreting progs and atoms, in
+    a fixed order: relations or topologies (as preorders), then program maps,
+    then valuations."""
+    if model_class == "pdl_serial":
+        successors = list(itertools.product(range(1, 1 << n), repeat=n))
+        for rels in itertools.product(successors, repeat=len(progs)):
+            rel = dict(zip(progs, rels))
+            for masks in itertools.product(range(1 << n), repeat=len(atoms)):
+                val = dict(zip(atoms, masks))
+                yield PDLModel(n=n, alphabet=progs, rel=rel, val=val, serial_flag=True)
+        return
+
+    condition = _map_condition(model_class)
+    partial = model_class == "subset"
+    for space in all_topologies(n):
+        fns = itertools.product([None, *range(n)], repeat=n) if partial else all_functions(n)
+        if condition is not None:
+            fns = [fn for fn in fns if condition(space, fn).holds]
+        for chosen in itertools.product(fns, repeat=len(progs)):
+            table = dict(zip(progs, chosen))
+            for masks in itertools.product(range(1 << n), repeat=len(atoms)):
+                val = dict(zip(atoms, masks))
+                if partial:
+                    yield SubsetModel(space, progs, table, val)
+                else:
+                    yield DTModel(space, progs, table, val)
 
 
 def search_countermodel(
     f: Formula, bound: int = 4, model_class: str = "dtl"
 ) -> Optional[tuple[Model, Union[int, Scenario]]]:
     """First refuting model in a fixed enumeration order, or None if the
-    bounded space is exhausted.
-
-    Enumerates carriers up to the bound, topologies (as preorders), program
-    interpretations and valuations over the formula's own atoms and programs.
-    """
-    if model_class not in ("dtl", "dtl_open", "dtl_continuous", "pdl_serial", "subset"):
+    bounded space is exhausted: every model of the class on 1 to ``bound``
+    points over the formula's own atoms and programs, judged as audits judge."""
+    if model_class not in MODEL_CLASSES:
         raise ValueError(f"unknown model class {model_class!r}")
     # atoms() compiles f; every evaluation below reuses the array cached on f
     names = sorted(formula_atoms(f))
     progs = tuple(sorted(program_names(f)))
-
     for n in range(1, bound + 1):
-        if model_class == "pdl_serial":
-            serial_sets = [m for m in range(1, 1 << n)]
-            tables = list(itertools.product(serial_sets, repeat=n))
-            for rels in itertools.product(tables, repeat=len(progs)):
-                rel = dict(zip(progs, rels))
-                for masks in itertools.product(range(1 << n), repeat=len(names)):
-                    model = PDLModel(
-                        n=n, alphabet=progs, rel=rel,
-                        val=dict(zip(names, masks)), serial_flag=True,
-                    )
-                    ext = checker.eval_pdl_relational(model, f)
-                    full = (1 << n) - 1
-                    if ext != full:
-                        return model, next(iter_points(full & ~ext))
-            continue
-
-        for space in all_topologies(n):
-            if model_class == "subset":
-                fns: Sequence[tuple[Optional[int], ...]] = _open_partial_maps(space)
-            elif model_class == "dtl_open":
-                fns = [fn for fn in all_functions(n) if is_open_map(space, fn).holds]
-            elif model_class == "dtl_continuous":
-                fns = [fn for fn in all_functions(n) if is_continuous(space, fn).holds]
-            else:
-                fns = list(all_functions(n))
-            for chosen in itertools.product(fns, repeat=len(progs)):
-                table = dict(zip(progs, chosen))
-                for masks in itertools.product(range(1 << n), repeat=len(names)):
-                    val = dict(zip(names, masks))
-                    if model_class == "subset":
-                        model: Model = SubsetModel(space, progs, table, val)
-                        ev = checker.SubsetEvaluator(model)
-                        for u in space.opens_sorted():
-                            got = ev.extension(f, u)
-                            if got != u:
-                                x = next(iter_points(u & ~got))
-                                return model, Scenario(x, u)
-                    else:
-                        model = DTModel(space, progs, table, val)
-                        ext = checker.eval_dtl(model, f)
-                        if ext != space.full:
-                            return model, next(iter_points(space.full & ~ext))
+        for model in _class_models(model_class, n, progs, names):
+            witness = _global_failure(model, f)
+            if witness is not None:
+                return model, witness
     return None

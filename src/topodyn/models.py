@@ -190,6 +190,15 @@ def image(fn: Sequence[Optional[int]], u: int) -> int:
     return m
 
 
+def preimage(fn: Sequence[Optional[int]], v: int) -> int:
+    """Points that fn sends into v; a point where fn is undefined is not."""
+    m = 0
+    for x, y in enumerate(fn):
+        if y is not None and v >> y & 1:
+            m |= 1 << x
+    return m
+
+
 def compose(first: Sequence[Optional[int]], second: Sequence[Optional[int]]) -> tuple[Optional[int], ...]:
     """Run ``first``, then ``second``; undefinedness propagates."""
     return tuple(

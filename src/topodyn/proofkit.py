@@ -353,24 +353,51 @@ def check_derivation(derivation: Derivation) -> CheckResult:
 # --- JSON -------------------------------------------------------------------------
 
 
-def derivation_from_json(obj: dict) -> Derivation:
+def _typed(value: object, kind: type, what: str):
+    # exact types: JSON's true is no step number, and neither is 1.5
+    if type(value) is not kind:
+        name = "an integer" if kind is int else "a string"
+        raise ValueError(f"{what} must be {name}, not {value!r}")
+    return value
+
+
+def _object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, not {value!r}")
+    return value
+
+
+def derivation_from_json(obj: object) -> Derivation:
+    """Read a derivation document; a wrong shape or type raises ValueError."""
+    obj = _object(obj, "a derivation")
+    system = _typed(obj.get("system"), str, "the system")
+    if not isinstance(obj.get("steps"), list):
+        raise ValueError(f"steps must be a list, not {obj.get('steps')!r}")
     steps = []
-    for raw in obj["steps"]:
-        f = parse(raw["formula"])
-        by = raw["by"]
+    for k, raw in enumerate(obj["steps"], start=1):
+        raw = _object(raw, f"step {k}")
+        f = parse(_typed(raw.get("formula"), str, f"the formula of step {k}"))
+        by = _object(raw.get("by"), f"the justification of step {k}")
+        ref = f"a step reference in step {k}"
         if "axiom" in by:
-            just: Justification = AxiomStep(by["axiom"])
+            just: Justification = AxiomStep(_typed(by["axiom"], str, f"the axiom of step {k}"))
         elif "mp" in by:
-            i, j = by["mp"]
-            just = MPStep(int(i), int(j))
+            pair = by["mp"]
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"mp in step {k} must list two steps, not {pair!r}")
+            just = MPStep(_typed(pair[0], int, ref), _typed(pair[1], int, ref))
         elif "nec" in by:
-            just = NecStep(str(by["nec"]["mod"]), int(by["nec"]["from"]))
+            nec = _object(by["nec"], f"nec in step {k}")
+            mod = _typed(nec.get("mod"), str, f"the modality of step {k}")
+            just = NecStep(mod, _typed(nec.get("from"), int, ref))
         elif "mon" in by:
-            just = MonStep(str(by["mon"]["prog"]), int(by["mon"]["from"]))
+            mon = _object(by["mon"], f"mon in step {k}")
+            prog = _typed(mon.get("prog"), str, f"the program of step {k}")
+            just = MonStep(prog, _typed(mon.get("from"), int, ref))
         else:
             raise ValueError(f"unknown justification: {by!r}")
         steps.append(Step(f, just))
-    return Derivation(system=obj["system"], steps=tuple(steps))
+    return Derivation(system=system, steps=tuple(steps))
 
 
 def derivation_to_json(derivation: Derivation) -> dict:

@@ -28,14 +28,7 @@ def mask_from_points(points: Iterable[int], n: int) -> int:
 
 
 def points_from_mask(mask: int) -> list[int]:
-    out = []
-    x = 0
-    while mask:
-        if mask & 1:
-            out.append(x)
-        mask >>= 1
-        x += 1
-    return out
+    return list(iter_points(mask))
 
 
 def full_mask(n: int) -> int:

@@ -186,9 +186,11 @@ def _require_serial(model: PDLModel) -> None:
 def build_network_space(model: PDLModel, depth: int, budget: int = 100_000) -> NetworkSpace:
     """Enumerate all bounded networks up to the given depth.
 
-    Raises BudgetExceeded (with the computed size) before enumerating if any
-    stratum would outgrow the budget.
+    Raises ValueError for a negative depth, and BudgetExceeded (with the
+    computed size) before enumerating if any stratum would outgrow the budget.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, not {depth}")
     counts = stratum_counts(model, depth)
     for d, row in enumerate(counts):
         size = sum(row)

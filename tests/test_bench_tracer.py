@@ -1,0 +1,39 @@
+"""The benchmark's tracer wraps topodyn's functions under the module globals
+their callers look them up by, so a rename under src/ must fail here rather
+than in a benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+from topodyn import checker, harness
+from topodyn.formula import parse
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_the_search_and_unpatches():
+    tracing = _load_tracing()
+    search, eval_dtl = harness.search_countermodel, checker.eval_dtl
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert harness.search_countermodel is not search
+        tracer.begin_op(0)
+        found = harness.search_countermodel(parse("p -> box p"), bound=2, model_class="dtl_open")
+        assert found is not None and tracer.end_op() is None
+        counts = tracer.counts
+        # the search reaches the evaluator, the deciders and the topologies
+        # through the wrapped names
+        assert counts["harness.search.models_evaluated"] == counts["checker.eval_dtl.calls"] > 0
+        assert counts["frameprops.is_open_map.calls"] > 0
+        assert counts["topology.all_topologies.spaces"] > 0
+    finally:
+        tracer.unpatch()
+    assert harness.search_countermodel is search and checker.eval_dtl is eval_dtl

@@ -486,6 +486,51 @@ def test_malformed_relational_model_exits_2(capsys, tmp_path):
         assert code == 2 and _one_line_error(err)
 
 
+def _box_dist_with(step, key, value):
+    doc = json.loads(json.dumps(BOX_DIST_JSON))
+    doc["steps"][step - 1][key] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    [1],
+    {"steps": 5},
+    {"system": "SPDL0", "steps": 5},
+    {"system": "SPDL0", "steps": [5]},
+    {"system": ["x"], "steps": BOX_DIST_JSON["steps"]},
+    _box_dist_with(1, "formula", 5),
+    _box_dist_with(1, "by", 5),
+    _box_dist_with(1, "by", {"axiom": 5}),
+    _box_dist_with(4, "by", {"mp": 5}),
+    _box_dist_with(4, "by", {"mp": [True, 1.5]}),
+    _box_dist_with(4, "by", {"mp": [2, 3, 1]}),
+    _box_dist_with(2, "by", {"nec": 5}),
+    _box_dist_with(2, "by", {"nec": {"mod": "a", "from": "1"}}),
+    _box_dist_with(2, "by", {"nec": {"mod": 5, "from": 1}}),
+    _box_dist_with(2, "by", {"mon": {"prog": "a", "from": 1.0}}),
+], ids=["list", "no-system", "steps-int", "step-int", "system-list", "formula-int", "by-int",
+        "axiom-int", "mp-int", "mp-bool-float", "mp-three", "nec-int", "nec-from-str",
+        "nec-mod-int", "mon-from-float"])
+def test_prove_malformed_derivations_exit_2(capsys, tmp_path, doc):
+    path = write_json(tmp_path, "bad.json", doc)
+    code, out, err = run(capsys, ["prove", "-d", path])
+    assert code == 2 and out == "" and _one_line_error(err)
+
+
+@pytest.mark.parametrize("depth", ["-1", "-7"])
+def test_transform_rejects_negative_depth(capsys, pdl_file, depth):
+    code, out, err = run(capsys, ["transform", "-m", pdl_file, "--depth", depth])
+    assert code == 2 and out == "" and _one_line_error(err) and "depth" in err
+
+
+@pytest.mark.parametrize("programs", ["-1", "0", "6", "9"])
+def test_audit_rejects_program_counts_out_of_range(capsys, programs):
+    code, out, err = run(capsys, [
+        "audit", "--system", "SPDL0", "--trials", "2", "--programs", programs,
+    ])
+    assert code == 2 and out == "" and _one_line_error(err) and "programs" in err
+
+
 def test_transform_builds_the_network_space_once(capsys, pdl_file, monkeypatch):
     from topodyn import transform
 

@@ -176,6 +176,15 @@ def test_audit_violations_reverify():
         assert not ext >> obj["point"] & 1
 
 
+def test_audit_takes_one_to_five_programs():
+    for k in (1, 5):
+        rep = audit("SPDL0", GenConfig(seed=27, max_points=3, num_programs=k), trials=4)
+        assert rep.ok and rep.checked == 4 * 3 * 3
+    for k in (0, 6):
+        with pytest.raises(ValueError, match="programs"):
+            audit("SPDL0", GenConfig(seed=27, num_programs=k), trials=1)
+
+
 def test_audit_unknown_system():
     with pytest.raises(ValueError, match="unknown proof system"):
         audit("S4", GenConfig(seed=1), trials=1)
