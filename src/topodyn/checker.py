@@ -19,14 +19,19 @@ Subset-space: truth sits at scenarios (x, U).  Knowledge quantifies over U,
 interior is taken in the ambient space, and ``O[prog]`` moves the whole
 scenario along a partial open map.  Extensions are memoized per (node id,
 open) pair, which keeps batch sweeps linear.
+
+Valuation-parallel: ``failures`` judges a model's space and programs under a
+whole chunk of valuations in one evaluation.  Bit ``x * width + v`` of a mask
+holds the truth at point x under valuation v of the chunk, so the connectives
+stay bitwise and each modality works on per-point slices of ``width`` bits.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, lru_cache, reduce
 from itertools import repeat
 from operator import or_
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .formula import (
     BOOLEAN,
@@ -62,6 +67,7 @@ from .formula import (
 )
 from .models import (
     DTModel,
+    Model,
     PDLModel,
     Scenario,
     SubsetModel,
@@ -73,6 +79,10 @@ from .models import (
 from .topology import iter_points
 
 _PROGRAMS = (Atomic, Seq, Test)
+
+# At most 2**CHUNK_BITS valuations are judged in one evaluation, which keeps
+# a mask within n * 2**CHUNK_BITS bits however many atoms there are.
+CHUNK_BITS = 12
 
 
 def evaluate(f: Formula, sem, ctx: int = 0, memo: Optional[dict] = None) -> int:
@@ -195,6 +205,17 @@ class _Semantics:
     def interpret(self, prog: Program) -> tuple[Optional[int], ...]:
         return program_function(self.model, prog)
 
+    # point-set operations, replaced by the valuation-parallel semantics
+
+    def interior(self, m: int) -> int:
+        return self.space.interior(m)
+
+    def closure(self, m: int) -> int:
+        return self.space.closure(m)
+
+    def preimage(self, fn: tuple[Optional[int], ...], m: int) -> int:
+        return preimage(fn, m)
+
 
 class _Relational(_Semantics):
     def interpret(self, prog: Program) -> tuple[int, ...]:
@@ -216,13 +237,25 @@ class _Relational(_Semantics):
     def modal(self, node: Node, body: int, c: int) -> int:
         if type(node) is not Diamond and type(node) is not BoxPdl:
             raise ValueError(f"no relational semantics for {format_formula(node)}")
+        # Diamond: some successor in the body; BoxPdl: all of them
         table = self.program(node.prog)
-        m = 0
-        for x in range(self.model.n):
-            # Diamond: some successor in the body; BoxPdl: all of them
-            if table[x] & body if type(node) is Diamond else not table[x] & ~body:
-                m |= 1 << x
-        return m
+        return self.some(table, body) if type(node) is Diamond else self.every(table, body)
+
+    def some(self, table: tuple[int, ...], m: int) -> int:
+        """Points x whose table entry meets m."""
+        r = 0
+        for x, t in enumerate(table):
+            if t & m:
+                r |= 1 << x
+        return r
+
+    def every(self, table: tuple[int, ...], m: int) -> int:
+        """Points x whose table entry lies inside m."""
+        r = 0
+        for x, t in enumerate(table):
+            if not t & ~m:
+                r |= 1 << x
+        return r
 
 
 def eval_pdl_relational(model: PDLModel, f: Formula) -> int:
@@ -238,13 +271,13 @@ class _DynamicTopological(_Semantics):
                 f"knowledge needs subset-space semantics: {format_formula(node)}"
             )
         if cls is Int:
-            return self.space.interior(body)
+            return self.interior(body)
         if cls is Cl:
-            return self.space.closure(body)
-        pre = preimage(self.program(node.prog), body)
+            return self.closure(body)
+        pre = self.preimage(self.program(node.prog), body)
         if cls is Next:
             return pre
-        return self.space.closure(pre) if cls is Diamond else self.space.interior(pre)
+        return self.closure(pre) if cls is Diamond else self.interior(pre)
 
 
 def eval_dtl(model: DTModel, f: Formula) -> int:
@@ -298,10 +331,11 @@ class SubsetEvaluator(_Semantics):
         if cls is KHat:
             return u if body != 0 else 0
         if cls is Int:
-            return self.space.interior(body)
+            return self.interior(body)
+        full = self.full(u)
         if cls is Cl:
-            return u & ~self.space.interior(u & ~body)
-        return preimage(self.program(node.prog), body) & u
+            return full & ~self.interior(full & ~body)
+        return self.preimage(self.program(node.prog), body) & full
 
     def truth(self, f: Formula, s: Scenario) -> bool:
         validate_scenario(self.model, s)
@@ -323,3 +357,178 @@ def state_extension(model: SubsetModel, f: Formula) -> int:
             f"state extensions exist only in the box/next fragment: {format_formula(f)}"
         )
     return SubsetEvaluator(model).extension(f, model.space.full)
+
+
+# --- every valuation at once ----------------------------------------------------
+
+
+@cache
+def _members(n: int) -> tuple[tuple[int, ...], ...]:
+    """The points of each subset of n points, indexed by its mask."""
+    return tuple(tuple(iter_points(m)) for m in range(1 << n))
+
+
+def valuation_chunks(n: int, names: Sequence[str]) -> Iterator[tuple[int, int, dict[str, int]]]:
+    """(first valuation, width, atom masks) for each chunk of the valuations
+    of names on n points, in order.
+
+    Valuations are numbered as ``itertools.product(range(2**n),
+    repeat=len(names))`` lists them: number v gives atom j the mask
+    ``v >> n * (len(names) - 1 - j) & (2**n - 1)``.  A chunk holds ``width``
+    consecutive valuations, at most ``2**CHUNK_BITS``, and an atom's mask sets
+    bit ``x * width + v`` when the atom holds at x under valuation start + v.
+    """
+    bits = n * len(names)
+    width = 1 << min(bits, CHUNK_BITS)
+    for start in range(0, 1 << bits, width):
+        yield start, width, _atom_masks(n, tuple(names), width, start)
+
+
+def valuation(names: Sequence[str], n: int, v: int) -> dict[str, int]:
+    """Valuation number v of names on n points, as ``valuation_chunks``
+    numbers them."""
+    last = len(names) - 1
+    return {a: v >> n * (last - j) & (1 << n) - 1 for j, a in enumerate(names)}
+
+
+@lru_cache(maxsize=64)
+def _atom_masks(n: int, names: tuple[str, ...], width: int, start: int) -> dict[str, int]:
+    ones = (1 << width) - 1
+    out = {}
+    for j, name in enumerate(names):
+        m = 0
+        for x in range(n):
+            b = n * (len(names) - 1 - j) + x  # bit b of v: the atom holds at x
+            run = 1 << b
+            if run < width:  # runs of 2**b valuations alternate inside the chunk
+                column = ones // ((1 << run) + 1) << run
+            else:  # bit b is the same throughout the chunk
+                column = ones if start >> b & 1 else 0
+            m |= column << x * width
+        out[name] = m
+    return out
+
+
+def fold_points(mask: int, n: int, width: int) -> int:
+    """OR of the per-point slices: bit v is set iff some point has it."""
+    ones = (1 << width) - 1
+    r = 0
+    for o in range(0, n * width, width):
+        r |= mask >> o & ones
+    return r
+
+
+class _Parallel:
+    """Mixin that runs a one-model semantics under a chunk of valuations.
+
+    The model supplies the space and the programs and its valuation is
+    ignored; ``atoms`` holds each atom's mask in the layout of
+    ``valuation_chunks``.  Each operation on point sets works slice by slice.
+    """
+
+    def __init__(self, model, atoms: dict[str, int], width: int):
+        # the base state only: the one-model memo tables go unused
+        _Semantics.__init__(self, model)
+        n = model.n
+        self.atoms = atoms
+        self.ones = (1 << width) - 1
+        self.offsets = range(0, n * width, width)
+        self.all = (1 << n * width) - 1
+        self.members = _members(n)
+
+    def atom(self, node: Node, c: int) -> int:
+        return self.atoms.get(node.name, 0)
+
+    def slices(self, m: int) -> list[int]:
+        ones = self.ones
+        return [m >> o & ones for o in self.offsets]
+
+    def interior(self, m: int) -> int:
+        return self.every(self.space.min_nbhds, m)
+
+    def closure(self, m: int) -> int:
+        return self.some(self.space.min_nbhds, m)
+
+    def preimage(self, fn: tuple[Optional[int], ...], m: int) -> int:
+        s = self.slices(m)
+        r = 0
+        for o, y in zip(self.offsets, fn):
+            if y is not None:
+                r |= s[y] << o
+        return r
+
+    def some(self, table: tuple[int, ...], m: int) -> int:
+        s, members = self.slices(m), self.members
+        r = 0
+        for o, t in zip(self.offsets, table):
+            acc = 0
+            for y in members[t]:
+                acc |= s[y]
+            r |= acc << o
+        return r
+
+    def every(self, table: tuple[int, ...], m: int) -> int:
+        s, members, ones = self.slices(m), self.members, self.ones
+        r = 0
+        for o, t in zip(self.offsets, table):
+            acc = ones
+            for y in members[t]:
+                acc &= s[y]
+            r |= acc << o
+        return r
+
+
+class _ParallelRelational(_Parallel, _Relational):
+    pass
+
+
+class _ParallelDynamicTopological(_Parallel, _DynamicTopological):
+    pass
+
+
+class _ParallelSubset(_Parallel, SubsetEvaluator):
+    """The context is the open U, and ``full(U)`` every slice of U's points."""
+
+    def __init__(self, model: SubsetModel, atoms: dict[str, int], width: int):
+        super().__init__(model, atoms, width)
+        self._full: dict[int, int] = {}
+
+    def full(self, u: int) -> int:
+        got = self._full.get(u)
+        if got is None:
+            got = self._full[u] = sum(self.ones << self.offsets[x] for x in self.members[u])
+        return got
+
+    def atom(self, node: Node, u: int) -> int:
+        return self.atoms.get(node.name, 0) & self.full(u)
+
+    def interpret(self, prog: Program) -> tuple[Optional[int], ...]:
+        if any(type(part) is Test for part in seq_steps(prog)):
+            raise ValueError("a test program depends on the valuation; judge one model at a time")
+        return super().interpret(prog)
+
+    def modal(self, node: Node, body: int, u: int) -> int:
+        cls = type(node)
+        if cls is Know or cls is KHat:  # every (some) point of U, read at each point of U
+            spread = self.every if cls is Know else self.some
+            return spread((u,) * self.model.n, body) & self.full(u)
+        return super().modal(node, body, u)
+
+
+def failures(model: Model, f: Formula, atoms: dict[str, int], width: int) -> int:
+    """Where f fails on the model's space and programs under a chunk of
+    valuations (see ``valuation_chunks``): bit ``x * width + v`` is set iff
+    f fails at point x under valuation v, on subset-space models at some
+    scenario (x, U).  The model's own valuation is ignored.  On subset-space
+    models test programs are refused, since their images depend on the
+    valuation."""
+    if isinstance(model, SubsetModel):
+        sem = _ParallelSubset(model, atoms, width)
+        memo: dict = {}
+        bad = 0
+        for u in model.space.opens:
+            bad |= sem.full(u) & ~evaluate(f, sem, u, memo)
+        return bad
+    cls = _ParallelRelational if isinstance(model, PDLModel) else _ParallelDynamicTopological
+    sem = cls(model, atoms, width)
+    return sem.all & ~evaluate(f, sem)

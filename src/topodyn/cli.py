@@ -233,7 +233,16 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
+def _require_counts(args: argparse.Namespace, *options: str) -> None:
+    """A count below 1 is a usage error that names its option."""
+    for option in options:
+        value = getattr(args, option[2:].replace("-", "_"))
+        if value < 1:
+            raise ValueError(f"{option} must be at least 1, not {value}")
+
+
 def _cmd_audit(args: argparse.Namespace) -> int:
+    _require_counts(args, "--trials", "--instances", "--points")
     if args.points > _max_points():
         raise ValueError(
             f"--points {args.points} is over TOPODYN_MAX_POINTS={_max_points()}"
@@ -254,6 +263,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_refute(args: argparse.Namespace) -> int:
+    _require_counts(args, "--bound")
     if args.bound > _max_points():
         raise ValueError(
             f"--bound {args.bound} is over TOPODYN_MAX_POINTS={_max_points()}"

@@ -102,16 +102,20 @@ def is_serial(model: PDLModel) -> FrameReport:
 
 
 def validates_scheme(space: TopoSpace, fn: Sequence[int], kind: str) -> FrameReport:
-    """Is the interaction scheme valid over every valuation of p?"""
-    from .checker import eval_dtl
+    """Is the interaction scheme valid over every valuation of p?  All
+    valuations are judged at once; the witness is the least failing
+    valuation and the least point failing under it."""
+    from .checker import failures, fold_points, valuation_chunks
 
     target = scheme_formula(kind)
-    for v in range(1 << space.n):
-        model = DTModel(space=space, alphabet=("pi",), fn={"pi": tuple(fn)}, val={"p": v})
-        ext = eval_dtl(model, target)
-        if ext != space.full:
-            x = next(iter_points(space.full & ~ext))
-            return FrameReport(kind, False, FrameWitness(point=x, valuation=v))
+    frame = DTModel(space=space, alphabet=("pi",), fn={"pi": tuple(fn)}, val={})
+    for start, width, atoms in valuation_chunks(space.n, ("p",)):
+        bad = failures(frame, target, atoms, width)
+        if bad:
+            low = fold_points(bad, space.n, width)
+            v = (low & -low).bit_length() - 1
+            x = next(x for x in range(space.n) if bad >> x * width + v & 1)
+            return FrameReport(kind, False, FrameWitness(point=x, valuation=start + v))
     return FrameReport(kind, True)
 
 

@@ -40,6 +40,7 @@ from .formula import (
     Top,
     atoms as formula_atoms,
     format_formula,
+    kinds,
     modal_depth,
     program_names,
 )
@@ -442,35 +443,31 @@ def audit(
 # --- exhaustive countermodel search ----------------------------------------------
 
 
-def _class_models(
-    model_class: str, n: int, progs: tuple[str, ...], atoms: Sequence[str]
-) -> Iterator[Model]:
-    """Every model of the class on n points interpreting progs and atoms, in
-    a fixed order: relations or topologies (as preorders), then program maps,
-    then valuations."""
+def _class_models(model_class: str, n: int, progs: tuple[str, ...]) -> Iterator[Model]:
+    """Every (space, program maps) block of the class on n points that
+    interprets progs, as a model with an empty valuation, in a fixed order:
+    relations or topologies (as preorders), then program maps.  With no
+    programs a block is just the space, and no map is enumerated."""
     if model_class == "pdl_serial":
-        successors = list(itertools.product(range(1, 1 << n), repeat=n))
+        successors = list(itertools.product(range(1, 1 << n), repeat=n)) if progs else []
         for rels in itertools.product(successors, repeat=len(progs)):
-            rel = dict(zip(progs, rels))
-            for masks in itertools.product(range(1 << n), repeat=len(atoms)):
-                val = dict(zip(atoms, masks))
-                yield PDLModel(n=n, alphabet=progs, rel=rel, val=val, serial_flag=True)
+            yield PDLModel(n=n, alphabet=progs, rel=dict(zip(progs, rels)), val={}, serial_flag=True)
         return
 
     condition = _map_condition(model_class)
     partial = model_class == "subset"
     for space in all_topologies(n):
-        fns = itertools.product([None, *range(n)], repeat=n) if partial else all_functions(n)
-        if condition is not None:
-            fns = [fn for fn in fns if condition(space, fn).holds]
+        fns: Iterable = ()
+        if progs:
+            fns = itertools.product([None, *range(n)], repeat=n) if partial else all_functions(n)
+            if condition is not None:
+                fns = [fn for fn in fns if condition(space, fn).holds]
         for chosen in itertools.product(fns, repeat=len(progs)):
             table = dict(zip(progs, chosen))
-            for masks in itertools.product(range(1 << n), repeat=len(atoms)):
-                val = dict(zip(atoms, masks))
-                if partial:
-                    yield SubsetModel(space, progs, table, val)
-                else:
-                    yield DTModel(space, progs, table, val)
+            if partial:
+                yield SubsetModel(space, progs, table, {})
+            else:
+                yield DTModel(space, progs, table, {})
 
 
 def search_countermodel(
@@ -478,15 +475,33 @@ def search_countermodel(
 ) -> Optional[tuple[Model, Union[int, Scenario]]]:
     """First refuting model in a fixed enumeration order, or None if the
     bounded space is exhausted: every model of the class on 1 to ``bound``
-    points over the formula's own atoms and programs, judged as audits judge."""
+    points over the formula's own atoms and programs, judged as audits judge.
+
+    The order is blocks (see ``_class_models``), then valuations.  Each chunk
+    of a block's valuations is judged in one evaluation; the first failing
+    valuation is the least one under which f fails anywhere, and only that
+    model is built and passed to ``_global_failure`` for its witness.  A
+    subset-space formula with a test program is judged one model at a time,
+    since its image steps depend on the valuation."""
     if model_class not in MODEL_CLASSES:
         raise ValueError(f"unknown model class {model_class!r}")
     # atoms() compiles f; every evaluation below reuses the array cached on f
     names = sorted(formula_atoms(f))
     progs = tuple(sorted(program_names(f)))
+    one_at_a_time = model_class == "subset" and Test in kinds(f)
     for n in range(1, bound + 1):
-        for model in _class_models(model_class, n, progs, names):
-            witness = _global_failure(model, f)
-            if witness is not None:
-                return model, witness
+        for block in _class_models(model_class, n, progs):
+            if one_at_a_time:
+                for v in range(1 << n * len(names)):
+                    model = replace(block, val=checker.valuation(names, n, v))
+                    witness = _global_failure(model, f)
+                    if witness is not None:
+                        return model, witness
+                continue
+            for start, width, atoms in checker.valuation_chunks(n, names):
+                bad = checker.fold_points(checker.failures(block, f, atoms, width), n, width)
+                if bad:
+                    v = start + (bad & -bad).bit_length() - 1
+                    model = replace(block, val=checker.valuation(names, n, v))
+                    return model, _global_failure(model, f)
     return None

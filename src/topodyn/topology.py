@@ -179,6 +179,11 @@ class TopoSpace:
     def min_nbhd(self, x: int) -> int:
         return self._min_nbhd[x]
 
+    @property
+    def min_nbhds(self) -> tuple[int, ...]:
+        """The minimal neighbourhood of every point, in point order."""
+        return self._min_nbhd
+
     def interior(self, a: int) -> int:
         """Largest open subset: the points whose minimal neighbourhood fits."""
         m = 0
@@ -252,17 +257,33 @@ class TopoSpace:
 
 
 def all_preorders(n: int) -> Iterator[tuple[int, ...]]:
-    """All preorders on n labeled points as up-set tables, deterministic order."""
+    """All preorders on n labeled points as up-set tables, deterministic order.
+
+    Bit i of a relation's number says whether the i-th pair (x, y), x != y in
+    row order, is related, and relations come out by increasing number.  The
+    search decides the bits from the highest down, 0 before 1, and drops a
+    prefix as soon as the transitive closure of its chosen pairs contains a
+    pair fixed to 0, so every prefix it keeps has a completion: the closure.
+    """
     pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
-    for bits in range(1 << len(pairs)):
-        up = [1 << x for x in range(n)]
-        for i, (x, y) in enumerate(pairs):
-            if bits >> i & 1:
-                up[x] |= 1 << y
-        if all(
-            up[y] & ~up[x] == 0 for x in range(n) for y in iter_points(up[x])
-        ):
-            yield tuple(up)
+    # (pairs left to decide, closure of the chosen pairs, pairs fixed to 0)
+    stack = [(len(pairs), tuple(1 << x for x in range(n)), (0,) * n)]
+    while stack:
+        i, up, zero = stack.pop()
+        if i == 0:
+            yield up
+            continue
+        i -= 1
+        x, y = pairs[i]
+        # pushed first, so the 0 branch below runs first
+        reach = up[y]
+        joined = tuple(u | reach if u >> x & 1 else u for u in up)
+        if all(u & z == 0 for u, z in zip(joined, zero)):
+            stack.append((i, joined, zero))
+        if not up[x] >> y & 1:
+            fixed = list(zero)
+            fixed[x] |= 1 << y
+            stack.append((i, up, tuple(fixed)))
 
 
 def all_topologies(n: int) -> Iterator[TopoSpace]:

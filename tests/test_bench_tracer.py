@@ -26,7 +26,7 @@ def test_tracer_wraps_the_search_and_unpatches():
         tracing.install(tracer)
         assert harness.search_countermodel is not search
         tracer.begin_op(0)
-        found = harness.search_countermodel(parse("p -> box p"), bound=2, model_class="dtl_open")
+        found = harness.search_countermodel(parse("p -> O[a] p"), bound=2, model_class="dtl_open")
         assert found is not None and tracer.end_op() is None
         counts = tracer.counts
         # the search reaches the evaluator, the deciders and the topologies

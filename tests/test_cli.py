@@ -380,6 +380,19 @@ def test_max_points_cap_comes_before_building(capsys, monkeypatch, tmp_path, mod
     assert code == 2 and _one_line_error(err) and "TOPODYN_MAX_POINTS" in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["refute", "-f", "p -> box p", "--bound", "-3"], "--bound"),
+    (["refute", "-f", "p -> box p", "--bound", "0"], "--bound"),
+    (["audit", "--system", "SPDL0", "--trials", "-5", "--instances", "2"], "--trials"),
+    (["audit", "--system", "SPDL0", "--trials", "2", "--instances", "-2"], "--instances"),
+    (["audit", "--system", "SPDL0", "--trials", "2", "--instances", "0"], "--instances"),
+    (["audit", "--system", "SPDL0", "--trials", "2", "--points", "0"], "--points"),
+])
+def test_counts_below_one_are_usage_errors(capsys, argv, option):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and _one_line_error(err) and option in err
+
+
 def test_max_points_must_be_numeric(capsys, monkeypatch):
     monkeypatch.setenv("TOPODYN_MAX_POINTS", "plenty")
     code, _, err = run(capsys, ["refute", "-f", "p", "--bound", "2"])

@@ -150,6 +150,28 @@ def test_scheme_failure_carries_witness():
     assert not ext >> rep.witness.point & 1
 
 
+def first_scheme_failure(space, fn, kind):
+    """(valuation, point) of the least valuation of p refuting the scheme, and
+    the least point under it, judging one valuation at a time."""
+    for v in range(1 << space.n):
+        model = DTModel(space, ("pi",), {"pi": fn}, {"p": v})
+        missing = space.full & ~eval_dtl(model, scheme_formula(kind))
+        if missing:
+            return v, (missing & -missing).bit_length() - 1
+    return None
+
+
+def test_scheme_witness_is_the_least_valuation_then_point():
+    pairs = [(space, fn) for space in all_topologies(3) for fn in all_functions(3)]
+    assert len(pairs) == 783
+    for space, fn in pairs:
+        for kind in (CONTINUITY, OPENNESS):
+            rep = validates_scheme(space, fn, kind)
+            want = first_scheme_failure(space, fn, kind)
+            got = None if rep.holds else (rep.witness.valuation, rep.witness.point)
+            assert got == want
+
+
 def test_unknown_scheme_kind(sierpinski):
     with pytest.raises(ValueError, match="unknown scheme"):
         validates_scheme(sierpinski, (0, 1), "density")

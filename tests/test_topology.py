@@ -201,6 +201,25 @@ def test_preorder_counts():
     assert sum(1 for _ in all_preorders(2)) == 4
     assert sum(1 for _ in all_preorders(3)) == 29
     assert sum(1 for _ in all_preorders(4)) == 355
+    assert sum(1 for _ in all_preorders(5)) == 6942
+
+
+def filtered_preorders(n: int):
+    """Every relation on n points by increasing number (bit i for the i-th
+    pair x != y in row order), kept when it is transitive."""
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    for bits in range(1 << len(pairs)):
+        up = [1 << x for x in range(n)]
+        for i, (x, y) in enumerate(pairs):
+            if bits >> i & 1:
+                up[x] |= 1 << y
+        if all(up[y] & ~up[x] == 0 for x in range(n) for y in iter_points(up[x])):
+            yield tuple(up)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_preorders_match_the_filter_in_order(n):
+    assert list(all_preorders(n)) == list(filtered_preorders(n))
 
 
 def test_topology_counts_match_preorders():
