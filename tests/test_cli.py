@@ -575,6 +575,9 @@ OUTPUT_GOLDEN = {
     "refute-dtl-open": "4f4788954a4daff4eef884d2d8c160cbfb9422390cd2f4d2c9e9608f08a42544",
     "refute-dtl-continuous": "0f0379bcc7c01f811dc5e4fbf47b20c258e12dfecd34fc4364be688c3c1fce9c",
     "refute-pdl-serial": "1f09b8b958f975a5b1dbd0c9943de33791d2e6933f9a0457dcddb007016d59a7",
+    "refute-dtl-three-points": "9f34d49d06e89f3c5cf0603150fb1590df74f0f9dcb90219ee07ab7626381000",
+    "refute-pdl-serial-three-points":
+        "e940517d63cdc700382ee1f88225ae3c2dcf75ff7c6c79a809e7067c26d2842f",
 }
 
 
@@ -601,6 +604,10 @@ def test_output_bytes_are_pinned(capsys, tmp_path, pdl_file, name):
                                   "--model-class", "dtl_continuous"],
         "refute-pdl-serial": ["refute", "-f", "<a;b>p -> <b;a>p", "--bound", "3",
                               "--model-class", "pdl_serial"],
+        # searches whose first countermodel has 3 points
+        "refute-dtl-three-points": ["refute", "-f", "dia box p -> box dia p", "--bound", "3"],
+        "refute-pdl-serial-three-points": ["refute", "-f", "<a>[a]p -> [a]<a>p", "--bound", "3",
+                                           "--model-class", "pdl_serial"],
     }[name]
     code, out, _ = run(capsys, argv)
     text = out + f"exit {code}\n"
