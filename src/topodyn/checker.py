@@ -179,6 +179,16 @@ def translate_pdl(f: Formula) -> Formula:
     return fold(f, visit)
 
 
+def _program_key(prog: Program):
+    """A key equal programs share, compared without walking their nodes: an
+    atomic program's name, else its steps, each a name or a test node.  An
+    interpretation composes the steps, so programs whose sequences nest
+    differently may share a key as they share an interpretation."""
+    if type(prog) is Atomic:
+        return prog.name
+    return tuple([s.name if type(s) is Atomic else s for s in seq_steps(prog)])
+
+
 class _Semantics:
     """One context, every atom as valued, and programs interpreted once each."""
 
@@ -188,7 +198,7 @@ class _Semantics:
         self.model = model
         self.space = getattr(model, "space", None)
         self.all = (1 << model.n) - 1
-        self._programs: dict[Program, tuple] = {}
+        self._programs: dict = {}  # _program_key -> interpretation
 
     def full(self, c: int) -> int:
         return self.all
@@ -197,9 +207,10 @@ class _Semantics:
         return self.model.val.get(node.name, 0)
 
     def program(self, prog: Program) -> tuple:
-        got = self._programs.get(prog)
+        key = _program_key(prog)
+        got = self._programs.get(key)
         if got is None:
-            got = self._programs[prog] = self.interpret(prog)
+            got = self._programs[key] = self.interpret(prog)
         return got
 
     def interpret(self, prog: Program) -> tuple[Optional[int], ...]:

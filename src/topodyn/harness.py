@@ -13,6 +13,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import checker
@@ -54,7 +55,14 @@ from .models import (
     model_to_json,
 )
 from .proofkit import get_system, instantiate_scheme
-from .topology import TopoSpace, all_functions, all_topologies, iter_points
+from .topology import (
+    TopoSpace,
+    all_functions,
+    all_topologies,
+    iter_points,
+    orbit_representatives,
+    representative_topologies,
+)
 
 MODEL_CLASSES = ("pdl_serial", "dtl", "dtl_open", "dtl_continuous", "subset")
 
@@ -443,20 +451,40 @@ def audit(
 # --- exhaustive countermodel search ----------------------------------------------
 
 
-def _class_models(model_class: str, n: int, progs: tuple[str, ...]) -> Iterator[Model]:
+@cache
+def _serial_representatives(n: int) -> tuple[tuple[int, ...], ...]:
+    """One serial successor table per isomorphism class on n points, the
+    first of each class in ``itertools.product`` order."""
+    return tuple(orbit_representatives(n, itertools.product(range(1, 1 << n), repeat=n)))
+
+
+def _class_models(
+    model_class: str, n: int, progs: tuple[str, ...], reduced: bool = False
+) -> Iterator[Model]:
     """Every (space, program maps) block of the class on n points that
     interprets progs, as a model with an empty valuation, in a fixed order:
     relations or topologies (as preorders), then program maps.  With no
-    programs a block is just the space, and no map is enumerated."""
+    programs a block is just the space, and no map is enumerated.
+
+    ``reduced`` keeps one space per homeomorphism class (on ``pdl_serial``,
+    one relation of the first program per isomorphism class), each with all
+    of its program maps.  Every block is then a relabelling of a block
+    kept, with the points of its valuations relabelled alike."""
     if model_class == "pdl_serial":
-        successors = list(itertools.product(range(1, 1 << n), repeat=n)) if progs else []
-        for rels in itertools.product(successors, repeat=len(progs)):
-            yield PDLModel(n=n, alphabet=progs, rel=dict(zip(progs, rels)), val={}, serial_flag=True)
+        if not progs:
+            yield PDLModel(n=n, alphabet=progs, rel={}, val={}, serial_flag=True)
+            return
+        successors = list(itertools.product(range(1, 1 << n), repeat=n))
+        firsts = _serial_representatives(n) if reduced else successors
+        for first in firsts:
+            for rest in itertools.product(successors, repeat=len(progs) - 1):
+                rel = dict(zip(progs, (first, *rest)))
+                yield PDLModel(n=n, alphabet=progs, rel=rel, val={}, serial_flag=True)
         return
 
     condition = _map_condition(model_class)
     partial = model_class == "subset"
-    for space in all_topologies(n):
+    for space in representative_topologies(n) if reduced else all_topologies(n):
         fns: Iterable = ()
         if progs:
             fns = itertools.product([None, *range(n)], repeat=n) if partial else all_functions(n)
@@ -482,26 +510,37 @@ def search_countermodel(
     valuation is the least one under which f fails anywhere, and only that
     model is built and passed to ``_global_failure`` for its witness.  A
     subset-space formula with a test program is judged one model at a time,
-    since its image steps depend on the valuation."""
+    since its image steps depend on the valuation.
+
+    Relabelling the points of a model does not change which formulas it
+    refutes, so each size is first decided on the reduced blocks alone; only
+    the first size with a countermodel is searched in the labelled order."""
     if model_class not in MODEL_CLASSES:
         raise ValueError(f"unknown model class {model_class!r}")
     # atoms() compiles f; every evaluation below reuses the array cached on f
     names = sorted(formula_atoms(f))
     progs = tuple(sorted(program_names(f)))
     one_at_a_time = model_class == "subset" and Test in kinds(f)
-    for n in range(1, bound + 1):
-        for block in _class_models(model_class, n, progs):
+
+    def first_refuting(blocks: Iterable[Model]) -> Optional[Model]:
+        """The first block with a failing valuation, under its least one."""
+        for block in blocks:
+            n = block.n
             if one_at_a_time:
                 for v in range(1 << n * len(names)):
                     model = replace(block, val=checker.valuation(names, n, v))
-                    witness = _global_failure(model, f)
-                    if witness is not None:
-                        return model, witness
+                    if _global_failure(model, f) is not None:
+                        return model
                 continue
             for start, width, atoms in checker.valuation_chunks(n, names):
                 bad = checker.fold_points(checker.failures(block, f, atoms, width), n, width)
                 if bad:
                     v = start + (bad & -bad).bit_length() - 1
-                    model = replace(block, val=checker.valuation(names, n, v))
-                    return model, _global_failure(model, f)
+                    return replace(block, val=checker.valuation(names, n, v))
+        return None
+
+    for n in range(1, bound + 1):
+        if first_refuting(_class_models(model_class, n, progs, reduced=True)) is not None:
+            model = first_refuting(_class_models(model_class, n, progs))
+            return model, _global_failure(model, f)
     return None

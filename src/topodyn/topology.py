@@ -7,12 +7,19 @@ family of sets that contain the minimal neighbourhood of each of their points,
 that is, the unions of table entries.  Constructors list those unions from a
 table, validation checks a given family against its own table, and interior
 and closure read the table; all cost O(n * |opens|) or less, never 2^n.
+
+A table with one mask per point (minimal neighbourhoods, or a relation's
+successor sets) is relabelled by a permutation p of the points: entry x moves
+to p[x] and its points are mapped by p.  ``orbit_representatives`` keeps one
+table of each isomorphism class, and ``representative_topologies`` one space
+of each homeomorphism class.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -286,10 +293,45 @@ def all_preorders(n: int) -> Iterator[tuple[int, ...]]:
             stack.append((i, up, tuple(fixed)))
 
 
+def _from_up_sets(n: int, up: tuple[int, ...]) -> TopoSpace:
+    """The space of a preorder's up-set table, without ``__post_init__``'s
+    checks: the unions of a transitive, reflexive table are a topology whose
+    minimal neighbourhoods are the table itself.  Only for tables built
+    here; every public constructor validates."""
+    space = object.__new__(TopoSpace)
+    for name, value in (("n", n), ("opens", _unions(up)), ("_min_nbhd", up),
+                        ("_sorted_opens", None), ("_basis", None)):
+        object.__setattr__(space, name, value)
+    return space
+
+
 def all_topologies(n: int) -> Iterator[TopoSpace]:
     """All topologies on n labeled points, via the preorder correspondence."""
     for up in all_preorders(n):
-        yield TopoSpace(n, _unions(up))
+        yield _from_up_sets(n, up)
+
+
+def orbit_representatives(
+    n: int, tables: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[int, ...]]:
+    """The first of the given tables in each isomorphism class, in order:
+    each table met is kept unless a relabelling of an earlier kept one."""
+    moves = []  # per permutation p: the image of every mask, and p's inverse
+    for p in itertools.permutations(range(n)):
+        image = tuple(sum(1 << p[x] for x in iter_points(m)) for m in range(1 << n))
+        moves.append((image, sorted(range(n), key=p.__getitem__)))
+    seen: set[tuple[int, ...]] = set()
+    for table in tables:
+        if table not in seen:
+            yield table
+            seen.update(tuple([image[table[x]] for x in inverse]) for image, inverse in moves)
+
+
+@cache
+def representative_topologies(n: int) -> tuple[TopoSpace, ...]:
+    """One topology per homeomorphism class on n points: the first of each
+    class in ``all_topologies`` order.  Built on first use and kept."""
+    return tuple(_from_up_sets(n, up) for up in orbit_representatives(n, all_preorders(n)))
 
 
 def all_functions(n: int) -> Iterator[tuple[int, ...]]:

@@ -7,6 +7,7 @@ dynamic-topological one, and relativized extensions for subset spaces.
 
 import pytest
 
+from topodyn import checker
 from topodyn.checker import (
     SubsetEvaluator,
     eval_dtl,
@@ -15,7 +16,7 @@ from topodyn.checker import (
     state_extension,
     translate_pdl,
 )
-from topodyn.formula import FragmentViolation, Know, Language, parse, substitute
+from topodyn.formula import FragmentViolation, Know, Language, Node, parse, substitute
 from topodyn.harness import GenConfig, gen_formula, gen_model, _derived_rng
 from topodyn.models import DTModel, PDLModel, Scenario, SubsetModel
 from topodyn.topology import TopoSpace, all_topologies, full_mask, iter_points
@@ -289,3 +290,46 @@ def test_subset_test_program_route(const1_subset):
 def test_translate_rejects_non_relational():
     with pytest.raises(ValueError, match="relational"):
         translate_pdl(parse("box p"))
+
+
+# --- program interpretations -------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("relational", "<a>p & [a]q & <a;b>p & [a;b]q | <b><a;a>p"),
+    ("dynamic", "O[a]p & O[a]q & O[a;b]p & box O[a;b]q | O[b] O[a;a] p"),
+    ("subset", "O[a]p & K O[a]q & O[a;b]p & O[?(p)]q | O[b] O[a;?(p)] O[?(box p)] p"),
+])
+def test_each_distinct_program_is_interpreted_once(monkeypatch, kind, text):
+    """Equal programs under different modal nodes share one interpretation,
+    and atomic and sequenced ones are found without comparing nodes."""
+    f = parse(text)
+    two = TopoSpace.from_opens(2, [[], [1], [0, 1]])
+    cls, model = {
+        "relational": (checker._Relational, PDLModel(
+            2, ("a", "b"), {"a": (0b10, 0b11), "b": (0b01, 0b01)}, {"p": 0b10}, serial_flag=True)),
+        "dynamic": (checker._DynamicTopological, DTModel(
+            two, ("a", "b"), {"a": (1, 0), "b": (1, 1)}, {"p": 0b10})),
+        "subset": (SubsetEvaluator, SubsetModel(
+            two, ("a", "b"), {"a": (1, 1), "b": (None, 1)}, {"p": 0b10})),
+    }[kind]
+    interpreted = []
+    interpret = cls.interpret
+
+    def counting(self, prog):
+        interpreted.append(str(prog))
+        return interpret(self, prog)
+
+    monkeypatch.setattr(cls, "interpret", counting)
+    sem = cls(model)
+    for c in ([0b01, 0b10, 0b11] if kind == "subset" else [0]):
+        checker.evaluate(f, sem, c, {})
+    assert sorted(interpreted) == sorted(set(interpreted))
+    assert len(interpreted) == (6 if kind == "subset" else 4)
+
+    if kind != "subset":  # no test program: no node comparisons at all
+        compared = []
+        eq = Node.__eq__
+        monkeypatch.setattr(Node, "__eq__", lambda a, b: compared.append(a) or eq(a, b))
+        checker.evaluate(parse(text), cls(model))
+        assert compared == []

@@ -1,0 +1,183 @@
+"""One space (and one first relation) per isomorphism class.
+
+The orbit–stabilizer sum checks the representative lists: the orbit of a
+table T on n points has n!/|Aut(T)| members, so pairwise non-isomorphic
+representatives whose orbit sizes add up to the labelled count cover every
+labelled table exactly once.  The search decides each size on the
+representatives; the one-model search over every labelled model, kept in
+test_valuations.py, is the reference for its output.
+"""
+
+import contextlib
+import io
+import itertools
+import math
+
+import pytest
+
+from topodyn import cli, harness
+from topodyn.harness import _class_models, _serial_representatives
+from topodyn.models import PDLModel, SubsetModel
+from topodyn.topology import (
+    all_preorders,
+    iter_points,
+    orbit_representatives,
+    representative_topologies,
+)
+
+from test_valuations import first_failure
+
+
+def relabel_masks(table, p):
+    """Entry x moves to p[x], with its points mapped by p."""
+    image = [0] * len(p)
+    for x, m in enumerate(table):
+        image[p[x]] = sum(1 << p[y] for y in iter_points(m))
+    return tuple(image)
+
+
+def relabel_map(fn, p):
+    image = [None] * len(p)
+    for x, y in enumerate(fn):
+        image[p[x]] = None if y is None else p[y]
+    return tuple(image)
+
+
+def relabellings(table):
+    return [relabel_masks(table, p) for p in itertools.permutations(range(len(table)))]
+
+
+def check_orbits(reps, labelled):
+    n = len(labelled[0])
+    position = {t: i for i, t in enumerate(labelled)}
+    # each is the first of its class in the labelled order, and they come in
+    # that order
+    firsts = [min(position[image] for image in relabellings(t)) for t in reps]
+    assert firsts == [position[t] for t in reps] == sorted(firsts)
+    # no two representatives are relabellings of each other
+    assert len({min(relabellings(t)) for t in reps}) == len(reps)
+    automorphisms = [sum(1 for image in relabellings(t) if image == t) for t in reps]
+    assert sum(math.factorial(n) // a for a in automorphisms) == len(labelled)
+
+
+@pytest.mark.parametrize("n, count, labelled", [
+    (1, 1, 1), (2, 3, 4), (3, 9, 29), (4, 33, 355), (5, 139, 6942),
+])
+def test_topology_representatives(n, count, labelled):
+    spaces = representative_topologies(n)
+    assert len(spaces) == count
+    tables = list(all_preorders(n))
+    assert len(tables) == labelled
+    check_orbits([s.min_nbhds for s in spaces], tables)
+    assert representative_topologies(n) is spaces  # built once
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 6), (3, 70), (4, 2340)])
+def test_serial_representatives(n, count):
+    reps = _serial_representatives(n)
+    assert len(reps) == count
+    labelled = list(itertools.product(range(1, 1 << n), repeat=n))
+    assert len(labelled) == ((1 << n) - 1) ** n
+    check_orbits(reps, labelled)
+
+
+def test_orbit_representatives_keeps_the_first_met():
+    # the discrete table, the three relabellings of "point x reaches every
+    # point" on 3 points, and the indiscrete table
+    tables = [(1, 2, 4), (7, 2, 4), (1, 7, 4), (1, 2, 7), (7, 7, 7)]
+    assert list(orbit_representatives(3, tables)) == [(1, 2, 4), (7, 2, 4), (7, 7, 7)]
+
+
+def block_key(block):
+    """(tables of masks, program maps) of a block."""
+    if isinstance(block, PDLModel):
+        return tuple(block.rel[a] for a in block.alphabet), ()
+    table = block.pfn if isinstance(block, SubsetModel) else block.fn
+    return (block.space.min_nbhds,), tuple(tuple(table[a]) for a in block.alphabet)
+
+
+def relabel(key, p):
+    masks, maps = key
+    return tuple(relabel_masks(t, p) for t in masks), tuple(relabel_map(fn, p) for fn in maps)
+
+
+@pytest.mark.parametrize("model_class, n, progs", [
+    *((c, 3, ("a",)) for c in harness.MODEL_CLASSES),
+    ("pdl_serial", 2, ("a", "b")),
+    ("dtl_open", 2, ("a", "b")),
+])
+def test_reduced_blocks_cover_the_labelled_ones(model_class, n, progs):
+    """The reduced blocks are labelled blocks, in the labelled order, and
+    every labelled block is a relabelling of one of them."""
+    labelled = [block_key(b) for b in _class_models(model_class, n, progs)]
+    reduced = [block_key(b) for b in _class_models(model_class, n, progs, reduced=True)]
+    kept = set(reduced)
+    assert len(kept) == len(reduced) < len(labelled)
+    assert reduced == [k for k in labelled if k in kept]
+    perms = list(itertools.permutations(range(n)))
+    for k in labelled:
+        assert any(relabel(k, p) in kept for p in perms), k
+
+
+# --- the reduced search against the labelled one ---------------------------------
+
+
+def labelled_search(f, bound=4, model_class="dtl"):
+    """The one-model search over every labelled model of every size."""
+    return first_failure(f, model_class, bound)
+
+
+# (model class, formula, bound): refutable and valid entries, bound 4 when
+# the formula names no program and 3 when it does
+CORPUS = [
+    ("dtl", "p -> box p", 4),
+    ("dtl", "box p -> p", 4),
+    ("dtl", "dia box p -> box dia p", 4),
+    ("dtl", "box (p | q) -> box p | box q", 4),
+    ("dtl", "box box p <-> box p", 4),
+    ("dtl", "O[a] box p -> box O[a] p", 3),
+    ("dtl", "O[a] (p & q) <-> O[a] p & O[a] q", 3),
+    ("dtl", "<a;b>p <-> <a><b>p", 3),
+    ("dtl", "O[a] p -> O[b] p", 3),
+    ("dtl_open", "p -> O[a] p", 3),
+    ("dtl_open", "box O[a] p -> O[a] box p", 3),
+    ("dtl_open", "O[a] dia p -> dia O[a] p", 3),
+    ("dtl_open", "dia box p -> p", 4),
+    ("dtl_open", "dia box p -> box dia p", 4),
+    ("dtl_continuous", "box O[a] p -> O[a] box p", 3),
+    ("dtl_continuous", "O[a] box p -> box O[a] p", 3),
+    ("dtl_continuous", "dia p -> box p", 4),
+    ("pdl_serial", "[a]p -> <a>p", 3),
+    ("pdl_serial", "<a>p -> [a]p", 3),
+    ("pdl_serial", "<a>[a]p -> [a]<a>p", 3),
+    ("pdl_serial", "<a;b>p -> <b;a>p", 3),
+    ("pdl_serial", "[a]p & [b]q -> [a](p | q)", 2),
+    ("pdl_serial", "p | ~p", 4),
+    ("pdl_serial", "p -> q", 4),
+    ("subset", "K p -> p", 4),
+    ("subset", "p -> K p", 4),
+    ("subset", "Khat p -> box p", 4),
+    ("subset", "dia box p -> box dia p", 4),
+    ("subset", "O[a] K p -> K O[a] p", 3),
+    ("subset", "O[a] ~p -> ~O[a] p", 3),
+    ("subset", "O[a] top", 3),
+    ("subset", "O[?(box p)] q -> q", 3),
+    ("subset", "O[?(box p)] p -> K p", 3),
+    ("subset", "O[a;?(p)] p -> K p", 3),
+    ("subset", "O[?(p)] box p -> box O[?(p)] p", 3),
+]
+
+
+def refute(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("model_class, text, bound", CORPUS)
+def test_reduced_search_prints_what_the_labelled_one_does(monkeypatch, model_class, text, bound):
+    argv = ["refute", "-f", text, "--bound", str(bound), "--model-class", model_class]
+    got = refute(argv)
+    monkeypatch.setattr(harness, "search_countermodel", labelled_search)
+    assert got == refute(argv)

@@ -20,6 +20,7 @@ from topodyn.topology import (
     iter_points,
     mask_from_points,
     points_from_mask,
+    representative_topologies,
 )
 
 
@@ -233,6 +234,15 @@ def test_all_topologies_distinct_and_valid():
         assert space.opens not in seen
         seen.add(space.opens)
         assert TopoSpace.from_opens(3, [points_from_mask(u) for u in space.opens]).opens == space.opens
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_enumerated_spaces_equal_validated_ones(n):
+    """The enumerations build spaces without the constructor's checks."""
+    for space in [*all_topologies(n), *representative_topologies(n)]:
+        checked = TopoSpace(n, space.opens)
+        assert space == checked
+        assert space.opens == checked.opens and space.min_nbhds == checked.min_nbhds
 
 
 def test_all_functions_count():
