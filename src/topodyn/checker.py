@@ -24,6 +24,7 @@ Valuation-parallel: ``failures`` judges a model's space and programs under a
 whole chunk of valuations in one evaluation.  Bit ``x * width + v`` of a mask
 holds the truth at point x under valuation v of the chunk, so the connectives
 stay bitwise and each modality works on per-point slices of ``width`` bits.
+``least_failure`` reads the least failing valuation and point off them.
 """
 
 from __future__ import annotations
@@ -420,15 +421,6 @@ def _atom_masks(n: int, names: tuple[str, ...], width: int, start: int) -> dict[
     return out
 
 
-def fold_points(mask: int, n: int, width: int) -> int:
-    """OR of the per-point slices: bit v is set iff some point has it."""
-    ones = (1 << width) - 1
-    r = 0
-    for o in range(0, n * width, width):
-        r |= mask >> o & ones
-    return r
-
-
 class _Parallel:
     """Mixin that runs a one-model semantics under a chunk of valuations.
 
@@ -543,3 +535,18 @@ def failures(model: Model, f: Formula, atoms: dict[str, int], width: int) -> int
     cls = _ParallelRelational if isinstance(model, PDLModel) else _ParallelDynamicTopological
     sem = cls(model, atoms, width)
     return sem.all & ~evaluate(f, sem)
+
+
+def least_failure(model: Model, f: Formula, names: Sequence[str]) -> Optional[tuple[int, int]]:
+    """The least valuation of names (numbered as ``valuation_chunks`` does)
+    under which f fails on the model's space and programs, with the least
+    point where it fails; None when f holds under all of them."""
+    n = model.n
+    for start, width, atoms in valuation_chunks(n, names):
+        bad = failures(model, f, atoms, width)
+        if bad:  # bit v of the points' slices ORed: f fails under valuation v
+            ones = (1 << width) - 1
+            low = reduce(or_, (bad >> o & ones for o in range(0, n * width, width)))
+            v = (low & -low).bit_length() - 1
+            return start + v, next(x for x in range(n) if bad >> x * width + v & 1)
+    return None

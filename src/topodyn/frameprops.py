@@ -105,17 +105,13 @@ def validates_scheme(space: TopoSpace, fn: Sequence[int], kind: str) -> FrameRep
     """Is the interaction scheme valid over every valuation of p?  All
     valuations are judged at once; the witness is the least failing
     valuation and the least point failing under it."""
-    from .checker import failures, fold_points, valuation_chunks
+    from .checker import least_failure
 
-    target = scheme_formula(kind)
     frame = DTModel(space=space, alphabet=("pi",), fn={"pi": tuple(fn)}, val={})
-    for start, width, atoms in valuation_chunks(space.n, ("p",)):
-        bad = failures(frame, target, atoms, width)
-        if bad:
-            low = fold_points(bad, space.n, width)
-            v = (low & -low).bit_length() - 1
-            x = next(x for x in range(space.n) if bad >> x * width + v & 1)
-            return FrameReport(kind, False, FrameWitness(point=x, valuation=start + v))
+    found = least_failure(frame, scheme_formula(kind), ("p",))
+    if found is not None:
+        v, x = found
+        return FrameReport(kind, False, FrameWitness(point=x, valuation=v))
     return FrameReport(kind, True)
 
 

@@ -58,7 +58,7 @@ from .proofkit import get_system, instantiate_scheme
 from .topology import (
     TopoSpace,
     all_functions,
-    all_topologies,
+    all_topologies,  # unused: perfbench/tracing.py wraps it under this module's name
     iter_points,
     orbit_representatives,
     representative_topologies,
@@ -458,25 +458,21 @@ def _serial_representatives(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(orbit_representatives(n, itertools.product(range(1, 1 << n), repeat=n)))
 
 
-def _class_models(
-    model_class: str, n: int, progs: tuple[str, ...], reduced: bool = False
-) -> Iterator[Model]:
-    """Every (space, program maps) block of the class on n points that
-    interprets progs, as a model with an empty valuation, in a fixed order:
-    relations or topologies (as preorders), then program maps.  With no
-    programs a block is just the space, and no map is enumerated.
-
-    ``reduced`` keeps one space per homeomorphism class (on ``pdl_serial``,
-    one relation of the first program per isomorphism class), each with all
-    of its program maps.  Every block is then a relabelling of a block
-    kept, with the points of its valuations relabelled alike."""
+def _class_models(model_class: str, n: int, progs: tuple[str, ...]) -> Iterator[Model]:
+    """The (space, program maps) blocks the search judges on n points, as
+    models of the class over progs with an empty valuation, in a fixed
+    order: one topology per homeomorphism class (on ``pdl_serial``, one
+    relation of the first program per isomorphism class, the others ranging
+    over all relations), each the first of its class in the labelled order,
+    then every program map.  With no programs a block is just the space, and
+    no map is enumerated.  Every labelled block is a relabelling of one of
+    these, with the points of its valuations relabelled alike."""
     if model_class == "pdl_serial":
         if not progs:
             yield PDLModel(n=n, alphabet=progs, rel={}, val={}, serial_flag=True)
             return
         successors = list(itertools.product(range(1, 1 << n), repeat=n))
-        firsts = _serial_representatives(n) if reduced else successors
-        for first in firsts:
+        for first in _serial_representatives(n):
             for rest in itertools.product(successors, repeat=len(progs) - 1):
                 rel = dict(zip(progs, (first, *rest)))
                 yield PDLModel(n=n, alphabet=progs, rel=rel, val={}, serial_flag=True)
@@ -484,7 +480,7 @@ def _class_models(
 
     condition = _map_condition(model_class)
     partial = model_class == "subset"
-    for space in representative_topologies(n) if reduced else all_topologies(n):
+    for space in representative_topologies(n):
         fns: Iterable = ()
         if progs:
             fns = itertools.product([None, *range(n)], repeat=n) if partial else all_functions(n)
@@ -505,42 +501,29 @@ def search_countermodel(
     bounded space is exhausted: every model of the class on 1 to ``bound``
     points over the formula's own atoms and programs, judged as audits judge.
 
-    The order is blocks (see ``_class_models``), then valuations.  Each chunk
-    of a block's valuations is judged in one evaluation; the first failing
-    valuation is the least one under which f fails anywhere, and only that
-    model is built and passed to ``_global_failure`` for its witness.  A
-    subset-space formula with a test program is judged one model at a time,
-    since its image steps depend on the valuation.
-
-    Relabelling the points of a model does not change which formulas it
-    refutes, so each size is first decided on the reduced blocks alone; only
-    the first size with a countermodel is searched in the labelled order."""
+    The search makes one pass over the blocks of ``_class_models``, size by
+    size, each under its valuations in order.  Relabelling a model's points
+    changes no truth value, and every labelled block before the first
+    failing one here relabels an earlier one, which passed, so this is the
+    labelled order's first countermodel.  ``checker.least_failure`` judges a
+    block's valuations a chunk at a time; a subset-space formula with a test
+    program is judged one model at a time, since its image steps depend on
+    the valuation.  ``_global_failure`` picks the witness."""
     if model_class not in MODEL_CLASSES:
         raise ValueError(f"unknown model class {model_class!r}")
     # atoms() compiles f; every evaluation below reuses the array cached on f
     names = sorted(formula_atoms(f))
     progs = tuple(sorted(program_names(f)))
     one_at_a_time = model_class == "subset" and Test in kinds(f)
-
-    def first_refuting(blocks: Iterable[Model]) -> Optional[Model]:
-        """The first block with a failing valuation, under its least one."""
-        for block in blocks:
-            n = block.n
-            if one_at_a_time:
-                for v in range(1 << n * len(names)):
-                    model = replace(block, val=checker.valuation(names, n, v))
-                    if _global_failure(model, f) is not None:
-                        return model
-                continue
-            for start, width, atoms in checker.valuation_chunks(n, names):
-                bad = checker.fold_points(checker.failures(block, f, atoms, width), n, width)
-                if bad:
-                    v = start + (bad & -bad).bit_length() - 1
-                    return replace(block, val=checker.valuation(names, n, v))
-        return None
-
     for n in range(1, bound + 1):
-        if first_refuting(_class_models(model_class, n, progs, reduced=True)) is not None:
-            model = first_refuting(_class_models(model_class, n, progs))
-            return model, _global_failure(model, f)
+        for block in _class_models(model_class, n, progs):
+            if one_at_a_time:
+                models = (replace(block, val=checker.valuation(names, n, v))
+                          for v in range(1 << n * len(names)))
+                model = next((m for m in models if _global_failure(m, f) is not None), None)
+            else:
+                found = checker.least_failure(block, f, names)
+                model = found and replace(block, val=checker.valuation(names, n, found[0]))
+            if model is not None:
+                return model, _global_failure(model, f)
     return None

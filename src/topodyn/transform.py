@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from .checker import eval_pdl_relational, evaluate
 from .formula import (
+    MAX_NESTING,
     Atomic,
     BoxPdl,
     Diamond,
@@ -186,11 +187,12 @@ def _require_serial(model: PDLModel) -> None:
 def build_network_space(model: PDLModel, depth: int, budget: int = 100_000) -> NetworkSpace:
     """Enumerate all bounded networks up to the given depth.
 
-    Raises ValueError for a negative depth, and BudgetExceeded (with the
-    computed size) before enumerating if any stratum would outgrow the budget.
+    Raises ValueError for a depth outside 0..MAX_NESTING (no formula the
+    parser accepts needs more strata), and BudgetExceeded (with the computed
+    size) before enumerating if any stratum would outgrow the budget.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be at least 0, not {depth}")
+    if not 0 <= depth <= MAX_NESTING:
+        raise ValueError(f"depth must be between 0 and {MAX_NESTING}, not {depth}")
     counts = stratum_counts(model, depth)
     for d, row in enumerate(counts):
         size = sum(row)

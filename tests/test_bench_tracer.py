@@ -7,6 +7,7 @@ from pathlib import Path
 
 from topodyn import checker, harness
 from topodyn.formula import parse
+from topodyn.topology import representative_topologies
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -29,11 +30,15 @@ def test_tracer_wraps_the_search_and_unpatches():
         found = harness.search_countermodel(parse("p -> O[a] p"), bound=2, model_class="dtl_open")
         assert found is not None and tracer.end_op() is None
         counts = tracer.counts
-        # the search reaches the evaluator, the deciders and the topologies
-        # through the wrapped names
+        # the search reaches the evaluator and the deciders through the
+        # wrapped names: every map of each representative space up to the
+        # countermodel's is filtered, and no labelled topology is listed
         assert counts["harness.search.models_evaluated"] == counts["checker.eval_dtl.calls"] > 0
-        assert counts["frameprops.is_open_map.calls"] > 0
-        assert counts["topology.all_topologies.spaces"] > 0
+        model, n = found[0], found[0].n
+        index = representative_topologies(n).index(model.space)
+        filtered = sum(len(representative_topologies(m)) * m**m for m in range(1, n))
+        assert counts["frameprops.is_open_map.calls"] == filtered + (index + 1) * n**n
+        assert counts["topology.all_topologies.spaces"] == 0
     finally:
         tracer.unpatch()
     assert harness.search_countermodel is search and checker.eval_dtl is eval_dtl

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from topodyn.cli import _dumps, build_parser, main
 from topodyn.formula import MAX_NESTING, parse
+from topodyn.models import model_from_json
+from topodyn.transform import build_network_space
 
 
 def run(capsys, argv):
@@ -534,6 +536,19 @@ def test_prove_malformed_derivations_exit_2(capsys, tmp_path, doc):
 def test_transform_rejects_negative_depth(capsys, pdl_file, depth):
     code, out, err = run(capsys, ["transform", "-m", pdl_file, "--depth", depth])
     assert code == 2 and out == "" and _one_line_error(err) and "depth" in err
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 250])
+def test_transform_rejects_depth_past_the_nesting_cap(capsys, tmp_path, depth):
+    # one network per root in every stratum, each spelled out in full: from
+    # about depth 250 on, printing one overran the interpreter's recursion limit
+    doc = {"type": "pdl", "points": 2, "serial": True, "programs": {"a": {"rel": [[0, 1], [1, 0]]}}}
+    path = write_json(tmp_path, "cycle.json", doc)
+    code, out, err = run(capsys, ["transform", "-m", path, "--depth", str(depth)])
+    assert code == 2 and out == "" and _one_line_error(err) and str(depth) in err
+    # the cap itself is still built
+    space = build_network_space(model_from_json(doc), MAX_NESTING)
+    assert space.stratum_sizes() == [2] * (MAX_NESTING + 1)
 
 
 @pytest.mark.parametrize("programs", ["-1", "0", "6", "9"])

@@ -3,9 +3,10 @@
 The orbit–stabilizer sum checks the representative lists: the orbit of a
 table T on n points has n!/|Aut(T)| members, so pairwise non-isomorphic
 representatives whose orbit sizes add up to the labelled count cover every
-labelled table exactly once.  The search decides each size on the
-representatives; the one-model search over every labelled model, kept in
-test_valuations.py, is the reference for its output.
+labelled table exactly once.  The search runs over the representatives'
+blocks alone; the labelled blocks and the one-model search over every
+labelled model, kept in test_valuations.py, are the reference for its blocks
+and its output.
 """
 
 import contextlib
@@ -15,7 +16,8 @@ import math
 
 import pytest
 
-from topodyn import cli, harness
+from topodyn import checker, cli, harness
+from topodyn.formula import parse, program_names
 from topodyn.harness import _class_models, _serial_representatives
 from topodyn.models import PDLModel, SubsetModel
 from topodyn.topology import (
@@ -25,7 +27,7 @@ from topodyn.topology import (
     representative_topologies,
 )
 
-from test_valuations import first_failure
+from test_valuations import first_failure, labelled_blocks
 
 
 def relabel_masks(table, p):
@@ -107,10 +109,10 @@ def relabel(key, p):
     ("dtl_open", 2, ("a", "b")),
 ])
 def test_reduced_blocks_cover_the_labelled_ones(model_class, n, progs):
-    """The reduced blocks are labelled blocks, in the labelled order, and
+    """The searched blocks are labelled blocks, in the labelled order, and
     every labelled block is a relabelling of one of them."""
-    labelled = [block_key(b) for b in _class_models(model_class, n, progs)]
-    reduced = [block_key(b) for b in _class_models(model_class, n, progs, reduced=True)]
+    labelled = [block_key(b) for b in labelled_blocks(model_class, n, progs)]
+    reduced = [block_key(b) for b in _class_models(model_class, n, progs)]
     kept = set(reduced)
     assert len(kept) == len(reduced) < len(labelled)
     assert reduced == [k for k in labelled if k in kept]
@@ -181,3 +183,30 @@ def test_reduced_search_prints_what_the_labelled_one_does(monkeypatch, model_cla
     got = refute(argv)
     monkeypatch.setattr(harness, "search_countermodel", labelled_search)
     assert got == refute(argv)
+
+
+@pytest.mark.parametrize("model_class, text, bound", [e for e in CORPUS if "?(" not in e[1]])
+def test_no_block_is_judged_twice(monkeypatch, model_class, text, bound):
+    """The search judges the blocks of ``_class_models`` in order, each once,
+    up to the countermodel's block.  Formulas with a test program on subset
+    models are judged one model at a time and are left out."""
+    judged = []
+    failures = checker.failures
+
+    def recording(block, *args):
+        judged.append((block.n, block_key(block)))
+        return failures(block, *args)
+
+    monkeypatch.setattr(checker, "failures", recording)
+    f = parse(text)
+    found = harness.search_countermodel(f, bound, model_class)
+    progs = tuple(sorted(program_names(f)))
+    last = found[0].n if found else bound
+    expected = []
+    for n in range(1, last + 1):
+        expected += [(n, block_key(b)) for b in _class_models(model_class, n, progs)]
+    if found:
+        # the countermodel's block comes last
+        expected = expected[:expected.index((last, block_key(found[0]))) + 1]
+    assert len(set(judged)) == len(judged) == len(expected)
+    assert judged == expected

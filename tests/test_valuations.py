@@ -15,7 +15,7 @@ from topodyn import checker
 from topodyn.checker import SubsetEvaluator, failures, valuation_chunks
 from topodyn.formula import And, Atom, Not, Or, atoms, kinds, parse, program_names
 from topodyn.formula import Test as ProgramTest
-from topodyn.harness import _class_models, _global_failure, _map_condition, search_countermodel
+from topodyn.harness import _global_failure, _map_condition, search_countermodel
 from topodyn.models import DTModel, PDLModel, SubsetModel
 from topodyn.topology import all_functions, all_topologies
 
@@ -50,33 +50,30 @@ CORPUS = [(c, f) for c in DT_CLASSES for f in DT_FORMULAS] + [
 ]
 
 
-def one_model_stream(model_class, n, progs, names):
-    """Every model of the class on n points, one at a time."""
+def labelled_blocks(model_class, n, progs):
+    """Every labelled (space, program maps) block of the class on n points,
+    as a model with an empty valuation: relations or topologies, then
+    program maps."""
     if model_class == "pdl_serial":
         successors = list(itertools.product(range(1, 1 << n), repeat=n))
-        tables = itertools.product(successors, repeat=len(progs))
-    else:
-        partial = model_class == "subset"
-        condition = _map_condition(model_class)
-        tables = (
-            (space, chosen)
-            for space in all_topologies(n)
-            for chosen in itertools.product(
-                [fn for fn in (itertools.product([None, *range(n)], repeat=n) if partial
-                               else all_functions(n))
-                 if condition is None or condition(space, fn).holds],
-                repeat=len(progs),
-            )
-        )
-    for table in tables:
+        for table in itertools.product(successors, repeat=len(progs)):
+            yield PDLModel(n, progs, dict(zip(progs, table)), {}, serial_flag=True)
+        return
+    partial = model_class == "subset"
+    make = SubsetModel if partial else DTModel
+    condition = _map_condition(model_class)
+    for space in all_topologies(n):
+        fns = itertools.product([None, *range(n)], repeat=n) if partial else all_functions(n)
+        fns = [fn for fn in fns if condition is None or condition(space, fn).holds]
+        for chosen in itertools.product(fns, repeat=len(progs)):
+            yield make(space, progs, dict(zip(progs, chosen)), {})
+
+
+def one_model_stream(model_class, n, progs, names):
+    """Every model of the class on n points, one at a time."""
+    for block in labelled_blocks(model_class, n, progs):
         for masks in itertools.product(range(1 << n), repeat=len(names)):
-            val = dict(zip(names, masks))
-            if model_class == "pdl_serial":
-                yield PDLModel(n, progs, dict(zip(progs, table)), val, serial_flag=True)
-            elif model_class == "subset":
-                yield SubsetModel(table[0], progs, dict(zip(progs, table[1])), val)
-            else:
-                yield DTModel(table[0], progs, dict(zip(progs, table[1])), val)
+            yield replace(block, val=dict(zip(names, masks)))
 
 
 def key(model):
@@ -125,7 +122,7 @@ def test_every_block_agrees_with_one_model_path(model_class, text):
     first = None
     for n in (1, 2, 3):
         stream = one_model_stream(model_class, n, progs, names)
-        for block in _class_models(model_class, n, progs):
+        for block in labelled_blocks(model_class, n, progs):
             for start, width, masks in valuation_chunks(n, names):
                 if valuation_dependent:
                     with pytest.raises(ValueError, match="test program"):
