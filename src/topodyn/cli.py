@@ -253,6 +253,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         num_programs=args.programs,
         model_class=args.model_class,
     )
+    known = ["CPL", *dict(proofkit.get_system(args.system).schemes)]
+    for name in args.scheme or ():
+        if name not in known:
+            raise ValueError(f"--scheme {name!r} is not a scheme of {args.system}: {known}")
     schemes = set(args.scheme) if args.scheme else None
     report = harness.audit(
         args.system, cfg, trials=args.trials, instances=args.instances, schemes=schemes

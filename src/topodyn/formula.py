@@ -473,27 +473,27 @@ _PREFIX_TOKENS = {"~": Not, "box": Int, "dia": Cl, "K": Know, "Khat": KHat}
 _MODAL_TOKENS = {"<": (Diamond, ">"), "[": (BoxPdl, "]"), "O": (Next, "]")}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+def _error_at(text: str, pos: int, message: str, cls: type = ParseError) -> ParseError:
+    """The error at offset pos of text; only errors work out lines and columns."""
+    return cls(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, value, offset) per token, ending with an eof token."""
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            line = text.count("\n", 0, pos) + 1
-            col = pos - text.rfind("\n", 0, pos)
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+            raise _error_at(text, pos, f"unexpected character {text[pos]!r}")
         kind = m.lastgroup
         value = m.group()
         if kind != "ws":
-            line = text.count("\n", 0, pos) + 1
-            col = pos - text.rfind("\n", 0, pos)
-            if kind == "name" and value in _RESERVED:
+            if kind in ("upper", "op") or kind == "name" and value in _RESERVED:
                 kind = value
-            elif kind in ("upper", "op"):
-                kind = value
-            tokens.append((kind, value, line, col))
+            tokens.append((kind, value, pos))
         pos = m.end()
-    tokens.append(("eof", "", text.count("\n") + 1, len(text) - text.rfind("\n", 0, len(text))))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -502,34 +502,35 @@ class _Parser:
     caps; operator chains are parsed by loops."""
 
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> tuple[str, str, int, int]:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
     def at(self, kind: str) -> bool:
         return self.tokens[self.pos][0] == kind
 
-    def advance(self) -> tuple[str, str, int, int]:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> tuple[str, str, int, int]:
+    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
         tok = self.peek()
         if tok[0] != kind:
             got = tok[1] or "end of input"
-            raise ParseError(f"expected {what}, found {got!r}", tok[2], tok[3])
+            raise _error_at(self.text, tok[2], f"expected {what}, found {got!r}")
         return self.advance()
 
     def bracketed(self, inner: Callable[[], T], close: str) -> T:
         """Parse inside an already consumed opening bracket, up to ``close``."""
-        _, _, line, col = self.peek()
+        pos = self.peek()[2]
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"brackets nest deeper than {MAX_NESTING} levels", line, col)
+            raise _error_at(self.text, pos, f"brackets nest deeper than {MAX_NESTING} levels")
         result = inner()
         self.expect(close, f"'{close}'")
         self.depth -= 1
@@ -587,7 +588,7 @@ class _Parser:
         return f
 
     def primary(self) -> Formula:
-        kind, value, line, col = self.peek()
+        kind, value, pos = self.peek()
         if kind == "top":
             self.advance()
             return Top()
@@ -598,7 +599,7 @@ class _Parser:
             self.advance()
             return self.bracketed(self.formula, ")")
         got = value or "end of input"
-        raise ParseError(f"expected a formula, found {got!r}", line, col)
+        raise _error_at(self.text, pos, f"expected a formula, found {got!r}")
 
     def program(self) -> Program:
         p = self.program_term()
@@ -608,7 +609,7 @@ class _Parser:
         return p
 
     def program_term(self) -> Program:
-        kind, value, line, col = self.peek()
+        kind, value, pos = self.peek()
         if kind == "name":
             self.advance()
             return Atomic(value)
@@ -619,17 +620,18 @@ class _Parser:
             try:
                 return Test(body)
             except FragmentViolation as exc:
-                raise FragmentViolation(exc.args[0].split(" (line")[0], line, col) from None
+                message = exc.args[0].split(" (line")[0]
+                raise _error_at(self.text, pos, message, FragmentViolation) from None
         if kind == "(":
             self.advance()
             return self.bracketed(self.program, ")")
         got = value or "end of input"
-        raise ParseError(f"expected a program, found {got!r}", line, col)
+        raise _error_at(self.text, pos, f"expected a program, found {got!r}")
 
     def finish(self, result: T) -> T:
         tok = self.peek()
         if tok[0] != "eof":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2], tok[3])
+            raise _error_at(self.text, tok[2], f"unexpected trailing input {tok[1]!r}")
         if fold(result, lambda _, kids: 1 + max(kids, default=0)) > MAX_NESTING:
             raise ParseError(f"formula nests deeper than {MAX_NESTING} levels")
         return result

@@ -110,8 +110,7 @@ def _gen_space(rng: random.Random, n: int) -> TopoSpace:
             for y in iter_points(m):
                 m |= up[y]
             up[x] = m
-    pairs = [(x, y) for x in range(n) for y in iter_points(up[x])]
-    return TopoSpace.from_preorder(n, pairs)
+    return TopoSpace(n, tuple(up))
 
 
 def _gen_valuation(rng: random.Random, n: int, names: Sequence[str]) -> dict[str, int]:

@@ -2,11 +2,14 @@
 
 Subsets are bitmasks (bit x set means point x is in the set), so interiors and
 closures are a handful of word operations.  Every finite topology is
-determined by its minimal neighbourhoods: the family of opens is exactly the
-family of sets that contain the minimal neighbourhood of each of their points,
-that is, the unions of table entries.  Constructors list those unions from a
-table, validation checks a given family against its own table, and interior
-and closure read the table; all cost O(n * |opens|) or less, never 2^n.
+determined by its minimal neighbourhoods, and a space is stored as nothing
+else: ``TopoSpace(n, table)`` takes one mask per point and checks, in
+O(sum of the entries' sizes), that the table is the up-sets of a preorder,
+the exact condition for its unions to be a topology with this table as its
+minimal neighbourhoods.  Interior, closure and openness read the table; the
+opens, the unions of its entries, are listed in O(n * |opens|) only when
+something asks for them.  Only ``from_opens`` takes a family of opens, and
+only it checks one.
 
 A table with one mask per point (minimal neighbourhoods, or a relation's
 successor sets) is relabelled by a permutation p of the points: entry x moves
@@ -79,12 +82,12 @@ def _missing(op: str, a: int, b: int, c: int) -> str:
 @dataclass(frozen=True)
 class TopoSpace:
     n: int
-    opens: frozenset[int]
-    _min_nbhd: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # canonical orders, sorted on first use and stored with object.__setattr__:
+    min_nbhds: tuple[int, ...]
+    # listings made on first use and stored with object.__setattr__:
     # functools.cached_property writes through __dict__, which turns the
     # instance's inline attribute values into a dict and slows every later
     # attribute read on it
+    _opens: Optional[frozenset[int]] = field(init=False, default=None, repr=False, compare=False)
     _sorted_opens: Optional[tuple[int, ...]] = field(
         init=False, default=None, repr=False, compare=False
     )
@@ -93,20 +96,41 @@ class TopoSpace:
     )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "opens", frozenset(self.opens))
+        """The table must be the up-sets of a preorder: one entry per point,
+        inside the carrier, holding its own point and its points' entries."""
+        table = tuple(self.min_nbhds)
+        object.__setattr__(self, "min_nbhds", table)
         if self.n < 0:
             raise ValueError("need a nonnegative number of points")
-        opens = self.opens
+        if len(table) != self.n:
+            raise ValueError(f"need one minimal neighbourhood per point of {self.n}, got {len(table)}")
         full = full_mask(self.n)
-        for o in opens:
-            if o & ~full:
-                raise ValueError(f"open set {points_from_mask(o)} outside the carrier")
+        for x, m in enumerate(table):
+            if m & ~full:
+                raise ValueError(f"minimal neighbourhood of point {x} lies outside the carrier")
+            if not m >> x & 1:
+                raise ValueError(f"relation is not a preorder: missing reflexive pair ({x}, {x})")
+        for x, m in enumerate(table):
+            for y in iter_points(m):
+                if table[y] & ~m:
+                    z = next(iter_points(table[y] & ~m))
+                    raise ValueError(
+                        f"relation is not a preorder: {x}<={y} and {y}<={z} but not {x}<={z}"
+                    )
+
+    # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def from_opens(cls, n: int, sets: Iterable[Iterable[int]]) -> "TopoSpace":
+        """The space of exactly these opens; the one constructor that checks a family."""
+        opens = frozenset(mask_from_points(s, n) for s in sets)
+        full = full_mask(n)
         if full not in opens:
             raise ValueError("the whole carrier must be open")
         if 0 not in opens:
             raise ValueError("the empty set must be open")
         table = []
-        for x in range(self.n):
+        for x in range(n):
             m = full
             for o in opens:
                 if o >> x & 1:
@@ -114,7 +138,6 @@ class TopoSpace:
                         raise ValueError(_missing("intersection", m, o, m & o))
                     m &= o
             table.append(m)
-        object.__setattr__(self, "_min_nbhd", tuple(table))
         # Each member is the union of its points' entries, so the family is
         # exactly the unions of the table, and hence a topology, iff adding
         # any one entry to any member stays inside it.
@@ -122,12 +145,7 @@ class TopoSpace:
             for t in table:
                 if o | t not in opens:
                     raise ValueError(_missing("union", o, t, o | t))
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def from_opens(cls, n: int, sets: Iterable[Iterable[int]]) -> "TopoSpace":
-        return cls(n, frozenset(mask_from_points(s, n) for s in sets))
+        return cls(n, tuple(table))
 
     @classmethod
     def from_subbasis(cls, n: int, sets: Iterable[Iterable[int]]) -> "TopoSpace":
@@ -141,38 +159,26 @@ class TopoSpace:
                 if s >> x & 1:
                     m &= s
             table.append(m)
-        return cls(n, _unions(table))
+        return cls(n, tuple(table))
 
     @classmethod
     def from_preorder(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "TopoSpace":
         """Opens are the up-closed sets.  The relation must be given reflexive
         and transitive; anything else is rejected."""
-        up = [1 << x for x in range(n)]
-        seen = set()
+        up = [0] * n
         for x, y in pairs:
             if not (0 <= x < n and 0 <= y < n):
                 raise ValueError(f"pair ({x}, {y}) outside the carrier")
             up[x] |= 1 << y
-            seen.add((x, y))
-        for x in range(n):
-            if (x, x) not in seen:
-                raise ValueError(f"relation is not a preorder: missing reflexive pair ({x}, {x})")
-        for x in range(n):
-            for y in iter_points(up[x]):
-                if up[y] & ~up[x]:
-                    z = next(iter_points(up[y] & ~up[x]))
-                    raise ValueError(
-                        f"relation is not a preorder: {x}<={y} and {y}<={z} but not {x}<={z}"
-                    )
-        return cls(n, _unions(up))
+        return cls(n, tuple(up))
 
     @classmethod
     def discrete(cls, n: int) -> "TopoSpace":
-        return cls(n, frozenset(range(1 << n)))
+        return cls(n, tuple(1 << x for x in range(n)))
 
     @classmethod
     def indiscrete(cls, n: int) -> "TopoSpace":
-        return cls(n, frozenset({0, full_mask(n)}))
+        return cls(n, (full_mask(n),) * n)
 
     # -- queries ---------------------------------------------------------------
 
@@ -180,29 +186,32 @@ class TopoSpace:
     def full(self) -> int:
         return full_mask(self.n)
 
+    @property
+    def opens(self) -> frozenset[int]:
+        """Every open set: the unions of the table, listed on first use."""
+        if self._opens is None:
+            object.__setattr__(self, "_opens", _unions(self.min_nbhds))
+        return self._opens
+
     def is_open(self, a: int) -> bool:
-        return a in self.opens
+        return self.interior(a) == a
 
     def min_nbhd(self, x: int) -> int:
-        return self._min_nbhd[x]
-
-    @property
-    def min_nbhds(self) -> tuple[int, ...]:
-        """The minimal neighbourhood of every point, in point order."""
-        return self._min_nbhd
+        return self.min_nbhds[x]
 
     def interior(self, a: int) -> int:
         """Largest open subset: the points whose minimal neighbourhood fits."""
-        m = 0
-        for x in range(self.n):
-            if self._min_nbhd[x] & ~a == 0:
-                m |= 1 << x
+        m, bit, outside = 0, 1, ~a
+        for u in self.min_nbhds:
+            if not u & outside:
+                m |= bit
+            bit <<= 1
         return m
 
     def closure(self, a: int) -> int:
         m = 0
         for x in range(self.n):
-            if self._min_nbhd[x] & a:
+            if self.min_nbhds[x] & a:
                 m |= 1 << x
         return m
 
@@ -218,7 +227,7 @@ class TopoSpace:
         """The distinct minimal neighbourhoods, the least basis of the
         topology, in canonical order (computed once per space)."""
         if self._basis is None:
-            object.__setattr__(self, "_basis", tuple(sorted(set(self._min_nbhd), key=_canonical_key)))
+            object.__setattr__(self, "_basis", tuple(sorted(set(self.min_nbhds), key=_canonical_key)))
         return self._basis
 
     def specialization(self) -> list[tuple[int, int]]:
@@ -227,7 +236,7 @@ class TopoSpace:
         return [
             (x, y)
             for x in range(self.n)
-            for y in iter_points(self._min_nbhd[x])
+            for y in iter_points(self.min_nbhds[x])
         ]
 
     # -- JSON -------------------------------------------------------------------
@@ -293,22 +302,10 @@ def all_preorders(n: int) -> Iterator[tuple[int, ...]]:
             stack.append((i, up, tuple(fixed)))
 
 
-def _from_up_sets(n: int, up: tuple[int, ...]) -> TopoSpace:
-    """The space of a preorder's up-set table, without ``__post_init__``'s
-    checks: the unions of a transitive, reflexive table are a topology whose
-    minimal neighbourhoods are the table itself.  Only for tables built
-    here; every public constructor validates."""
-    space = object.__new__(TopoSpace)
-    for name, value in (("n", n), ("opens", _unions(up)), ("_min_nbhd", up),
-                        ("_sorted_opens", None), ("_basis", None)):
-        object.__setattr__(space, name, value)
-    return space
-
-
 def all_topologies(n: int) -> Iterator[TopoSpace]:
     """All topologies on n labeled points, via the preorder correspondence."""
     for up in all_preorders(n):
-        yield _from_up_sets(n, up)
+        yield TopoSpace(n, up)
 
 
 def orbit_representatives(
@@ -331,7 +328,7 @@ def orbit_representatives(
 def representative_topologies(n: int) -> tuple[TopoSpace, ...]:
     """One topology per homeomorphism class on n points: the first of each
     class in ``all_topologies`` order.  Built on first use and kept."""
-    return tuple(_from_up_sets(n, up) for up in orbit_representatives(n, all_preorders(n)))
+    return tuple(TopoSpace(n, up) for up in orbit_representatives(n, all_preorders(n)))
 
 
 def all_functions(n: int) -> Iterator[tuple[int, ...]]:

@@ -29,6 +29,7 @@ from .formula import (
     in_language,
     modal_depth,
 )
+from .frameprops import is_serial
 from .models import PDLModel
 from .topology import iter_points
 
@@ -160,7 +161,13 @@ class NetworkSpace:
 
 def stratum_counts(model: PDLModel, depth: int) -> list[list[int]]:
     """Network counts by (depth, root) from the product recurrence."""
-    _require_serial(model)
+    serial = is_serial(model)
+    if not serial.holds:
+        w = serial.witness
+        raise NonSerialModel(
+            f"program {w.program!r} has no successor at state {w.point}; "
+            "networks need a serial model"
+        )
     counts = [[1] * model.n]
     for _ in range(depth):
         prev = counts[-1]
@@ -172,16 +179,6 @@ def stratum_counts(model: PDLModel, depth: int) -> list[list[int]]:
             row.append(total)
         counts.append(row)
     return counts
-
-
-def _require_serial(model: PDLModel) -> None:
-    for name in model.alphabet:
-        for x, succ in enumerate(model.rel[name]):
-            if succ == 0:
-                raise NonSerialModel(
-                    f"program {name!r} has no successor at state {x}; "
-                    "networks need a serial model"
-                )
 
 
 def build_network_space(model: PDLModel, depth: int, budget: int = 100_000) -> NetworkSpace:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from topodyn import checker, harness
 from topodyn.formula import parse
-from topodyn.topology import representative_topologies
+from topodyn.topology import TopoSpace, representative_topologies
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -42,3 +42,23 @@ def test_tracer_wraps_the_search_and_unpatches():
     finally:
         tracer.unpatch()
     assert harness.search_countermodel is search and checker.eval_dtl is eval_dtl
+
+
+def test_each_space_construction_is_one_topology_span():
+    """The table check in ``__post_init__`` folds into the span of the
+    constructor that calls it, so a space built either way counts once."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    chain = [(x, y) for x in range(3) for y in range(x, 3)]
+    builds = [lambda: TopoSpace(3, (0b111, 0b110, 0b100)),
+              lambda: TopoSpace.from_preorder(3, chain)]
+    try:
+        tracing.install(tracer)
+        for op, build in enumerate(builds):
+            tracer.begin_op(op)
+            build()
+            assert tracer.end_op() is None
+            assert [span[0] for span in tracer.spans if span[4] == op] == ["topology.TopoSpace"]
+    finally:
+        tracer.unpatch()
+    assert tracer.counts["topology.TopoSpace.calls"] == 2

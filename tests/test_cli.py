@@ -3,11 +3,13 @@
 import hashlib
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topodyn import topology
 from topodyn.cli import _dumps, build_parser, main
 from topodyn.formula import MAX_NESTING, parse
 from topodyn.models import model_from_json
@@ -93,6 +95,28 @@ def test_parse_error_reports_position(capsys):
     assert code == 2
     assert out == ""
     assert "line 1, column 6" in err
+
+
+@pytest.mark.parametrize("text, where", [
+    ("p &\n& q", "line 2, column 1"),
+    ("p\n  -> (q\n   | $)", "line 3, column 6"),
+    ("(p &\nq", "line 2, column 2"),
+    ("p\nq", "line 2, column 1"),
+])
+def test_parse_errors_name_line_and_column(capsys, text, where):
+    code, out, err = run(capsys, ["parse", "-f", text])
+    assert code == 2 and out == "" and _one_line_error(err)
+    assert err.rstrip().endswith(f"({where})")
+
+
+def test_a_long_flat_formula_is_refused_in_linear_time(capsys):
+    # 640 KB on one line: a position is worked out only for the error raised
+    text = " & ".join(["p"] * (640 * 1024 // 4))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["parse", "-f", text])
+    assert time.perf_counter() - start < 10
+    assert code == 2 and out == "" and _one_line_error(err)
+    assert "formula nests deeper than 100 levels" in err
 
 
 # --- eval -------------------------------------------------------------------------
@@ -319,6 +343,55 @@ def test_audit_flags_unsound_pairing(capsys):
     ])
     assert code == 1
     assert json.loads(out)["violations"]
+
+
+@pytest.mark.parametrize("names, unknown", [(["XYZ"], "XYZ"), (["K", "Kx"], "Kx")])
+def test_audit_rejects_unknown_scheme_names(capsys, names, unknown):
+    argv = ["audit", "--system", "SPDL0", "--trials", "3"]
+    for name in names:
+        argv += ["--scheme", name]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and _one_line_error(err)
+    assert f"--scheme {unknown!r} is not a scheme of SPDL0" in err
+
+
+def test_audit_accepts_cpl_and_the_system_schemes(capsys):
+    code, out, _ = run(capsys, [
+        "audit", "--system", "SPDL0", "--trials", "3", "--scheme", "CPL", "--scheme", "K",
+    ])
+    assert code == 0 and json.loads(out)["checked"] > 0
+
+
+def _chain_model(kind, n):
+    """The chain 0 <= 1 <= ... <= n-1 given as a preorder, the reversal as
+    its one map, and p on the upper half."""
+    return {
+        "type": kind,
+        "space": {"points": n, "preorder": [[x, y] for x in range(n) for y in range(x, n)]},
+        "programs": {"a": {"map": list(range(n))[::-1]}},
+        "valuation": {"p": list(range(n // 2, n))},
+    }
+
+
+def test_only_listing_commands_list_the_opens(capsys, tmp_path, monkeypatch):
+    listed = []
+    unions = topology._unions
+
+    def spy(table):
+        listed.append(table)
+        return unions(table)
+
+    monkeypatch.setattr(topology, "_unions", spy)
+    dtl = write_json(tmp_path, "chain.json", _chain_model("dtl", 12))
+    assert run(capsys, ["eval", "-m", dtl, "-f", "box p -> O[a] dia p"])[0] == 0
+    code, out, _ = run(capsys, ["frame", "-m", dtl, "--prop", "continuity", "--scheme"])
+    assert code == 1 and json.loads(out)["programs"]["a"]["routes_agree"] is True
+    assert listed == []
+    subset = _chain_model("subset", 12)
+    subset["programs"]["a"]["map"] = [None] * 12
+    path = write_json(tmp_path, "subset.json", subset)
+    assert run(capsys, ["eval", "-m", path, "-f", "K p", "--scenario", "11,1"])[0] == 0
+    assert len(listed) == 1
 
 
 # --- refute -----------------------------------------------------------------------

@@ -73,6 +73,24 @@ def test_intersection_closure_is_checked():
         TopoSpace.from_opens(3, [[], [0, 1], [1, 2], [0, 1, 2]])
 
 
+@pytest.mark.parametrize("n, table, message", [
+    (2, (0b01,), "one minimal neighbourhood per point of 2, got 1"),
+    (2, (0b101, 0b10), "minimal neighbourhood of point 0 lies outside the carrier"),
+    (2, (0b10, 0b10), r"relation is not a preorder: missing reflexive pair \(0, 0\)"),
+    (3, (0b011, 0b110, 0b100), "relation is not a preorder: 0<=1 and 1<=2 but not 0<=2"),
+], ids=["length", "carrier", "reflexive", "transitive"])
+def test_table_must_be_the_up_sets_of_a_preorder(n, table, message):
+    with pytest.raises(ValueError, match=message):
+        TopoSpace(n, table)
+
+
+def test_a_space_is_its_table():
+    space = TopoSpace(3, (0b011, 0b010, 0b100))
+    assert space == TopoSpace.from_opens(3, [[], [1], [2], [0, 1], [1, 2], [0, 1, 2]])
+    assert space.opens == frozenset({0, 0b010, 0b100, 0b011, 0b110, 0b111})
+    assert space.is_open(0b110) and not space.is_open(0b001)
+
+
 def test_from_subbasis_worked_example():
     space = TopoSpace.from_subbasis(3, [[0, 1], [1, 2]])
     want = {0, 0b010, 0b011, 0b110, 0b111}
@@ -238,9 +256,11 @@ def test_all_topologies_distinct_and_valid():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_enumerated_spaces_equal_validated_ones(n):
-    """The enumerations build spaces without the constructor's checks."""
+    """Every enumerated space is the space of its own opens, checked as a
+    family by ``from_opens``."""
     for space in [*all_topologies(n), *representative_topologies(n)]:
-        checked = TopoSpace(n, space.opens)
+        checked = TopoSpace.from_opens(n, [points_from_mask(u) for u in space.opens])
+        assert space == checked
         assert space.opens == checked.opens and space.min_nbhds == checked.min_nbhds
 
 
