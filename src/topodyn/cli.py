@@ -157,15 +157,18 @@ def _cmd_frame(args: argparse.Namespace) -> int:
         _emit(report.to_json())
         return 0 if report.holds else 1
 
+    if isinstance(model, DTModel):
+        maps = model.fn
+    elif isinstance(model, SubsetModel):
+        maps = model.pfn
+    else:
+        raise ValueError("continuity/openness apply to map-based models")
+    if args.scheme and not isinstance(model, DTModel):
+        raise ValueError("--scheme needs a dynamic-topological model")
     out: dict = {"property": prop, "programs": {}}
     holds = True
     for name in model.alphabet:
-        if isinstance(model, DTModel):
-            fn = model.fn[name]
-        elif isinstance(model, SubsetModel):
-            fn = model.pfn[name]
-        else:
-            raise ValueError("continuity/openness apply to map-based models")
+        fn = maps[name]
         if prop == frameprops.CONTINUITY:
             if None in fn:
                 raise ValueError("continuity needs total maps")
@@ -174,8 +177,6 @@ def _cmd_frame(args: argparse.Namespace) -> int:
             rep = frameprops.is_open_map(model.space, fn)
         entry = rep.to_json()
         if args.scheme:
-            if not isinstance(model, DTModel):
-                raise ValueError("--scheme needs a dynamic-topological model")
             srep = frameprops.validates_scheme(model.space, fn, prop)
             entry["scheme"] = srep.to_json()
             entry["routes_agree"] = srep.holds == rep.holds

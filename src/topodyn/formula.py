@@ -497,9 +497,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+_TOO_DEEP = f"formula nests deeper than {MAX_NESTING} levels"
+
+
+def _chain_cap(links: int) -> None:
+    """Refuse an operator chain (or prefix list) once its own ``links``
+    operators nest it deeper than the cap, before its rest is parsed."""
+    if links >= MAX_NESTING:
+        raise ParseError(_TOO_DEEP)
+
+
 class _Parser:
     """Recursive descent that recurses only into brackets, whose nesting it
-    caps; operator chains are parsed by loops."""
+    caps; operator chains are parsed by loops, which refuse a chain as soon as
+    it alone nests deeper than the cap."""
 
     def __init__(self, text: str):
         self.text = text
@@ -540,6 +551,7 @@ class _Parser:
         parts = [operand()]
         while self.at(op):
             self.advance()
+            _chain_cap(len(parts))
             parts.append(operand())
         f = parts.pop()
         while parts:
@@ -554,21 +566,28 @@ class _Parser:
 
     def disjunction(self) -> Formula:
         f = self.conjunction()
+        links = 0
         while self.at("|"):
             self.advance()
+            links += 1
+            _chain_cap(links)
             f = Or(f, self.conjunction())
         return f
 
     def conjunction(self) -> Formula:
         f = self.unary()
+        links = 0
         while self.at("&"):
             self.advance()
+            links += 1
+            _chain_cap(links)
             f = And(f, self.unary())
         return f
 
     def unary(self) -> Formula:
         wrappers: list[Callable[[Formula], Formula]] = []
         while True:
+            _chain_cap(len(wrappers))
             kind = self.peek()[0]
             if kind in _PREFIX_TOKENS:
                 self.advance()
@@ -603,8 +622,11 @@ class _Parser:
 
     def program(self) -> Program:
         p = self.program_term()
+        links = 0
         while self.at(";"):
             self.advance()
+            links += 1
+            _chain_cap(links)
             p = Seq(p, self.program_term())
         return p
 
@@ -633,7 +655,7 @@ class _Parser:
         if tok[0] != "eof":
             raise _error_at(self.text, tok[2], f"unexpected trailing input {tok[1]!r}")
         if fold(result, lambda _, kids: 1 + max(kids, default=0)) > MAX_NESTING:
-            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels")
+            raise ParseError(_TOO_DEEP)
         return result
 
 

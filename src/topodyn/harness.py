@@ -104,12 +104,10 @@ def _gen_space(rng: random.Random, n: int) -> TopoSpace:
         for j in range(i + 1, n):
             if rng.random() < 0.35:
                 up[order[i]] |= 1 << order[j]
-    for _ in range(n):  # closure by repeated squaring would be overkill here
-        for x in range(n):
-            m = up[x]
-            for y in iter_points(m):
-                m |= up[y]
-            up[x] = m
+    # edges run forward along order, so closing from the back takes one pass
+    for x in reversed(order):
+        for y in iter_points(up[x]):
+            up[x] |= up[y]
     return TopoSpace(n, tuple(up))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .checker import eval_pdl_relational, evaluate
@@ -50,15 +51,6 @@ class DepthExceeded(ValueError):
 class BoundedNetwork:
     root: int
     children: tuple["BoundedNetwork", ...]  # one per program, alphabet order
-    # computed once from the children's stored hashes, so hashing a network
-    # never walks its subtree
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.root, self.children)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def depth(self) -> int:
@@ -86,35 +78,14 @@ class NetworkSpace:
     source: PDLModel
     depth: int
     strata: tuple[tuple[BoundedNetwork, ...], ...]
-    # derived lookup tables, filled in __post_init__
-    index: tuple[dict[BoundedNetwork, int], ...] = field(init=False, repr=False)
-    shift_index: tuple[tuple[tuple[int, ...], ...], ...] = field(init=False, repr=False)
-    cells: tuple[dict[int, int], ...] = field(init=False, repr=False)  # root -> its networks
+    # per stratum and network: the index one stratum down of its shift along
+    # each program (stratum 0 has no shifts)
+    shift_index: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
+    cells: tuple[dict[int, int], ...] = field(repr=False)  # root -> its networks
 
-    def __post_init__(self) -> None:
-        self.index = tuple(
-            {net: i for i, net in enumerate(stratum)} for stratum in self.strata
-        )
-        shift = []
-        for d, stratum in enumerate(self.strata):
-            if d == 0:
-                shift.append(())
-                continue
-            below = self.index[d - 1]
-            shift.append(
-                tuple(
-                    tuple(below[net.children[p]] for p in range(len(self.source.alphabet)))
-                    for net in stratum
-                )
-            )
-        self.shift_index = tuple(shift)
-        cells = []
-        for stratum in self.strata:
-            by_root: dict[int, int] = {}
-            for i, net in enumerate(stratum):
-                by_root[net.root] = by_root.get(net.root, 0) | (1 << i)
-            cells.append(by_root)
-        self.cells = tuple(cells)
+    @cached_property
+    def index(self) -> tuple[dict[BoundedNetwork, int], ...]:
+        return tuple({net: i for i, net in enumerate(stratum)} for stratum in self.strata)
 
     def stratum_sizes(self) -> list[int]:
         return [len(s) for s in self.strata]
@@ -130,11 +101,15 @@ class NetworkSpace:
     def full(self, d: int) -> int:
         return (1 << len(self.strata[d])) - 1
 
-    def atom(self, node: Node, d: int) -> int:
+    def lift(self, states: int, d: int) -> int:
+        """The networks of stratum d rooted at the given source states."""
         m = 0
-        for x in iter_points(self.source.val.get(node.name, 0)):
+        for x in iter_points(states):
             m |= self.cells[d].get(x, 0)
         return m
+
+    def atom(self, node: Node, d: int) -> int:
+        return self.lift(self.source.val.get(node.name, 0), d)
 
     def step(self, node: Node, d: int) -> int:
         if type(node.prog) is not Atomic:
@@ -197,26 +172,29 @@ def build_network_space(model: PDLModel, depth: int, budget: int = 100_000) -> N
             raise BudgetExceeded(
                 f"stratum {d} holds {size} networks, over the budget of {budget}"
             )
-    strata: list[tuple[BoundedNetwork, ...]] = [
-        tuple(BoundedNetwork(x, ()) for x in range(model.n))
-    ]
-    for d in range(1, depth + 1):
-        below = strata[d - 1]
-        by_root: dict[int, list[BoundedNetwork]] = {}
-        for net in below:
-            by_root.setdefault(net.root, []).append(net)
-        stratum: list[BoundedNetwork] = []
+    strata = [tuple(BoundedNetwork(x, ()) for x in range(model.n))]
+    shift_index: list[tuple[tuple[int, ...], ...]] = [()]
+    # per stratum, each root's networks: they are contiguous, roots ascending
+    spans = [[range(x, x + 1) for x in range(model.n)]]
+    for _ in range(depth):
+        below, below_spans = strata[-1], spans[-1]
+        nets, rows, root_spans = [], [], []
         for x in range(model.n):
-            option_lists = []
-            for name in model.alphabet:
-                opts: list[BoundedNetwork] = []
-                for y in iter_points(model.rel[name][x]):
-                    opts.extend(by_root[y])
-                option_lists.append(opts)
-            for children in itertools.product(*option_lists):
-                stratum.append(BoundedNetwork(x, children))
-        strata.append(tuple(stratum))
-    return NetworkSpace(source=model, depth=depth, strata=tuple(strata))
+            start = len(rows)
+            # along each program, any network one stratum down rooted at a successor
+            for row in itertools.product(*(
+                [i for y in iter_points(model.rel[name][x]) for i in below_spans[y]]
+                for name in model.alphabet
+            )):
+                rows.append(row)
+                nets.append(BoundedNetwork(x, tuple(below[i] for i in row)))
+            root_spans.append(range(start, len(rows)))
+        strata.append(tuple(nets))
+        shift_index.append(tuple(rows))
+        spans.append(root_spans)
+    cells = tuple({x: (1 << len(s)) - 1 << s.start for x, s in enumerate(by_root)}
+                  for by_root in spans)
+    return NetworkSpace(model, depth, tuple(strata), tuple(shift_index), cells)
 
 
 def network_extension(space: NetworkSpace, f: Formula, d: int) -> int:
@@ -286,8 +264,10 @@ def check_truth_preservation(
     space: Optional[NetworkSpace] = None,
 ) -> PreservationReport:
     """Compare source truth with network truth at every deepest-stratum
-    network, for each formula.  Pass ``space`` to reuse a space already built
-    from the same model and depth."""
+    network, for each formula: the networks that disagree are the bits where
+    f's network extension differs from the union of the cells of the roots
+    where f holds in the source.  Pass ``space`` to reuse a space already
+    built from the same model and depth."""
     if space is None:
         space = build_network_space(model, depth, budget)
     checked = 0
@@ -301,20 +281,13 @@ def check_truth_preservation(
             )
         source_ext = eval_pdl_relational(model, f)
         net_ext = network_extension(space, f, depth)
-        for i, net in enumerate(space.strata[depth]):
-            checked += 1
+        checked += len(space.strata[depth])
+        for i in iter_points(space.lift(source_ext, depth) ^ net_ext):
+            net = space.strata[depth][i]
             src = bool(source_ext >> net.root & 1)
-            lifted = bool(net_ext >> i & 1)
-            if src != lifted:
-                disagreements.append(
-                    {
-                        "formula": format_formula(f),
-                        "root": net.root,
-                        "network": net.to_json(model.alphabet),
-                        "source": src,
-                        "network_truth": lifted,
-                    }
-                )
+            disagreements.append({"formula": format_formula(f), "root": net.root,
+                                  "network": net.to_json(model.alphabet),
+                                  "source": src, "network_truth": not src})
     return PreservationReport(checked=checked, disagreements=tuple(disagreements))
 
 

@@ -3,11 +3,15 @@ their callers look them up by, so a rename under src/ must fail here rather
 than in a benchmark run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
-from topodyn import checker, harness
+from topodyn import checker, cli, harness
 from topodyn.formula import parse
+from topodyn.harness import GenConfig, gen_model
+from topodyn.models import model_to_json
 from topodyn.topology import TopoSpace, representative_topologies
+from topodyn.transform import stratum_counts
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -62,3 +66,32 @@ def test_each_space_construction_is_one_topology_span():
     finally:
         tracer.unpatch()
     assert tracer.counts["topology.TopoSpace.calls"] == 2
+
+
+def test_tracer_counts_the_networks_of_a_transform_op(tmp_path, capsys):
+    """The transform counters read the space and the report the CLI builds,
+    so a change to either must fail here rather than in a benchmark run."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    model = gen_model(GenConfig(seed=44, max_points=3, num_programs=2,
+                                model_class="pdl_serial"), 4)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_json(model)), encoding="utf-8")
+    formulas = ["<a>p -> [b]q", "[a][b]p | <b>~q"]
+    argv = ["transform", "-m", str(path), "--depth", "2", "--check", "; ".join(formulas)]
+    main = cli.main
+    try:
+        tracing.install(tracer)
+        tracer.begin_op(0)
+        assert cli.main(argv) == 0
+        assert tracer.end_op() is None
+    finally:
+        tracer.unpatch()
+    assert cli.main is main
+    sizes = json.loads(capsys.readouterr().out)["stratum_sizes"]
+    counts = tracer.counts
+    assert sizes == [sum(row) for row in stratum_counts(model, 2)]
+    assert counts["transform.networks"] == sum(sizes)
+    assert counts["transform.checked"] == len(formulas) * sizes[-1]
+    assert counts["transform.network_extension.calls"] == len(formulas)
+    assert counts["transform.build_network_space.calls"] == 1

@@ -208,6 +208,32 @@ def test_frame_continuity_needs_total_maps(capsys, tmp_path):
     assert run(capsys, ["frame", "-m", partial, "--prop", "openness"])[0] == 0
 
 
+@pytest.mark.parametrize("prop", ["continuity", "openness"])
+def test_frame_refuses_a_relational_model_without_programs(capsys, tmp_path, pdl_file, prop):
+    # the model type is checked before the programs are, so an empty
+    # alphabet cannot pass as a vacuous "holds"
+    empty = write_json(tmp_path, "empty.json", {
+        "type": "pdl", "points": 2, "serial": True, "programs": {}, "valuation": {},
+    })
+    for path in (empty, pdl_file):
+        code, out, err = run(capsys, ["frame", "-m", path, "--prop", prop])
+        assert code == 2 and out == "" and _one_line_error(err)
+        assert "continuity/openness apply to map-based models" in err
+
+
+def test_frame_scheme_refuses_a_subset_model_without_programs(capsys, tmp_path, subset_file):
+    empty = write_json(tmp_path, "empty.json", {
+        "type": "subset",
+        "space": {"points": 2, "opens": [[], [1], [0, 1]]},
+        "programs": {},
+        "valuation": {"p": [1]},
+    })
+    for path in (empty, subset_file):
+        code, out, err = run(capsys, ["frame", "-m", path, "--prop", "openness", "--scheme"])
+        assert code == 2 and out == "" and _one_line_error(err)
+        assert "--scheme needs a dynamic-topological model" in err
+
+
 # --- transform --------------------------------------------------------------------
 
 

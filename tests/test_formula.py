@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topodyn.formula import (
+    MAX_NESTING,
     And,
     Atom,
     Atomic,
@@ -48,6 +49,7 @@ from topodyn.formula import (
     substitute_programs,
 )
 from topodyn.formula import Test as ProgramTest
+from topodyn.formula import _Parser
 from topodyn.harness import gen_formula
 
 
@@ -121,6 +123,30 @@ def test_parse_errors_carry_position(text):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert re.search(r"line \d+, column \d+", str(exc.value))
+
+
+CHAINS = {
+    "&": (lambda k: " & ".join(["p"] * (k + 1)), "formula"),
+    "|": (lambda k: " | ".join(["p"] * (k + 1)), "formula"),
+    "->": (lambda k: " -> ".join(["p"] * (k + 1)), "formula"),
+    "<->": (lambda k: " <-> ".join(["p"] * (k + 1)), "formula"),
+    "~": (lambda k: "~" * k + "p", "formula"),
+    ";": (lambda k: ";".join(["a"] * (k + 1)), "program"),
+}
+
+
+@pytest.mark.parametrize("op", CHAINS)
+def test_a_chain_is_refused_once_it_alone_passes_the_nesting_cap(op):
+    # k operators nest a chain k + 1 levels deep, so MAX_NESTING - 1 of them fit
+    chain, rule = CHAINS[op]
+    fits = _Parser(chain(MAX_NESTING - 1))
+    fits.finish(getattr(fits, rule)())
+    for k in (MAX_NESTING, 100 * MAX_NESTING):
+        parser = _Parser(chain(k))
+        with pytest.raises(ParseError, match=f"^formula nests deeper than {MAX_NESTING} levels$"):
+            parser.finish(getattr(parser, rule)())
+        # refused inside the chain loop, long before the end of the input
+        assert parser.pos <= 2 * MAX_NESTING
 
 
 def test_reserved_words_are_not_atoms():

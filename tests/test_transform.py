@@ -10,8 +10,9 @@ import itertools
 
 import pytest
 
+from topodyn import transform
 from topodyn.checker import eval_pdl_relational
-from topodyn.formula import Language, parse
+from topodyn.formula import Language, format_formula, parse
 from topodyn.harness import GenConfig, gen_formula, gen_model, _derived_rng
 from topodyn.models import PDLModel, SubsetModel, model_from_json, validate
 from topodyn.transform import (
@@ -61,6 +62,25 @@ def oracle_counts_by_root(model: PDLModel, depth: int):
     for lab in enumerate_labelings(model, depth):
         counts[lab[()]] += 1
     return counts
+
+
+def derived_tables(space):
+    """``shift_index`` and ``cells`` recomputed from the strata alone: every
+    child is looked up by value one stratum down, every network ORed into
+    its root's cell."""
+    index = [{net: i for i, net in enumerate(stratum)} for stratum in space.strata]
+    shift_index = [()]
+    for d in range(1, len(space.strata)):
+        shift_index.append(tuple(
+            tuple(index[d - 1][child] for child in net.children) for net in space.strata[d]
+        ))
+    cells = []
+    for stratum in space.strata:
+        by_root = {}
+        for i, net in enumerate(stratum):
+            by_root[net.root] = by_root.get(net.root, 0) | 1 << i
+        cells.append(by_root)
+    return tuple(shift_index), tuple(cells)
 
 
 TOTAL2 = PDLModel(2, ("a",), {"a": (0b11, 0b11)}, {"p": 0b01}, serial_flag=True)
@@ -262,11 +282,20 @@ def test_network_space_json_strata_annotation():
     assert [len(s["networks"]) for s in obj["strata"]] == [2, 4]
 
 
-@pytest.mark.parametrize("model", [
+SMALL_MODELS = pytest.mark.parametrize("model", [
     *(gen_model(GenConfig(seed=45, max_points=3, num_programs=2, model_class="pdl_serial"), i)
       for i in range(6)),
     PDLModel(2, (), {}, {"p": 0b01}, serial_flag=True),
 ], ids=[*(f"generated-{i}" for i in range(6)), "no-programs"])
+
+
+@SMALL_MODELS
+def test_shift_index_and_cells_match_the_strata(model):
+    space = build_network_space(model, 3)
+    assert (space.shift_index, space.cells) == derived_tables(space)
+
+
+@SMALL_MODELS
 def test_network_space_json_networks_match_to_json(model):
     space = build_network_space(model, 3)
     strata = network_space_to_json(space)["strata"]
@@ -284,3 +313,29 @@ def test_truth_preservation_accepts_a_prebuilt_space():
 
 
 TRANSFORM_CFG_SMALL = GenConfig(seed=44, max_points=3, num_programs=2, model_class="pdl_serial")
+
+
+def test_disagreements_are_the_networks_whose_truth_differs(monkeypatch):
+    m = gen_model(TRANSFORM_CFG_SMALL, 4)
+    formulas = [parse("<a>p -> [b]q"), parse("[a][b]p | <b>~q")]
+    space = build_network_space(m, 2)
+    assert check_truth_preservation(m, formulas, 2, space=space).ok
+    last = len(space.strata[2]) - 1
+    flips = {formulas[0]: 1 | 1 << last, formulas[1]: 0b110}
+    exact = transform.network_extension
+    monkeypatch.setattr(transform, "network_extension",
+                        lambda space, f, d: exact(space, f, d) ^ flips[f])
+    report = check_truth_preservation(m, formulas, 2, space=space)
+    # the definition, network by network: its truth against its root's
+    want = []
+    for f in formulas:
+        source_ext = eval_pdl_relational(m, f)
+        net_ext = transform.network_extension(space, f, 2)
+        for i, net in enumerate(space.strata[2]):
+            src, lifted = bool(source_ext >> net.root & 1), bool(net_ext >> i & 1)
+            if src != lifted:
+                want.append({"formula": format_formula(f), "root": net.root,
+                             "network": net.to_json(m.alphabet),
+                             "source": src, "network_truth": lifted})
+    assert len(want) == 4 and list(report.disagreements) == want
+    assert report.checked == 2 * len(space.strata[2])
