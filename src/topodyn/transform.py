@@ -77,18 +77,32 @@ class BoundedNetwork:
 class NetworkSpace:
     source: PDLModel
     depth: int
-    strata: tuple[tuple[BoundedNetwork, ...], ...]
     # per stratum and network: the index one stratum down of its shift along
     # each program (stratum 0 has no shifts)
     shift_index: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
-    cells: tuple[dict[int, int], ...] = field(repr=False)  # root -> its networks
+    # per stratum and root: that root's networks, a contiguous run (roots ascending)
+    spans: tuple[tuple[range, ...], ...] = field(repr=False)
+
+    @cached_property
+    def strata(self) -> tuple[tuple[BoundedNetwork, ...], ...]:
+        """The networks as trees, built bottom-up from the rows on first read."""
+        strata = [tuple(BoundedNetwork(x, ()) for x in range(self.source.n))]
+        for rows, by_root in zip(self.shift_index[1:], self.spans[1:]):
+            below = strata[-1]
+            strata.append(tuple(BoundedNetwork(x, tuple(below[j] for j in rows[i]))
+                                for x, span in enumerate(by_root) for i in span))
+        return tuple(strata)
 
     @cached_property
     def index(self) -> tuple[dict[BoundedNetwork, int], ...]:
         return tuple({net: i for i, net in enumerate(stratum)} for stratum in self.strata)
 
+    def size(self, d: int) -> int:
+        """Number of networks in stratum d."""
+        return sum(map(len, self.spans[d]))
+
     def stratum_sizes(self) -> list[int]:
-        return [len(s) for s in self.strata]
+        return [self.size(d) for d in range(self.depth + 1)]
 
     def shift(self, d: int, prog_index: int, i: int) -> int:
         """Index in stratum d-1 of the shift of network i of stratum d."""
@@ -99,13 +113,14 @@ class NetworkSpace:
     shifts = frozenset({Diamond, BoxPdl})
 
     def full(self, d: int) -> int:
-        return (1 << len(self.strata[d])) - 1
+        return (1 << self.size(d)) - 1
 
     def lift(self, states: int, d: int) -> int:
         """The networks of stratum d rooted at the given source states."""
         m = 0
         for x in iter_points(states):
-            m |= self.cells[d].get(x, 0)
+            span = self.spans[d][x]
+            m |= (1 << len(span)) - 1 << span.start
         return m
 
     def atom(self, node: Node, d: int) -> int:
@@ -123,14 +138,14 @@ class NetworkSpace:
             raise ValueError(f"no network semantics for {format_formula(node)}")
         p = self.source.alphabet.index(node.prog.name)
         shifts = self.shift_index[d]
+        bits = format(body, f"0{self.size(d - 1)}b")[::-1]  # bits[j]: network j of d-1
+        passes = any if type(node) is Diamond else all
         m = 0
         # closure/interior of a shift preimage on a partition topology:
         # a cell passes if some (dually, every) member shifts into the body
-        for cell in self.cells[d].values():
-            members = list(iter_points(cell))
-            hits = sum(1 for i in members if body >> shifts[i][p] & 1)
-            if hits > 0 if type(node) is Diamond else hits == len(members):
-                m |= cell
+        for span in self.spans[d]:
+            if passes(bits[shifts[i][p]] == "1" for i in span):
+                m |= (1 << len(span)) - 1 << span.start
         return m
 
 
@@ -172,29 +187,23 @@ def build_network_space(model: PDLModel, depth: int, budget: int = 100_000) -> N
             raise BudgetExceeded(
                 f"stratum {d} holds {size} networks, over the budget of {budget}"
             )
-    strata = [tuple(BoundedNetwork(x, ()) for x in range(model.n))]
     shift_index: list[tuple[tuple[int, ...], ...]] = [()]
     # per stratum, each root's networks: they are contiguous, roots ascending
-    spans = [[range(x, x + 1) for x in range(model.n)]]
+    spans = [tuple(range(x, x + 1) for x in range(model.n))]
     for _ in range(depth):
-        below, below_spans = strata[-1], spans[-1]
-        nets, rows, root_spans = [], [], []
+        below = spans[-1]
+        rows, by_root = [], []
         for x in range(model.n):
             start = len(rows)
             # along each program, any network one stratum down rooted at a successor
-            for row in itertools.product(*(
-                [i for y in iter_points(model.rel[name][x]) for i in below_spans[y]]
+            rows.extend(itertools.product(*(
+                [i for y in iter_points(model.rel[name][x]) for i in below[y]]
                 for name in model.alphabet
-            )):
-                rows.append(row)
-                nets.append(BoundedNetwork(x, tuple(below[i] for i in row)))
-            root_spans.append(range(start, len(rows)))
-        strata.append(tuple(nets))
+            )))
+            by_root.append(range(start, len(rows)))
         shift_index.append(tuple(rows))
-        spans.append(root_spans)
-    cells = tuple({x: (1 << len(s)) - 1 << s.start for x, s in enumerate(by_root)}
-                  for by_root in spans)
-    return NetworkSpace(model, depth, tuple(strata), tuple(shift_index), cells)
+        spans.append(tuple(by_root))
+    return NetworkSpace(model, depth, tuple(shift_index), tuple(spans))
 
 
 def network_extension(space: NetworkSpace, f: Formula, d: int) -> int:
@@ -211,7 +220,7 @@ def network_extension(space: NetworkSpace, f: Formula, d: int) -> int:
 
 def eval_network(space: NetworkSpace, f: Formula, net: BoundedNetwork) -> bool:
     d = net.depth
-    i = space.index[d].get(net)
+    i = space.index[d].get(net) if d <= space.depth else None
     if i is None:
         raise ValueError("network does not belong to this space")
     return bool(network_extension(space, f, d) >> i & 1)
@@ -225,14 +234,11 @@ def check_shift_openness(space: NetworkSpace) -> list[dict]:
     for d in range(1, space.depth + 1):
         shifts = space.shift_index[d]
         for p, name in enumerate(space.source.alphabet):
-            for x, cell in space.cells[d].items():
+            for x, span in enumerate(space.spans[d]):
                 got = 0
-                for i in iter_points(cell):
+                for i in span:
                     got |= 1 << shifts[i][p]
-                want = 0
-                for y in iter_points(space.source.rel[name][x]):
-                    want |= space.cells[d - 1].get(y, 0)
-                if got != want:
+                if got != space.lift(space.source.rel[name][x], d - 1):
                     failures.append(
                         {"depth": d, "program": name, "root": x}
                     )
@@ -281,7 +287,7 @@ def check_truth_preservation(
             )
         source_ext = eval_pdl_relational(model, f)
         net_ext = network_extension(space, f, depth)
-        checked += len(space.strata[depth])
+        checked += space.size(depth)
         for i in iter_points(space.lift(source_ext, depth) ^ net_ext):
             net = space.strata[depth][i]
             src = bool(source_ext >> net.root & 1)
@@ -300,52 +306,43 @@ def network_space_to_json(space: NetworkSpace) -> dict:
     parent one stratum up holds that same dict as a child, so the returned
     document shares its network dicts: callers must not mutate them."""
     model = space.source
-    networks = [[net.to_json(model.alphabet) for net in space.strata[0]]]
+    networks = [[{"root": x} for x in range(model.n)]]
     for d in range(1, space.depth + 1):
-        below = networks[-1]
+        below, rows = networks[-1], space.shift_index[d]
         stratum = []
-        for net, shifts in zip(space.strata[d], space.shift_index[d]):
-            out: dict = {"root": net.root}
-            if shifts:
-                out["children"] = {
-                    name: below[j] for name, j in zip(model.alphabet, shifts)
-                }
-            stratum.append(out)
+        for x, span in enumerate(space.spans[d]):
+            for i in span:
+                out: dict = {"root": x}
+                if rows[i]:
+                    out["children"] = {
+                        name: below[j] for name, j in zip(model.alphabet, rows[i])
+                    }
+                stratum.append(out)
         networks.append(stratum)
-    offsets = []
-    total = 0
-    for stratum in space.strata:
-        offsets.append(total)
-        total += len(stratum)
-    cells = []
-    for d in range(space.depth + 1):
-        for x in sorted(space.cells[d]):
-            cells.append(
-                [offsets[d] + i for i in iter_points(space.cells[d][x])]
-            )
+    sizes = space.stratum_sizes()
+    offsets = [sum(sizes[:d]) for d in range(space.depth + 1)]
+    cells = [list(range(offsets[d] + s.start, offsets[d] + s.stop))
+             for d in range(space.depth + 1) for s in space.spans[d]]
     maps: dict[str, list] = {}
     for p, name in enumerate(model.alphabet):
-        table: list[int | None] = [None] * total
+        table: list[int | None] = [None] * sizes[0]
         for d in range(1, space.depth + 1):
-            for i in range(len(space.strata[d])):
-                table[offsets[d] + i] = offsets[d - 1] + space.shift_index[d][i][p]
+            table.extend(offsets[d - 1] + row[p] for row in space.shift_index[d])
         maps[name] = table
     valuation = {}
     for atom, v in sorted(model.val.items()):
-        pts = []
-        for d in range(space.depth + 1):
-            for x in iter_points(v):
-                pts.extend(offsets[d] + i for i in iter_points(space.cells[d].get(x, 0)))
-        valuation[atom] = sorted(pts)
+        # strata ascending, roots ascending within each: the points come sorted
+        valuation[atom] = [offsets[d] + i for d in range(space.depth + 1)
+                           for x in iter_points(v) for i in space.spans[d][x]]
     return {
         "type": "subset",
-        "space": {"points": total, "subbasis": cells},
+        "space": {"points": sum(sizes), "subbasis": cells},
         "programs": {name: {"map": maps[name]} for name in model.alphabet},
         "valuation": valuation,
         "strata": [
             {
                 "depth": d,
-                "points": list(range(offsets[d], offsets[d] + len(space.strata[d]))),
+                "points": list(range(offsets[d], offsets[d] + sizes[d])),
                 "networks": networks[d],
             }
             for d in range(space.depth + 1)

@@ -3,7 +3,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +92,15 @@ def test_parse_round_trips_through_printed_text(capsys):
     payload = json.loads(out)
     assert parse(payload["text"]) == parse("O[a;b] (p -> K q)")
     assert payload["ast"]["type"] == "next"
+
+
+def test_python_m_topodyn_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "topodyn", "parse", "-f", "p"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert isinstance(json.loads(proc.stdout), dict)
 
 
 def test_parse_error_reports_position(capsys):

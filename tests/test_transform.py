@@ -12,7 +12,7 @@ import pytest
 
 from topodyn import transform
 from topodyn.checker import eval_pdl_relational
-from topodyn.formula import Language, format_formula, parse
+from topodyn.formula import Language, format_formula, modal_depth, parse
 from topodyn.harness import GenConfig, gen_formula, gen_model, _derived_rng
 from topodyn.models import PDLModel, SubsetModel, model_from_json, validate
 from topodyn.transform import (
@@ -65,22 +65,21 @@ def oracle_counts_by_root(model: PDLModel, depth: int):
 
 
 def derived_tables(space):
-    """``shift_index`` and ``cells`` recomputed from the strata alone: every
-    child is looked up by value one stratum down, every network ORed into
-    its root's cell."""
+    """``shift_index`` and ``spans`` recomputed from the strata alone: every
+    child is looked up by value one stratum down, and each root's networks
+    are listed by index."""
     index = [{net: i for i, net in enumerate(stratum)} for stratum in space.strata]
     shift_index = [()]
     for d in range(1, len(space.strata)):
         shift_index.append(tuple(
             tuple(index[d - 1][child] for child in net.children) for net in space.strata[d]
         ))
-    cells = []
-    for stratum in space.strata:
-        by_root = {}
-        for i, net in enumerate(stratum):
-            by_root[net.root] = by_root.get(net.root, 0) | 1 << i
-        cells.append(by_root)
-    return tuple(shift_index), tuple(cells)
+    spans = tuple(
+        tuple(tuple(i for i, net in enumerate(stratum) if net.root == x)
+              for x in range(space.source.n))
+        for stratum in space.strata
+    )
+    return tuple(shift_index), spans
 
 
 TOTAL2 = PDLModel(2, ("a",), {"a": (0b11, 0b11)}, {"p": 0b01}, serial_flag=True)
@@ -201,9 +200,8 @@ def test_shift_openness_small_models():
 def test_shift_image_of_cell_by_hand():
     # stratum 1 of the total model: the root-0 cell shifts onto all of stratum 0
     space = build_network_space(TOTAL2, 1)
-    cell = space.cells[1][0]
     got = 0
-    for i in iter_points(cell):
+    for i in space.spans[1][0]:
         got |= 1 << space.shift(1, 0, i)
     assert got == 0b11
 
@@ -242,6 +240,10 @@ def test_foreign_network_is_rejected():
     space = build_network_space(TOTAL2, 1)
     with pytest.raises(ValueError, match="belong"):
         eval_network(space, parse("p"), BoundedNetwork(5, ()))
+    # deeper than the space
+    deep = BoundedNetwork(0, (BoundedNetwork(0, (BoundedNetwork(0, ()),)),))
+    with pytest.raises(ValueError, match="belong"):
+        eval_network(space, parse("p"), deep)
 
 
 def test_networks_are_found_by_value():
@@ -292,7 +294,9 @@ SMALL_MODELS = pytest.mark.parametrize("model", [
 @SMALL_MODELS
 def test_shift_index_and_cells_match_the_strata(model):
     space = build_network_space(model, 3)
-    assert (space.shift_index, space.cells) == derived_tables(space)
+    # each span, as the tuple of its indices: a root's networks are one run
+    spans = tuple(tuple(tuple(span) for span in by_root) for by_root in space.spans)
+    assert (space.shift_index, spans) == derived_tables(space)
 
 
 @SMALL_MODELS
@@ -313,6 +317,27 @@ def test_truth_preservation_accepts_a_prebuilt_space():
 
 
 TRANSFORM_CFG_SMALL = GenConfig(seed=44, max_points=3, num_programs=2, model_class="pdl_serial")
+
+
+def test_the_space_builds_no_trees_unless_read():
+    m = gen_model(TRANSFORM_CFG_SMALL, 4)
+    formulas = [parse("<a>p -> [b]q"), parse("[a][b]p | <b>~q")]
+    space = build_network_space(m, 2)
+    network_space_to_json(space)
+    network_extension(space, formulas[1], 2)
+    assert check_truth_preservation(m, formulas, 2, space=space).ok
+    assert "strata" not in vars(space)
+
+
+def test_modalities_on_strata_past_a_machine_word():
+    m = PDLModel(4, ("a",), {"a": (0b1111,) * 4}, {"p": 0b0101}, serial_flag=True)
+    space = build_network_space(m, 6)
+    assert space.stratum_sizes() == [4 ** (d + 1) for d in range(7)]
+    for text in ("<a>p", "[a]p", "<a>[a]~p"):
+        f = parse(text)
+        src = eval_pdl_relational(m, f)
+        for d in range(modal_depth(f), 7):
+            assert network_extension(space, f, d) == space.lift(src, d)
 
 
 def test_disagreements_are_the_networks_whose_truth_differs(monkeypatch):
