@@ -1,6 +1,7 @@
 """Model containers, structural validation, and program denotations."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -218,6 +219,62 @@ def test_json_roundtrip_generated_models():
         again = model_from_json(model_to_json(m))
         assert type(again) is type(m)
         assert model_to_json(again) == model_to_json(m)
+
+
+def test_validate_order_and_model_json_are_pinned(sierpinski):
+    """Every fault of a model, in report order, and the exact JSON (key order
+    included) of one valid model of each kind."""
+    dt = DTModel(
+        sierpinski,
+        ("a", "b", "c", "d"),
+        {"a": (None, 0), "b": (0, 5), "c": (1,), "e": (0, 1)},
+        {"p": 0b10, "q": 0b100},
+    )
+    # "a" is out of range at 0, so its openness is not decided
+    subset = SubsetModel(
+        sierpinski, ("a", "b", "c"), {"a": (5, 0), "b": (1, 0), "c": (None, 9, 1)}, {"q": 0b100}
+    )
+    pdl = PDLModel(2, ("a", "b"), {"a": (0b100, 0b01), "b": (0b10, 0)}, {"p": 0b1000}, serial_flag=True)
+    assert [v.to_json() for v in validate(dt)] == [
+        {"kind": "ValuationOutOfRange", "detail": "atom q"},
+        {"kind": "MissingProgram", "program": "d"},
+        {"kind": "UnknownProgram", "program": "e"},
+        {"kind": "TotalityFailure", "program": "a", "point": 0},
+        {"kind": "ValueOutOfRange", "program": "b", "point": 1},
+        {"kind": "BadLength", "program": "c"},
+    ]
+    assert [v.to_json() for v in validate(subset)] == [
+        {"kind": "ValuationOutOfRange", "detail": "atom q"},
+        {"kind": "ValueOutOfRange", "program": "a", "point": 0},
+        {"kind": "OpennessFailure", "program": "b", "subset": [1]},
+        {"kind": "BadLength", "program": "c"},
+    ]
+    assert [v.to_json() for v in validate(pdl)] == [
+        {"kind": "ValuationOutOfRange", "detail": "atom p"},
+        {"kind": "SuccessorOutOfRange", "program": "a", "point": 0},
+        {"kind": "SerialityFailure", "program": "b", "point": 1},
+    ]
+
+    space = '"space": {"points": 2, "opens": [[], [1], [0, 1]]}'
+    valid = {
+        DTModel(sierpinski, ("b", "a"), {"a": (1, 0), "b": (0, 0)}, {"p": 0b10, "o": 0}): (
+            '{"type": "dtl", ' + space + ', "programs": {"b": {"map": [0, 0]}, '
+            '"a": {"map": [1, 0]}}, "valuation": {"o": [], "p": [1]}}'
+        ),
+        SubsetModel(sierpinski, ("b", "a"), {"a": (None, 1), "b": (1, 1)}, {"p": 0b10}): (
+            '{"type": "subset", ' + space + ', "programs": {"b": {"map": [1, 1]}, '
+            '"a": {"map": [null, 1]}}, "valuation": {"p": [1]}}'
+        ),
+        PDLModel(2, ("rand", "at"), {"rand": (0b11, 0b11), "at": (0b01, 0b10)},
+                 {"zero": 0b01, "one": 0b10}, serial_flag=True): (
+            '{"type": "pdl", "points": 2, "serial": true, "programs": '
+            '{"rand": {"rel": [[0, 0], [0, 1], [1, 0], [1, 1]]}, "at": {"rel": [[0, 0], [1, 1]]}}, '
+            '"valuation": {"one": [1], "zero": [0]}}'
+        ),
+    }
+    for model, text in valid.items():
+        assert validate(model) == []
+        assert json.dumps(model_to_json(model)) == text
 
 
 def test_model_from_json_rejects_unknown_type():
