@@ -157,18 +157,14 @@ def _cmd_frame(args: argparse.Namespace) -> int:
         _emit(report.to_json())
         return 0 if report.holds else 1
 
-    if isinstance(model, DTModel):
-        maps = model.fn
-    elif isinstance(model, SubsetModel):
-        maps = model.pfn
-    else:
+    if isinstance(model, PDLModel):
         raise ValueError("continuity/openness apply to map-based models")
     if args.scheme and not isinstance(model, DTModel):
         raise ValueError("--scheme needs a dynamic-topological model")
     out: dict = {"property": prop, "programs": {}}
     holds = True
     for name in model.alphabet:
-        fn = maps[name]
+        fn = model.fn[name]
         if prop == frameprops.CONTINUITY:
             if None in fn:
                 raise ValueError("continuity needs total maps")

@@ -172,22 +172,21 @@ def gen_model(cfg: GenConfig, index: int = 0) -> Model:
         return PDLModel(n=n, alphabet=alphabet, rel=rel, val=val, serial_flag=True)
 
     space = _gen_space(rng, n)
-    if model_class != "subset":
-        fn = {
-            name: _gen_total_map(rng, n) if condition is None
-            else _gen_constrained_map(rng, space, condition, cfg.max_attempts)
-            for name in alphabet
-        }
-        return DTModel(space, alphabet, fn, _gen_valuation(rng, n, cfg.atoms))
-
-    # subset: an open total map restricted to an open domain stays open
-    opens = space.opens_sorted()
-    pfn = {}
+    # a subset map is an open total map restricted to an open domain, which
+    # stays open
+    partial = model_class == "subset"
+    cls = SubsetModel if partial else DTModel
+    fn = {}
     for name in alphabet:
-        total = _gen_constrained_map(rng, space, condition, cfg.max_attempts)
-        dom = rng.choice(opens)
-        pfn[name] = tuple(total[x] if dom >> x & 1 else None for x in range(n))
-    return SubsetModel(space, alphabet, pfn, _gen_valuation(rng, n, cfg.atoms))
+        if condition is None:
+            total = _gen_total_map(rng, n)
+        else:
+            total = _gen_constrained_map(rng, space, condition, cfg.max_attempts)
+        if partial:
+            dom = rng.choice(space.opens_sorted())
+            total = tuple(total[x] if dom >> x & 1 else None for x in range(n))
+        fn[name] = total
+    return cls(space, alphabet, fn, _gen_valuation(rng, n, cfg.atoms))
 
 
 # --- random formulas -----------------------------------------------------------
@@ -477,6 +476,7 @@ def _class_models(model_class: str, n: int, progs: tuple[str, ...]) -> Iterator[
 
     condition = _map_condition(model_class)
     partial = model_class == "subset"
+    cls = SubsetModel if partial else DTModel
     for space in representative_topologies(n):
         fns: Iterable = ()
         if progs:
@@ -484,11 +484,7 @@ def _class_models(model_class: str, n: int, progs: tuple[str, ...]) -> Iterator[
             if condition is not None:
                 fns = [fn for fn in fns if condition(space, fn).holds]
         for chosen in itertools.product(fns, repeat=len(progs)):
-            table = dict(zip(progs, chosen))
-            if partial:
-                yield SubsetModel(space, progs, table, {})
-            else:
-                yield DTModel(space, progs, table, {})
+            yield cls(space, progs, dict(zip(progs, chosen)), {})
 
 
 def search_countermodel(

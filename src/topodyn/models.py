@@ -31,10 +31,10 @@ class PDLModel:
 
 
 @dataclass(frozen=True, eq=False)
-class DTModel:
+class _MapModel:
     space: TopoSpace
     alphabet: tuple[str, ...]
-    fn: Mapping[str, tuple[Optional[int], ...]]  # total when valid
+    fn: Mapping[str, tuple[Optional[int], ...]]  # program name -> image of each point
     val: Mapping[str, int]
 
     @property
@@ -42,16 +42,12 @@ class DTModel:
         return self.space.n
 
 
-@dataclass(frozen=True, eq=False)
-class SubsetModel:
-    space: TopoSpace
-    alphabet: tuple[str, ...]
-    pfn: Mapping[str, tuple[Optional[int], ...]]  # None marks undefined
-    val: Mapping[str, int]
+class DTModel(_MapModel):
+    """A space with one total map per program (dynamic-topological)."""
 
-    @property
-    def n(self) -> int:
-        return self.space.n
+
+class SubsetModel(_MapModel):
+    """A space with one open partial map per program; None marks undefined."""
 
 
 Model = Union[PDLModel, DTModel, SubsetModel]
@@ -110,68 +106,54 @@ def _check_alphabet(alphabet: Sequence[str], table: Mapping[str, object]) -> lis
 def validate(model: Model) -> list[Violation]:
     """Structural invariants; empty list means the model is well formed."""
     if isinstance(model, PDLModel):
-        out = _check_valuation(model.val, model.n)
-        out += _check_alphabet(model.alphabet, model.rel)
-        full = full_mask(model.n)
-        for name in model.alphabet:
-            succ = model.rel.get(name)
-            if succ is None:
-                continue
-            if len(succ) != model.n:
-                out.append(Violation("BadLength", program=name))
-                continue
-            for x, m in enumerate(succ):
-                if m & ~full:
-                    out.append(Violation("SuccessorOutOfRange", program=name, point=x))
-                if model.serial_flag and m == 0:
-                    out.append(Violation("SerialityFailure", program=name, point=x))
-        return out
+        table, check_row = model.rel, _check_successors
+    elif isinstance(model, _MapModel):
+        table, check_row = model.fn, _check_map
+    else:
+        raise TypeError(f"not a model: {model!r}")
+    out = _check_valuation(model.val, model.n)
+    out += _check_alphabet(model.alphabet, table)
+    for name in model.alphabet:
+        row = table.get(name)
+        if row is None:
+            continue
+        if len(row) != model.n:
+            out.append(Violation("BadLength", program=name))
+        else:
+            out += check_row(model, name, row)
+    return out
 
-    if isinstance(model, DTModel):
-        out = _check_valuation(model.val, model.n)
-        out += _check_alphabet(model.alphabet, model.fn)
-        for name in model.alphabet:
-            fn = model.fn.get(name)
-            if fn is None:
-                continue
-            if len(fn) != model.n:
-                out.append(Violation("BadLength", program=name))
-                continue
-            for x, y in enumerate(fn):
-                if y is None:
-                    out.append(Violation("TotalityFailure", program=name, point=x))
-                elif not 0 <= y < model.n:
-                    out.append(Violation("ValueOutOfRange", program=name, point=x))
-        return out
 
-    if isinstance(model, SubsetModel):
+def _check_successors(model: PDLModel, name: str, succ: tuple[int, ...]) -> list[Violation]:
+    full = full_mask(model.n)
+    out = []
+    for x, m in enumerate(succ):
+        if m & ~full:
+            out.append(Violation("SuccessorOutOfRange", program=name, point=x))
+        if model.serial_flag and m == 0:
+            out.append(Violation("SerialityFailure", program=name, point=x))
+    return out
+
+
+def _check_map(model: _MapModel, name: str, fn: tuple[Optional[int], ...]) -> list[Violation]:
+    """A dynamic-topological map must be total.  A subset-space map may be
+    partial but must be open, which is decided only when every value is in
+    range."""
+    partial = isinstance(model, SubsetModel)
+    out = []
+    for x, y in enumerate(fn):
+        if y is None:
+            if not partial:
+                out.append(Violation("TotalityFailure", program=name, point=x))
+        elif not 0 <= y < model.n:
+            out.append(Violation("ValueOutOfRange", program=name, point=x))
+    if partial and not out:
         from .frameprops import is_open_map
 
-        out = _check_valuation(model.val, model.n)
-        out += _check_alphabet(model.alphabet, model.pfn)
-        for name in model.alphabet:
-            fn = model.pfn.get(name)
-            if fn is None:
-                continue
-            if len(fn) != model.n:
-                out.append(Violation("BadLength", program=name))
-                continue
-            bad = False
-            for x, y in enumerate(fn):
-                if y is not None and not 0 <= y < model.n:
-                    out.append(Violation("ValueOutOfRange", program=name, point=x))
-                    bad = True
-            if bad:
-                continue
-            # partial maps must send opens to opens
-            report = is_open_map(model.space, fn)
-            if not report.holds:
-                out.append(
-                    Violation("OpennessFailure", program=name, subset=report.witness.open_set)
-                )
-        return out
-
-    raise TypeError(f"not a model: {model!r}")
+        report = is_open_map(model.space, fn)
+        if not report.holds:
+            out.append(Violation("OpennessFailure", program=name, subset=report.witness.open_set))
+    return out
 
 
 def validate_scenario(model: SubsetModel, s: Scenario) -> None:
@@ -216,9 +198,8 @@ def program_function(model: Union[DTModel, SubsetModel], prog: Program) -> tuple
     result = None
     for part in seq_steps(prog):
         if isinstance(part, Atomic):
-            table = model.fn if isinstance(model, DTModel) else model.pfn
             try:
-                fn = tuple(table[part.name])
+                fn = tuple(model.fn[part.name])
             except KeyError:
                 raise ValueError(f"unknown program {part.name!r}") from None
         elif isinstance(part, Test):
@@ -280,18 +261,11 @@ def model_to_json(model: Model) -> dict:
             },
             "valuation": _val_to_json(model.val),
         }
-    if isinstance(model, DTModel):
+    if isinstance(model, _MapModel):
         return {
-            "type": "dtl",
+            "type": "subset" if isinstance(model, SubsetModel) else "dtl",
             "space": model.space.to_json(),
             "programs": {name: {"map": list(model.fn[name])} for name in model.alphabet},
-            "valuation": _val_to_json(model.val),
-        }
-    if isinstance(model, SubsetModel):
-        return {
-            "type": "subset",
-            "space": model.space.to_json(),
-            "programs": {name: {"map": list(model.pfn[name])} for name in model.alphabet},
             "valuation": _val_to_json(model.val),
         }
     raise TypeError(f"not a model: {model!r}")
@@ -340,8 +314,6 @@ def model_from_json(obj: dict) -> Model:
         for name, fn in maps.items():
             if len(fn) != space.n:
                 raise ValueError(f"program {name!r} map has wrong length")
-        val = _val_from_json(obj.get("valuation", {}), space.n)
-        if kind == "dtl":
-            return DTModel(space=space, alphabet=alphabet, fn=maps, val=val)
-        return SubsetModel(space=space, alphabet=alphabet, pfn=maps, val=val)
+        cls = SubsetModel if kind == "subset" else DTModel
+        return cls(space, alphabet, maps, _val_from_json(obj.get("valuation", {}), space.n))
     raise ValueError(f"unknown model type: {kind!r}")

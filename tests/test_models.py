@@ -209,7 +209,7 @@ def test_subset_json_roundtrip(sierpinski):
     m = SubsetModel(sierpinski, ("a", "b"), {"a": (None, 1), "b": (1, 1)}, {"p": 0b10})
     again = model_from_json(model_to_json(m))
     assert isinstance(again, SubsetModel)
-    assert again.pfn == m.pfn
+    assert again.fn == m.fn
     assert again.space.opens == m.space.opens
 
 

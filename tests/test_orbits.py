@@ -19,7 +19,7 @@ import pytest
 from topodyn import checker, cli, harness
 from topodyn.formula import parse, program_names
 from topodyn.harness import _class_models, _serial_representatives
-from topodyn.models import PDLModel, SubsetModel
+from topodyn.models import PDLModel
 from topodyn.topology import (
     all_preorders,
     iter_points,
@@ -94,8 +94,7 @@ def block_key(block):
     """(tables of masks, program maps) of a block."""
     if isinstance(block, PDLModel):
         return tuple(block.rel[a] for a in block.alphabet), ()
-    table = block.pfn if isinstance(block, SubsetModel) else block.fn
-    return (block.space.min_nbhds,), tuple(tuple(table[a]) for a in block.alphabet)
+    return (block.space.min_nbhds,), tuple(tuple(block.fn[a]) for a in block.alphabet)
 
 
 def relabel(key, p):

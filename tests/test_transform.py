@@ -272,8 +272,8 @@ def test_network_space_json_is_a_valid_subset_model():
     # six points: two depth-0 networks then four depth-1 networks
     assert loaded.space.n == 6
     # the shift is undefined exactly on stratum 0
-    assert loaded.pfn["a"][0] is None and loaded.pfn["a"][1] is None
-    assert all(y is not None for y in loaded.pfn["a"][2:])
+    assert loaded.fn["a"][0] is None and loaded.fn["a"][1] is None
+    assert all(y is not None for y in loaded.fn["a"][2:])
 
 
 def test_network_space_json_strata_annotation():

@@ -79,8 +79,7 @@ def one_model_stream(model_class, n, progs, names):
 def key(model):
     if isinstance(model, PDLModel):
         return model.n, dict(model.rel), dict(model.val)
-    table = model.pfn if isinstance(model, SubsetModel) else model.fn
-    return model.space, dict(table), dict(model.val)
+    return model.space, dict(model.fn), dict(model.val)
 
 
 def failing_points(model, f):
