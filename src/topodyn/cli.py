@@ -127,12 +127,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     f = parse(args.formula)
     if isinstance(model, SubsetModel):
+        if args.at is not None:
+            raise ValueError("--at does not apply to subset-space models; use --scenario")
         if args.scenario is None:
             raise ValueError("subset-space evaluation needs --scenario x,u-index")
         s = _parse_scenario(model, args.scenario)
         truth = checker.eval_subset(model, f, s)
         _emit({"truth": truth, "scenario": s.to_json()})
         return 0 if truth else 1
+    if args.scenario is not None:
+        raise ValueError("--scenario applies only to subset-space models")
     if isinstance(model, PDLModel):
         ext = checker.eval_pdl_relational(model, f)
     else:

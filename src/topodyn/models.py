@@ -229,6 +229,13 @@ def _require(ok: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _field(obj: dict, key: str, owner: str) -> object:
+    """``obj[key]``, or a ValueError naming the missing field and its owner."""
+    if key not in obj:
+        raise ValueError(f"{owner} has no {key!r} field")
+    return obj[key]
+
+
 def _is_list_of(value: object, ok) -> bool:
     return isinstance(value, list) and all(ok(v) for v in value)
 
@@ -282,16 +289,17 @@ def model_from_json(obj: dict) -> Model:
     )
     alphabet = tuple(programs)  # document order, so round trips are exact
     if kind == "pdl":
-        n = obj["points"]
+        n = _field(obj, "points", "a pdl model")
         _require(_is_point(n) and n >= 0, "points must be a nonnegative integer")
         rel = {}
         for name, spec in programs.items():
+            edges = _field(spec, "rel", f"program {name!r}")
             _require(
-                _is_list_of(spec["rel"], _is_pair),
+                _is_list_of(edges, _is_pair),
                 f"program {name!r}: rel must be a list of [x, y] integer pairs",
             )
             succ = [0] * n
-            for x, y in spec["rel"]:
+            for x, y in edges:
                 if not (0 <= x < n and 0 <= y < n):
                     raise ValueError(f"edge ({x}, {y}) outside 0..{n - 1}")
                 succ[x] |= 1 << y
@@ -304,13 +312,15 @@ def model_from_json(obj: dict) -> Model:
             serial_flag=bool(obj.get("serial", False)),
         )
     if kind in ("dtl", "subset"):
-        space = TopoSpace.from_json(obj["space"])
+        space = TopoSpace.from_json(_field(obj, "space", f"a {kind} model"))
+        maps = {}
         for name, spec in programs.items():
+            fn = _field(spec, "map", f"program {name!r}")
             _require(
-                _is_list_of(spec["map"], lambda y: y is None or _is_point(y)),
+                _is_list_of(fn, lambda y: y is None or _is_point(y)),
                 f"program {name!r}: map entries must be integers or null",
             )
-        maps = {name: tuple(spec["map"]) for name, spec in programs.items()}
+            maps[name] = tuple(fn)
         for name, fn in maps.items():
             if len(fn) != space.n:
                 raise ValueError(f"program {name!r} map has wrong length")

@@ -251,6 +251,8 @@ class TopoSpace:
     def from_json(cls, obj: dict) -> "TopoSpace":
         if not isinstance(obj, dict):
             raise ValueError("a space must be a JSON object")
+        if "points" not in obj:
+            raise ValueError("a space has no 'points' field")
         n = obj["points"]
         if type(n) is not int or n < 0:
             raise ValueError("points must be a nonnegative integer")

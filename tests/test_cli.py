@@ -167,6 +167,16 @@ def test_eval_subset_scenario(capsys, subset_file):
     assert json.loads(out)["scenario"]["u"] == [0, 1]
 
 
+def test_eval_refuses_an_option_that_does_not_apply(capsys, subset_file, swap_file, pdl_file):
+    for argv, option in (
+        (["-m", subset_file, "-f", "p", "--scenario", "1,1", "--at", "0"], "--at"),
+        (["-m", swap_file, "-f", "q", "--scenario", "0,0"], "--scenario"),
+        (["-m", pdl_file, "-f", "one", "--scenario", "0,0", "--at", "0"], "--scenario"),
+    ):
+        code, out, err = run(capsys, ["eval", *argv])
+        assert code == 2 and out == "" and _one_line_error(err) and option in err
+
+
 def test_eval_subset_needs_scenario(capsys, subset_file):
     code, _, err = run(capsys, ["eval", "-m", subset_file, "-f", "p"])
     assert code == 2 and "--scenario" in err
@@ -578,6 +588,9 @@ def test_parse_prints_a_formula_at_the_nesting_cap(capsys):
     assert run(capsys, ["parse", "-f", "~" + text])[0] == 2
 
 
+_DROP = object()  # a field to leave out of the document
+
+
 @pytest.mark.parametrize("change, message", [
     ({"programs": {"a": 5}}, "programs"),
     ({"valuation": {"p": "x"}}, "valuation"),
@@ -586,8 +599,14 @@ def test_parse_prints_a_formula_at_the_nesting_cap(capsys):
     ({"valuation": {"p": [True]}}, "not an integer"),
     ({"space": {"points": 2, "opens": [[], [True], [0, 1]]}}, "not an integer"),
     ({"space": {"points": 2.0, "opens": [[], [1], [0, 1]]}}, "points"),
+    ({"programs": {"a": {"mpa": [1, 0]}}}, "program 'a' has no 'map' field"),
+    ({"type": "subset", "programs": {"a": {}}}, "program 'a' has no 'map' field"),
+    ({"space": _DROP}, "a dtl model has no 'space' field"),
+    ({"type": "subset", "space": _DROP}, "a subset model has no 'space' field"),
+    ({"space": {"opens": [[], [1], [0, 1]]}}, "a space has no 'points' field"),
 ], ids=["program", "valuation", "float-map", "bool-map", "bool-valuation", "bool-open",
-        "float-points"])
+        "float-points", "no-map", "subset-no-map", "no-space", "subset-no-space",
+        "no-space-points"])
 def test_malformed_models_exit_2(capsys, tmp_path, change, message):
     doc = {
         "type": "dtl",
@@ -596,21 +615,24 @@ def test_malformed_models_exit_2(capsys, tmp_path, change, message):
         "valuation": {"p": [1]},
     }
     doc.update(change)
+    doc = {key: value for key, value in doc.items() if value is not _DROP}
     path = write_json(tmp_path, "bad.json", doc)
     code, out, err = run(capsys, ["eval", "-m", path, "-f", "O[a] p"])
     assert code == 2 and out == "" and _one_line_error(err) and message in err
 
 
 def test_malformed_relational_model_exits_2(capsys, tmp_path):
-    for doc in (
-        {"type": "pdl", "points": 2, "programs": {"a": {"rel": [[0, True]]}}},
-        {"type": "pdl", "points": 2, "programs": {"a": {"rel": [[0, 1.0]]}}},
-        {"type": "pdl", "points": "2", "programs": {}},
-        [1, 2],
+    for doc, message in (
+        ({"type": "pdl", "points": 2, "programs": {"a": {"rel": [[0, True]]}}}, "rel must be"),
+        ({"type": "pdl", "points": 2, "programs": {"a": {"rel": [[0, 1.0]]}}}, "rel must be"),
+        ({"type": "pdl", "points": "2", "programs": {}}, "points must be"),
+        ([1, 2], "JSON object"),
+        ({"type": "pdl", "programs": {}}, "a pdl model has no 'points' field"),
+        ({"type": "pdl", "points": 2, "programs": {"a": {}}}, "program 'a' has no 'rel' field"),
     ):
         path = write_json(tmp_path, "bad.json", doc)
         code, _, err = run(capsys, ["eval", "-m", path, "-f", "top"])
-        assert code == 2 and _one_line_error(err)
+        assert code == 2 and _one_line_error(err) and message in err
 
 
 def _box_dist_with(step, key, value):
