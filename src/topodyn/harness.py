@@ -176,6 +176,7 @@ def gen_model(cfg: GenConfig, index: int = 0) -> Model:
     # stays open
     partial = model_class == "subset"
     cls = SubsetModel if partial else DTModel
+    opens = space.opens_sorted() if partial else None
     fn = {}
     for name in alphabet:
         if condition is None:
@@ -183,7 +184,7 @@ def gen_model(cfg: GenConfig, index: int = 0) -> Model:
         else:
             total = _gen_constrained_map(rng, space, condition, cfg.max_attempts)
         if partial:
-            dom = rng.choice(space.opens_sorted())
+            dom = rng.choice(opens)
             total = tuple(total[x] if dom >> x & 1 else None for x in range(n))
         fn[name] = total
     return cls(space, alphabet, fn, _gen_valuation(rng, n, cfg.atoms))
