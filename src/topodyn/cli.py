@@ -40,41 +40,73 @@ def _max_points() -> int:
 _ascii = json.encoder.encode_basestring_ascii
 
 
-def _dumps(o, pad: str = "\n") -> str:
-    """``json.dumps(o, indent=2, sort_keys=True)``, byte for byte.
+_INT = {int}
+_INT_OR_NULL = {int, type(None)}
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
 
     The stdlib runs its pure-Python chunk generator whenever ``indent`` is
-    set; this builds each container's text with one join.  ``pad`` is a
-    newline plus the indentation of the level ``o`` sits at.  Dict keys must
-    be strings, as in every document the CLI prints; any other key raises
-    TypeError.
+    set; this builds each container's text with one join.  A container the
+    document reaches more than once (the network documents of ``transform``
+    hold each network's dict in every parent) is encoded once per
+    indentation level and its text reused: the first reach only marks it
+    seen, so containers reached once are never cached.  The cache lives for
+    this call only, so a document changed between calls is encoded afresh.
+    Dict keys must be strings, as in every document the CLI prints; any
+    other key raises TypeError.
     """
-    if isinstance(o, str):
-        return _ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if type(o) is int:
-        return int.__repr__(o)
-    inner = pad + "  "
-    if isinstance(o, dict):
+    seen: set[int] = set()
+    texts: dict[tuple[int, str], str] = {}
+
+    def encode(o, pad: str) -> str:
+        # pad is a newline plus the indentation of the level o sits at
+        if isinstance(o, str):
+            return _ascii(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if type(o) is int:
+            return int.__repr__(o)
+        is_dict = isinstance(o, dict)
+        if not (is_dict or isinstance(o, (list, tuple))):
+            # floats, and the stdlib's TypeError for anything unserializable
+            return json.dumps(o)
         if not o:
-            return "{}"
-        return "{" + inner + ("," + inner).join([
-            _ascii(k) + ": " + _dumps(v, inner)
-            for k, v in sorted(o.items())
-        ]) + pad + "}"
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        if all(type(x) is int for x in o):
-            return "[" + inner + ("," + inner).join(map(int.__repr__, o)) + pad + "]"
-        return "[" + inner + ("," + inner).join([_dumps(x, inner) for x in o]) + pad + "]"
-    # floats, and the stdlib's TypeError for anything unserializable
-    return json.dumps(o)
+            return "{}" if is_dict else "[]"
+        key = id(o)
+        shared = key in seen
+        if shared:
+            text = texts.get((key, pad))
+            if text is not None:
+                return text
+        else:
+            seen.add(key)
+        inner = pad + "  "
+        sep = "," + inner
+        # each item list is a temporary of its join, and the text is formatted
+        # in one copy, so at most two copies of a large body are alive at once
+        if is_dict:
+            body = sep.join([_ascii(k) + ": " + encode(v, inner) for k, v in sorted(o.items())])
+            text = "{%s%s%s}" % (inner, body, pad)
+        else:
+            kinds = set(map(type, o))
+            if kinds == _INT:
+                body = sep.join(map(int.__repr__, o))
+            elif kinds <= _INT_OR_NULL:
+                body = sep.join(["null" if x is None else int.__repr__(x) for x in o])
+            else:
+                body = sep.join([encode(x, inner) for x in o])
+            text = "[%s%s%s]" % (inner, body, pad)
+        if shared:
+            texts[key, pad] = text
+        return text
+
+    return encode(doc, "\n")
 
 
 def _emit(obj: dict) -> None:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 from topodyn import topology
 from topodyn.cli import _dumps, build_parser, main
 from topodyn.formula import MAX_NESTING, parse
-from topodyn.models import model_from_json
-from topodyn.transform import build_network_space
+from topodyn.models import PDLModel, model_from_json
+from topodyn.transform import build_network_space, network_space_to_json
 
 
 def run(capsys, argv):
@@ -784,3 +785,68 @@ def test_dumps_rejects_what_the_stdlib_rejects():
             json.dumps(doc, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             _dumps(doc)
+
+
+_STDLIB = dict(indent=2, sort_keys=True)
+
+
+@st.composite
+def _documents_sharing_a_subdocument(draw):
+    """One drawn container placed at several depths of one document, so the
+    encoder meets the same object at different indentation levels."""
+    kids = st.recursive(_SCALARS, lambda k: st.lists(k) | st.dictionaries(st.text(), k),
+                        max_leaves=10)
+    shared = draw(st.lists(kids, min_size=1) | st.dictionaries(st.text(), kids, min_size=1))
+    places = []
+    for depth in draw(st.lists(st.integers(0, 4), min_size=2, max_size=5)):
+        node = shared
+        for _ in range(depth):
+            node = draw(st.sampled_from([
+                lambda x: [x], lambda x: (0, x), lambda x: {"k": x, "j": None},
+            ]))(node)
+        places.append(node)
+    return draw(st.sampled_from([list, lambda xs: {str(i): x for i, x in enumerate(xs)}]))(places)
+
+
+@settings(max_examples=100)
+@given(_documents_sharing_a_subdocument())
+def test_dumps_matches_the_stdlib_on_shared_subdocuments(doc):
+    assert _dumps(doc) == json.dumps(doc, **_STDLIB)
+
+
+@pytest.fixture(scope="module")
+def network_document():
+    """The transform document of a 3-point, two-program total model at depth 2:
+    every network dict is held by each of its parents, about 1.35 MB encoded."""
+    total = PDLModel(3, ("a", "b"), {"a": (0b111,) * 3, "b": (0b111,) * 3}, {"p": 0b001},
+                     serial_flag=True)
+    return network_space_to_json(build_network_space(total, 2))
+
+
+def test_dumps_matches_the_stdlib_on_a_network_document(network_document):
+    # a bool, so that a failure does not make pytest diff two 1.35 MB texts
+    same = _dumps(network_document) == json.dumps(network_document, **_STDLIB)
+    assert same
+
+
+def test_dumps_keeps_no_text_between_calls():
+    shared = {"x": 1, "y": [None, 2]}
+    doc = {"a": shared, "b": [shared, {"c": shared}], "d": [[shared]]}
+    first = _dumps(doc)
+    assert first == json.dumps(doc, **_STDLIB)
+    shared["x"] = {"z": [3, None]}
+    second = _dumps(doc)
+    assert second != first and second == json.dumps(doc, **_STDLIB)
+
+
+def test_dumps_peak_memory_stays_near_twice_its_output(network_document):
+    # texts are cached only for containers met a second time; caching every
+    # container's text would hold several copies of the document at once
+    size = len(_dumps(network_document))
+    tracemalloc.start()
+    try:
+        _dumps(network_document)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * size, f"peak {peak} bytes for {size} bytes of output"
