@@ -140,6 +140,8 @@ def _parse_scenario(model: SubsetModel, text: str) -> Scenario:
         x, u_index = int(x_str), int(u_str)
     except ValueError:
         raise ValueError("scenario must look like 'x,u-index'") from None
+    if not 0 <= x < model.space.n:
+        raise ValueError(f"point {x} out of range")
     opens = model.space.opens_sorted()
     if not 0 <= u_index < len(opens):
         raise ValueError(f"open-set index {u_index} out of range (0..{len(opens) - 1})")

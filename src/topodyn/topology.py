@@ -7,9 +7,12 @@ else: ``TopoSpace(n, table)`` takes one mask per point and checks, in
 O(sum of the entries' sizes), that the table is the up-sets of a preorder,
 the exact condition for its unions to be a topology with this table as its
 minimal neighbourhoods.  Interior, closure and openness read the table; the
-opens, the unions of its entries, are listed in O(n * |opens|) only when
-something asks for them.  Only ``from_opens`` takes a family of opens, and
-only it checks one.
+opens, the unions of its entries, are listed only when something asks for
+them, as up-sets built one class of equivalent points at a time: each open is
+produced exactly once, with no set to look it up in, in O(classes * |opens|)
+integer operations.  The canonical order (by size, then by mask) is two
+stable C-level sorts.  Only ``from_opens`` takes a family of opens, and only
+it checks one.
 
 A table with one mask per point (minimal neighbourhoods, or a relation's
 successor sets) is relabelled by a permutation p of the points: entry x moves
@@ -55,21 +58,28 @@ def iter_points(mask: int) -> Iterator[int]:
 
 
 def _unions(table: Sequence[int]) -> frozenset[int]:
-    """Every union of table entries, the empty one included."""
-    found = {0}
-    todo = [0]
-    while todo:
-        o = todo.pop()
-        for t in table:
-            u = o | t
-            if u not in found:
-                found.add(u)
-                todo.append(u)
-    return frozenset(found)
+    """Every union of table entries, the empty one included: the up-sets of
+    the table's preorder, each produced once.
+
+    The distinct entries are taken by increasing size, so when entry t comes
+    up, the points strictly above its class (``t & done``) are already placed
+    and its class (``t & ~done``) is minimal among the points placed so far.
+    The opens listed so far therefore stay up-sets, and the new ones are
+    exactly the old ones that hold all of ``above``, with the class added.
+    """
+    opens = [0]
+    done = 0
+    for t in sorted(set(table), key=int.bit_count):
+        cls, above = t & ~done, t & done
+        opens += [o | cls for o in opens if o & above == above]
+        done |= t
+    return frozenset(opens)
 
 
-def _canonical_key(o: int) -> tuple[int, int]:
-    return o.bit_count(), o
+def _canonical(masks: Iterable[int]) -> list[int]:
+    """Canonical order: by cardinality, then by mask, i.e. the key
+    ``(bit_count, mask)``, as two stable sorts with no Python-level key."""
+    return sorted(sorted(masks), key=int.bit_count)
 
 
 def _missing(op: str, a: int, b: int, c: int) -> str:
@@ -216,10 +226,11 @@ class TopoSpace:
         return m
 
     def opens_sorted(self) -> list[int]:
-        """Canonical listing: by cardinality, then lexicographic on elements.
-        The order is computed once per space; each call returns a new list."""
+        """Canonical listing: by cardinality, then by mask (colexicographic on
+        elements).  The order is computed once per space; each call returns a
+        new list."""
         if self._sorted_opens is None:
-            object.__setattr__(self, "_sorted_opens", tuple(sorted(self.opens, key=_canonical_key)))
+            object.__setattr__(self, "_sorted_opens", tuple(_canonical(self.opens)))
         return list(self._sorted_opens)
 
     @property
@@ -227,7 +238,7 @@ class TopoSpace:
         """The distinct minimal neighbourhoods, the least basis of the
         topology, in canonical order (computed once per space)."""
         if self._basis is None:
-            object.__setattr__(self, "_basis", tuple(sorted(set(self.min_nbhds), key=_canonical_key)))
+            object.__setattr__(self, "_basis", tuple(_canonical(set(self.min_nbhds))))
         return self._basis
 
     def specialization(self) -> list[tuple[int, int]]:

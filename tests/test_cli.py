@@ -185,6 +185,13 @@ def test_eval_subset_needs_scenario(capsys, subset_file):
     assert code == 2 and "out of range" in err
 
 
+def test_eval_scenario_point_out_of_range(capsys, subset_file):
+    for scenario in ("-1,1", "2,1"):
+        code, out, err = run(capsys, ["eval", "-m", subset_file, "-f", "p", f"--scenario={scenario}"])
+        point = scenario.split(",")[0]
+        assert code == 2 and out == "" and err == f"error: point {point} out of range\n"
+
+
 # --- frame ------------------------------------------------------------------------
 
 
@@ -318,6 +325,13 @@ def test_announce_failed_precondition(capsys, subset_file):
     assert code == 0
     payload = json.loads(out)
     assert payload["precondition_holds"] is False and payload["updated"] is None
+
+
+def test_announce_scenario_point_out_of_range(capsys, subset_file):
+    code, out, err = run(capsys, [
+        "announce", "-m", subset_file, "--phi", "p", "--psi", "K p", "--scenario=-1,2",
+    ])
+    assert code == 2 and out == "" and err == "error: point -1 out of range\n"
 
 
 def test_announce_fragment_violation(capsys, subset_file):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from topodyn.topology import (
     TopoSpace,
+    _unions,
     all_functions,
     all_preorders,
     all_topologies,
@@ -37,6 +38,21 @@ def closure_under_pairwise_ops(n: int, masks) -> frozenset[int]:
         if extra <= fam:
             return frozenset(fam)
         fam |= extra
+
+
+def union_closure(table) -> frozenset[int]:
+    """Every union of table entries, by closing {0} under adding one entry
+    at a time: each union is reached and looked up once per entry."""
+    found = {0}
+    todo = [0]
+    while todo:
+        o = todo.pop()
+        for t in table:
+            u = o | t
+            if u not in found:
+                found.add(u)
+                todo.append(u)
+    return frozenset(found)
 
 
 def interior_by_scan(space: TopoSpace, a: int) -> int:
@@ -298,6 +314,55 @@ def test_minimal_basis_is_the_distinct_entries_in_canonical_order():
         for space in all_topologies(n):
             entries = {space.min_nbhd(x) for x in range(n)}
             assert list(space.minimal_basis) == [u for u in space.opens_sorted() if u in entries]
+
+
+# --- listing the opens ------------------------------------------------------------
+
+
+def _assert_listing_matches_oracle(space):
+    assert _unions(space.min_nbhds) == union_closure(space.min_nbhds)
+    assert type(space.opens) is frozenset
+    assert space.opens_sorted() == sorted(space.opens, key=lambda o: (o.bit_count(), o))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_unions_match_union_closure_on_every_small_topology(n):
+    for space in all_topologies(n):
+        _assert_listing_matches_oracle(space)
+
+
+@st.composite
+def spaces_with_equivalent_points(draw):
+    """A preorder on classes, each class an indiscrete block of 1-3 points
+    placed at drawn positions, taken once or as two disjoint copies: at most
+    12 points, often with equivalent points."""
+    copies = draw(st.integers(1, 2))
+    cap = 12 // copies
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=cap))
+    while sum(sizes) > cap:
+        sizes.pop()
+    k = len(sizes)
+    pairs = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=16))
+    above = TopoSpace.from_preorder(k, _close_to_preorder(k, pairs)).min_nbhds
+    block = [c for c, size in enumerate(sizes) for _ in range(size)]
+    m = len(block)
+    order = draw(st.permutations(range(copies * m)))
+    # point order[copy * m + i] lies in class block[i] of that copy
+    placed = [(x, *divmod(j, m)) for j, x in enumerate(order)]
+    members = [[0] * k for _ in range(copies)]
+    for x, copy, i in placed:
+        members[copy][block[i]] |= 1 << x
+    table = [0] * (copies * m)
+    for x, copy, i in placed:
+        for c in iter_points(above[block[i]]):
+            table[x] |= members[copy][c]
+    return TopoSpace(copies * m, table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spaces_with_equivalent_points())
+def test_unions_match_union_closure_with_equivalent_points(space):
+    _assert_listing_matches_oracle(space)
 
 
 def test_json_roundtrip():
