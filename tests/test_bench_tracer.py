@@ -24,6 +24,9 @@ def _load_tracing():
 
 
 def test_tracer_wraps_the_search_and_unpatches():
+    # the search filters a space's maps once per process; start with none
+    # filtered, so the count below does not depend on the tests run before
+    harness._class_maps.cache_clear()
     tracing = _load_tracing()
     search, eval_dtl = harness.search_countermodel, checker.eval_dtl
     tracer = tracing.Tracer()

@@ -1,12 +1,14 @@
-"""One space (and one first relation) per isomorphism class.
+"""One space (and one first relation) per isomorphism class, and one tuple
+of program maps per orbit under the space's homeomorphisms.
 
 The orbit–stabilizer sum checks the representative lists: the orbit of a
 table T on n points has n!/|Aut(T)| members, so pairwise non-isomorphic
 representatives whose orbit sizes add up to the labelled count cover every
-labelled table exactly once.  The search runs over the representatives'
-blocks alone; the labelled blocks and the one-model search over every
-labelled model, kept in test_valuations.py, are the reference for its blocks
-and its output.
+labelled table exactly once.  Burnside's lemma checks the kept map tuples
+the same way.  The search runs over the representatives' kept blocks
+alone; the labelled blocks and the one-model search over every labelled
+model, kept in test_valuations.py, are the reference for its blocks and its
+output.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ import pytest
 
 from topodyn import checker, cli, harness
 from topodyn.formula import parse, program_names
+from topodyn.frameprops import is_continuous, is_open_map
 from topodyn.harness import _class_models, _serial_representatives
 from topodyn.models import PDLModel
 from topodyn.topology import (
@@ -105,7 +108,10 @@ def relabel(key, p):
 @pytest.mark.parametrize("model_class, n, progs", [
     *((c, 3, ("a",)) for c in harness.MODEL_CLASSES),
     ("pdl_serial", 2, ("a", "b")),
+    ("dtl", 2, ("a", "b")),
     ("dtl_open", 2, ("a", "b")),
+    ("dtl_continuous", 2, ("a", "b")),
+    ("subset", 2, ("a", "b")),
 ])
 def test_reduced_blocks_cover_the_labelled_ones(model_class, n, progs):
     """The searched blocks are labelled blocks, in the labelled order, and
@@ -118,6 +124,82 @@ def test_reduced_blocks_cover_the_labelled_ones(model_class, n, progs):
     perms = list(itertools.permutations(range(n)))
     for k in labelled:
         assert any(relabel(k, p) in kept for p in perms), k
+
+
+# --- program maps up to the homeomorphisms of their space -------------------------
+
+
+CONDITIONS = {"dtl": None, "dtl_open": is_open_map, "dtl_continuous": is_continuous,
+              "subset": is_open_map}
+
+
+def homeomorphisms(space):
+    table = space.min_nbhds
+    return [p for p in itertools.permutations(range(space.n)) if relabel_masks(table, p) == table]
+
+
+def class_maps(space, model_class):
+    n = space.n
+    values = [None, *range(n)] if model_class == "subset" else range(n)
+    condition = CONDITIONS[model_class]
+    return [fn for fn in itertools.product(values, repeat=n)
+            if condition is None or condition(space, fn).holds]
+
+
+def product_key(fn):
+    """A map's place in product order, no image first."""
+    return tuple(-1 if y is None else y for y in fn)
+
+
+@pytest.mark.parametrize("model_class", list(CONDITIONS))
+@pytest.mark.parametrize("progs, sizes", [(("a",), (1, 2, 3, 4)), (("a", "b"), (1, 2, 3))])
+def test_kept_tuples_are_one_per_orbit(model_class, progs, sizes):
+    """Per space, the kept tuples of k maps number the orbits of its
+    homeomorphism group G on k-tuples, (1/|G|) sum_p |Fix(p)|^k by
+    Burnside's lemma; on up to 3 points, each is also the least of its
+    conjugates, so each orbit is kept exactly once, by its first tuple."""
+    for n in sizes:
+        blocks = list(_class_models(model_class, n, progs))
+        for space in representative_topologies(n):
+            group = homeomorphisms(space)
+            maps = class_maps(space, model_class)
+            fixed = sum(sum(1 for fn in maps if relabel_map(fn, p) == fn) ** len(progs)
+                        for p in group)
+            kept = [tuple(b.fn[a] for a in progs) for b in blocks if b.space == space]
+            assert fixed % len(group) == 0 and len(kept) == fixed // len(group)
+            if n > 3:
+                continue
+            for chosen in kept:
+                own = [product_key(fn) for fn in chosen]
+                for p in group:
+                    assert own <= [product_key(relabel_map(fn, p)) for fn in chosen]
+
+
+def test_one_program_dtl_on_four_points():
+    assert len(representative_topologies(4)) * 4**4 == 8448
+    assert sum(1 for _ in _class_models("dtl", 4, ("a",))) == 4041
+
+
+@pytest.mark.parametrize("model_class, text", [
+    ("dtl_open", "box O[a] p -> O[a] box p"),
+    ("dtl_continuous", "O[a] box p -> box O[a] p"),
+    ("subset", "O[a] K p -> K O[a] p"),
+])
+def test_a_second_search_filters_no_map(monkeypatch, model_class, text):
+    """A space's maps are filtered once per process: the same refute, run
+    again in-process, makes no map-condition call and prints the same bytes."""
+    harness._class_maps.cache_clear()
+    calls = []
+    for name in ("is_open_map", "is_continuous"):
+        decide = getattr(harness, name)
+        monkeypatch.setattr(harness, name,
+                            lambda space, fn, decide=decide: calls.append(fn) or decide(space, fn))
+    argv = ["refute", "-f", text, "--bound", "3", "--model-class", model_class]
+    first = refute(argv)
+    made = len(calls)
+    assert made > 0
+    assert refute(argv) == first
+    assert len(calls) == made
 
 
 # --- the reduced search against the labelled one ---------------------------------
