@@ -108,8 +108,8 @@ def relabel(key, p):
 @pytest.mark.parametrize("model_class, n, progs", [
     *((c, 3, ("a",)) for c in harness.MODEL_CLASSES),
     ("pdl_serial", 2, ("a", "b")),
-    ("dtl", 2, ("a", "b")),
     ("dtl_open", 2, ("a", "b")),
+    ("dtl", 2, ("a", "b")),
     ("dtl_continuous", 2, ("a", "b")),
     ("subset", 2, ("a", "b")),
 ])
