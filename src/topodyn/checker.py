@@ -17,21 +17,26 @@ the closure (dually, interior) of the preimage of the body's extension.
 
 Subset-space: truth sits at scenarios (x, U).  Knowledge quantifies over U,
 interior is taken in the ambient space, and ``O[prog]`` moves the whole
-scenario along a partial open map.  Extensions are memoized per (node id,
-open) pair, which keeps batch sweeps linear.
+scenario along a partial open map.  ``SubsetEvaluator`` reads one open at a
+time, as the context; ``ScenarioJudge`` reads every open at once, with none.
 
 Valuation-parallel: ``failures`` judges a model's space and programs under a
 whole chunk of valuations in one evaluation.  Bit ``x * width + v`` of a mask
 holds the truth at point x under valuation v of the chunk, so the connectives
 stay bitwise and each modality works on per-point slices of ``width`` bits.
-``least_failure`` reads the least failing valuation and point off them.
+On subset-space models a slice holds W columns of V valuations, one per open
+in ``opens_sorted`` order: bit ``(x * W + j) * V + v`` holds the truth at
+(x, opens[j]).  K ORs the slices and copies the result to every point with
+one multiplication, and ``O[prog]`` reads column j at the column of the
+image of opens[j], which is open since the map is.  ``least_failure`` reads
+the least failing valuation and point off the masks.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache, reduce
 from itertools import repeat
-from operator import or_
+from operator import lshift, or_
 from typing import Iterator, Optional, Sequence
 
 from .formula import (
@@ -62,6 +67,7 @@ from .formula import (
     compile,
     fold,
     format_formula,
+    format_program,
     in_language,
     kinds,
     seq_steps,
@@ -77,7 +83,7 @@ from .models import (
     program_function,
     validate_scenario,
 )
-from .topology import iter_points
+from .topology import iter_points, points_from_mask
 
 _PROGRAMS = (Atomic, Seq, Test)
 
@@ -380,18 +386,22 @@ def _members(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(iter_points(m)) for m in range(1 << n))
 
 
-def valuation_chunks(n: int, names: Sequence[str]) -> Iterator[tuple[int, int, dict[str, int]]]:
+def valuation_chunks(
+    n: int, names: Sequence[str], columns: int = 1
+) -> Iterator[tuple[int, int, dict[str, int]]]:
     """(first valuation, width, atom masks) for each chunk of the valuations
     of names on n points, in order.
 
     Valuations are numbered as ``itertools.product(range(2**n),
     repeat=len(names))`` lists them: number v gives atom j the mask
     ``v >> n * (len(names) - 1 - j) & (2**n - 1)``.  A chunk holds ``width``
-    consecutive valuations, at most ``2**CHUNK_BITS``, and an atom's mask sets
-    bit ``x * width + v`` when the atom holds at x under valuation start + v.
+    consecutive valuations, at most ``2**CHUNK_BITS // columns`` as a power of
+    two (and at least 1), so a mask of that many columns per point stays
+    within ``n * 2**CHUNK_BITS`` bits.  An atom's mask sets bit
+    ``x * width + v`` when the atom holds at x under valuation start + v.
     """
     bits = n * len(names)
-    width = 1 << min(bits, CHUNK_BITS)
+    width = 1 << max(0, min(bits, CHUNK_BITS - (columns - 1).bit_length()))
     for start in range(0, 1 << bits, width):
         yield start, width, _atom_masks(n, tuple(names), width, start)
 
@@ -489,33 +499,70 @@ class _ParallelDynamicTopological(_Parallel, _DynamicTopological):
     pass
 
 
-class _ParallelSubset(_Parallel, SubsetEvaluator):
-    """The context is the open U, and ``full(U)`` every slice of U's points."""
+class ScenarioJudge(_Parallel, SubsetEvaluator):
+    """Every scenario of a subset-space model at once, in the layout of the
+    module docstring.  Without ``atoms`` it judges the model's own valuation
+    (V = 1).  Build one per model, or per block and chunk, and judge every
+    formula on it: each atom and program is read once."""
 
-    def __init__(self, model: SubsetModel, atoms: dict[str, int], width: int):
-        super().__init__(model, atoms, width)
-        self._full: dict[int, int] = {}
+    shifts = frozenset()
 
-    def full(self, u: int) -> int:
-        got = self._full.get(u)
-        if got is None:
-            got = self._full[u] = sum(self.ones << self.offsets[x] for x in self.members[u])
-        return got
+    def __init__(self, model: SubsetModel, atoms: Optional[dict[str, int]] = None, width: int = 1):
+        self.own, self.width, self.block = atoms is None, width, (1 << width) - 1
+        self.opens = opens = model.space.opens_sorted()
+        self.column = {u: j for j, u in enumerate(opens)}
+        super().__init__(model, {}, len(opens) * width)
+        copies = sum(1 << j * width for j in range(len(opens)))  # a block to every column
+        self.spread = sum(1 << o for o in self.offsets)  # a slice to every point
+        # per point, the columns of the opens that hold it
+        inside = [sum(self.block << j * width for j, u in enumerate(opens) if u >> x & 1)
+                  for x in range(model.n)]
+        self.all = sum(map(lshift, inside, self.offsets))
+        self.atoms = {  # an atom's slice at x, in every column of an open that holds x
+            a: sum(((m >> x * width & self.block) * copies & inside[x]) << o
+                   for x, o in enumerate(self.offsets))
+            for a, m in (model.val if self.own else atoms).items()
+        }
 
-    def atom(self, node: Node, u: int) -> int:
-        return self.atoms.get(node.name, 0) & self.full(u)
+    def full(self, c: int) -> int:
+        return self.all
 
-    def interpret(self, prog: Program) -> tuple[Optional[int], ...]:
-        if any(type(part) is Test for part in seq_steps(prog)):
+    def interpret(self, prog: Program) -> tuple[tuple[Optional[int], ...], list[tuple[int, int]]]:
+        """The map, and per open j the shifts of its image's column and of j."""
+        if not self.own and any(type(part) is Test for part in seq_steps(prog)):
             raise ValueError("a test program depends on the valuation; judge one model at a time")
-        return super().interpret(prog)
+        fn = super().interpret(prog)
+        moves = []
+        for j, u in enumerate(self.opens):
+            k = self.column.get(image(fn, u))
+            if k is None:
+                raise ValueError(f"program {format_program(prog)} maps the open "
+                                 f"{points_from_mask(u)} onto a set that is not open")
+            moves.append((k * self.width, j * self.width))
+        return fn, moves
 
-    def modal(self, node: Node, body: int, u: int) -> int:
+    def modal(self, node: Node, body: int, c: int) -> int:
         cls = type(node)
-        if cls is Know or cls is KHat:  # every (some) point of U, read at each point of U
-            spread = self.every if cls is Know else self.some
-            return spread((u,) * self.model.n, body) & self.full(u)
-        return super().modal(node, body, u)
+        if cls is Know or cls is KHat:  # every (some) point of the open, at each of its points
+            some = reduce(or_, self.slices(self.all & ~body if cls is Know else body), 0)
+            spread = some * self.spread & self.all
+            return self.all & ~spread if cls is Know else spread
+        if cls is not Next:
+            return super().modal(node, body, c)
+        fn, moves = self.program(node.prog)
+        s, block = self.slices(body), self.block  # column j read at its image's column k
+        return self.all & sum(sum([(s[y] >> k & block) << j for k, j in moves]) << o
+                              for o, y in zip(self.offsets, fn) if y is not None)
+
+    def witness(self, f: Formula) -> Optional[Scenario]:
+        """The first open, in ``opens_sorted`` order, where f fails, with its
+        least failing point; None when f holds at every scenario."""
+        slices = self.slices(self.all & ~evaluate(f, self))
+        failing = reduce(or_, slices, 0)  # bit j: f fails somewhere in opens[j]
+        if not failing:
+            return None
+        j = (failing & -failing).bit_length() - 1
+        return Scenario(next(x for x, t in enumerate(slices) if t >> j & 1), self.opens[j])
 
 
 def failures(model: Model, f: Formula, atoms: dict[str, int], width: int) -> int:
@@ -525,13 +572,11 @@ def failures(model: Model, f: Formula, atoms: dict[str, int], width: int) -> int
     scenario (x, U).  The model's own valuation is ignored.  On subset-space
     models test programs are refused, since their images depend on the
     valuation."""
-    if isinstance(model, SubsetModel):
-        sem = _ParallelSubset(model, atoms, width)
-        memo: dict = {}
-        bad = 0
-        for u in model.space.opens:
-            bad |= sem.full(u) & ~evaluate(f, sem, u, memo)
-        return bad
+    if isinstance(model, SubsetModel):  # each point's columns ORed
+        sem = ScenarioJudge(model, atoms, width)
+        bad, cols = sem.slices(sem.all & ~evaluate(f, sem)), range(0, len(sem.opens) * width, width)
+        return sum((reduce(or_, [t >> c for c in cols]) & sem.block) << x * width
+                   for x, t in enumerate(bad))
     cls = _ParallelRelational if isinstance(model, PDLModel) else _ParallelDynamicTopological
     sem = cls(model, atoms, width)
     return sem.all & ~evaluate(f, sem)
@@ -542,7 +587,8 @@ def least_failure(model: Model, f: Formula, names: Sequence[str]) -> Optional[tu
     under which f fails on the model's space and programs, with the least
     point where it fails; None when f holds under all of them."""
     n = model.n
-    for start, width, atoms in valuation_chunks(n, names):
+    columns = len(model.space.opens) if isinstance(model, SubsetModel) else 1
+    for start, width, atoms in valuation_chunks(n, names, columns):
         bad = failures(model, f, atoms, width)
         if bad:  # bit v of the points' slices ORed: f fails under valuation v
             ones = (1 << width) - 1

@@ -352,15 +352,13 @@ class AuditReport:
         return out
 
 
-def _global_failure(model: Model, inst: Formula) -> Union[None, int, Scenario]:
-    """None when the instance holds everywhere; otherwise a witness."""
+def _global_failure(
+    model: Model, inst: Formula, judge: Optional[checker.ScenarioJudge] = None
+) -> Union[None, int, Scenario]:
+    """None when the instance holds everywhere; otherwise a witness.  On a
+    subset-space model, ``judge`` may be one already built for it."""
     if isinstance(model, SubsetModel):
-        ev = checker.SubsetEvaluator(model)
-        for u in model.space.opens_sorted():
-            got = ev.extension(inst, u)
-            if got != u:
-                return Scenario(next(iter_points(u & ~got)), u)
-        return None
+        return (judge or checker.ScenarioJudge(model)).witness(inst)
     if isinstance(model, PDLModel):
         ext = checker.eval_pdl_relational(model, inst)
     else:
@@ -395,6 +393,7 @@ def audit(
     violations: list[AuditViolation] = []
     for trial in range(trials):
         model = gen_model(run_cfg, trial)
+        judge = checker.ScenarioJudge(model) if isinstance(model, SubsetModel) else None
         rng = _derived_rng(cfg.seed, trial, 0x5EED)
         allow_tests = model_class == "subset"
         for name, template in scheme_list:
@@ -422,7 +421,7 @@ def audit(
                 else:
                     inst = instantiate_scheme(template, fmap, pmap)
                 checked += 1
-                witness = _global_failure(model, inst)
+                witness = _global_failure(model, inst, judge)
                 if witness is not None:
                     violations.append(
                         AuditViolation(

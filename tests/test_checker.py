@@ -5,6 +5,8 @@ preimage for the relational reading, closure/interior of preimages for the
 dynamic-topological one, and relativized extensions for subset spaces.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from topodyn import checker
@@ -16,9 +18,11 @@ from topodyn.checker import (
     state_extension,
     translate_pdl,
 )
-from topodyn.formula import FragmentViolation, Know, Language, Node, parse, substitute
+from topodyn.formula import (
+    FragmentViolation, Know, Language, Node, atoms, format_formula, parse, substitute,
+)
 from topodyn.harness import GenConfig, gen_formula, gen_model, _derived_rng
-from topodyn.models import DTModel, PDLModel, Scenario, SubsetModel
+from topodyn.models import DTModel, PDLModel, Scenario, SubsetModel, validate
 from topodyn.topology import TopoSpace, all_topologies, full_mask, iter_points
 
 
@@ -333,3 +337,88 @@ def test_each_distinct_program_is_interpreted_once(monkeypatch, kind, text):
         monkeypatch.setattr(Node, "__eq__", lambda a, b: compared.append(a) or eq(a, b))
         checker.evaluate(parse(text), cls(model))
         assert compared == []
+
+
+# --- every scenario at once --------------------------------------------------------
+
+JUDGED = ("K p", "Khat q", "box p", "dia q", "O[a;b] p", "O[?(box p)] q", "O[?(p)] K q",
+          "O[a] K p -> K O[a] p", "Khat O[b] dia p", "K (p | O[a] ~q)")
+
+
+def columns(judge, mask, width=1, v=0):
+    """Per open, in ``opens_sorted`` order, the points where mask's bit v is set."""
+    cols = len(judge.opens)
+    return [sum((mask >> (x * cols + j) * width + v & 1) << x for x in range(judge.model.n))
+            for j in range(cols)]
+
+
+def test_judge_columns_are_the_per_open_extensions():
+    """Each column of the judge is ``SubsetEvaluator.extension`` at its open,
+    on generated models of up to 6 points with partial maps."""
+    rng = _derived_rng(61, 0)
+    partial = 0
+    for i in range(200):
+        model = gen_model(GenConfig(seed=61, max_points=6, model_class="subset"), i)
+        partial += any(None in fn for fn in model.fn.values())
+        judge, ev = checker.ScenarioJudge(model), SubsetEvaluator(model)
+        formulas = [parse(t) for t in JUDGED] + [
+            gen_formula(rng, ("p", "q"), model.alphabet, 3, 5, Language.K_BOX_NEXT, True, True)
+            for _ in range(5)
+        ]
+        for f in formulas:
+            want = [ev.extension(f, u) for u in judge.opens]
+            assert columns(judge, checker.evaluate(f, judge)) == want, (i, format_formula(f))
+    assert partial > 50
+
+
+def test_judge_columns_under_a_chunk_of_valuations():
+    """Column j under valuation v is the per-open extension on the model
+    with valuation v."""
+    for i in range(20):
+        model = gen_model(GenConfig(seed=62, max_points=3, model_class="subset"), i)
+        for f in [parse(t) for t in JUDGED if "?" not in t]:
+            names = sorted(atoms(f))
+            for start, width, masks in checker.valuation_chunks(model.n, names):
+                judge = checker.ScenarioJudge(model, masks, width)
+                ext = checker.evaluate(f, judge)
+                for v in range(width):
+                    one = replace(model, val=checker.valuation(names, model.n, start + v))
+                    want = [SubsetEvaluator(one).extension(f, u) for u in judge.opens]
+                    assert columns(judge, ext, width, v) == want
+
+
+def test_judge_refuses_a_map_that_is_not_open():
+    # {1} is open, its image {0} is not
+    model = SubsetModel(TopoSpace(2, (0b11, 0b10)), ("a",), {"a": (1, 0)}, {"p": 0b01})
+    assert [v.kind for v in validate(model)] == ["OpennessFailure"]
+    judge = checker.ScenarioJudge(model)
+    assert checker.evaluate(parse("K p | ~K p"), judge) == judge.all  # the map is not read
+    for run in (lambda f: judge.witness(f),
+                lambda f: checker.failures(model, f, {"p": 0b01}, 1)):
+        with pytest.raises(ValueError) as info:
+            run(parse("O[a] p"))
+        message = str(info.value)
+        assert message.startswith("program a ") and message.endswith("not open")
+        assert "\n" not in message
+
+
+def test_subset_chunks_keep_masks_within_the_bound(monkeypatch):
+    """A subset chunk holds at most 2**CHUNK_BITS / W valuations, W the number
+    of opens, so every mask stays within n * 2**CHUNK_BITS bits."""
+    space = TopoSpace.discrete(4)  # 16 opens, 256 valuations per chunk
+    names = ["p", "q", "r"]
+    assert [w for _, w, _ in checker.valuation_chunks(4, names, 16)] == [256] * 16
+    assert next(checker.valuation_chunks(4, names, 5))[1] == 512
+    assert next(checker.valuation_chunks(4, names, 5000))[1] == 1
+    built = []
+
+    class Recording(checker.ScenarioJudge):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append((self.width, self.all.bit_length()))
+
+    monkeypatch.setattr(checker, "ScenarioJudge", Recording)
+    model = SubsetModel(space, ("a",), {"a": (1, 0, 3, None)}, {})
+    f = parse("K (p | q | r) & O[a] top -> Khat r | p | q | O[a] ~K p | O[a] p")
+    assert checker.least_failure(model, f, names) is None
+    assert built == [(256, 4 << checker.CHUNK_BITS)] * 16

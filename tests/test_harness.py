@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from topodyn.checker import eval_dtl, eval_pdl_relational, eval_subset
+from topodyn.checker import SubsetEvaluator, eval_dtl, eval_pdl_relational, eval_subset
 from topodyn.formula import Language, in_language, modal_depth, parse
 from topodyn.frameprops import is_continuous, is_open_map, is_serial
 from topodyn.harness import (
@@ -16,6 +16,7 @@ from topodyn.harness import (
     gen_model,
     search_countermodel,
     _derived_rng,
+    _global_failure,
 )
 from topodyn.models import (
     DTModel,
@@ -26,6 +27,7 @@ from topodyn.models import (
     model_to_json,
     validate,
 )
+from topodyn.topology import iter_points
 
 
 # --- generation --------------------------------------------------------------------
@@ -244,3 +246,30 @@ def test_search_is_deterministic():
     one = search_countermodel(f, bound=3, model_class="dtl")
     two = search_countermodel(f, bound=3, model_class="dtl")
     assert model_to_json(one[0]) == model_to_json(two[0]) and one[1] == two[1]
+
+
+def reference_subset_witness(model, f):
+    """The witness the audit reports, one open at a time: the first open in
+    ``opens_sorted`` order where f fails, with its least failing point."""
+    ev = SubsetEvaluator(model)
+    for u in model.space.opens_sorted():
+        got = ev.extension(f, u)
+        if got != u:
+            return Scenario(next(iter_points(u & ~got)), u)
+    return None
+
+
+@pytest.mark.parametrize("text", ["p -> K p", "Khat p -> O[a] p", "dia p -> K dia p",
+                                  "O[a] Khat p -> box q"])
+def test_subset_witness_matches_the_per_open_scan(text):
+    f = parse(text)
+    failing = 0
+    for i in range(120):
+        model = gen_model(GenConfig(seed=71, max_points=6, num_programs=1,
+                                    model_class="subset"), i)
+        if model.n < 4:
+            continue
+        want = reference_subset_witness(model, f)
+        assert _global_failure(model, f) == want, i
+        failing += want is not None
+    assert failing >= 20
