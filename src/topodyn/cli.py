@@ -113,9 +113,19 @@ def _emit(obj: dict) -> None:
     print(_dumps(obj))
 
 
-def _load_model(path: str):
+def _read_json(path: str):
+    """The JSON document in a file.  The decoder recurses once per nesting
+    level, so a document nested past the interpreter's recursion limit is
+    an input error, not a crash."""
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
+def _load_model(path: str):
+    obj = _read_json(path)
     # cap the declared size before anything is built from it; malformed
     # shapes are left to model_from_json's errors
     n = None
@@ -260,9 +270,7 @@ def _cmd_announce(args: argparse.Namespace) -> int:
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
-    with open(args.derivation, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    derivation = proofkit.derivation_from_json(obj)
+    derivation = proofkit.derivation_from_json(_read_json(args.derivation))
     result = proofkit.check_derivation(derivation)
     _emit(result.to_json())
     return 0 if result.ok else 1

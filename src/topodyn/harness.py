@@ -14,7 +14,6 @@ import random
 import time
 from dataclasses import dataclass, replace
 from functools import cache
-from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import checker
@@ -59,8 +58,10 @@ from .proofkit import get_system, instantiate_scheme
 from .topology import (
     TopoSpace,
     all_topologies,  # unused: perfbench/tracing.py wraps it under this module's name
+    first_of_orbits,
+    inverse,
     iter_points,
-    orbit_representatives,
+    relabellings,
     representative_topologies,
 )
 
@@ -448,13 +449,6 @@ def audit(
 
 
 @cache
-def _serial_representatives(n: int) -> tuple[tuple[int, ...], ...]:
-    """One serial successor table per isomorphism class on n points, the
-    first of each class in ``itertools.product`` order."""
-    return tuple(orbit_representatives(n, itertools.product(range(1, 1 << n), repeat=n)))
-
-
-@cache
 def _all_maps(n: int, partial: bool) -> tuple[tuple[Optional[int], ...], ...]:
     """Every map on n points in ``itertools.product`` order; a partial map
     has None where it has no image, and None comes first.  Built once per
@@ -463,76 +457,49 @@ def _all_maps(n: int, partial: bool) -> tuple[tuple[Optional[int], ...], ...]:
 
 
 @cache
-def _automorphisms(space: TopoSpace) -> tuple[tuple[int, ...], ...]:
-    """The homeomorphisms of the space onto itself, identity first: the
-    permutations p of the points with ``table[p[x]] == p(table[x])``."""
-    table = space.min_nbhds
-    return tuple(
-        p for p in itertools.permutations(range(space.n))
-        if all(table[p[x]] == sum(1 << p[y] for y in iter_points(m)) for x, m in enumerate(table))
-    )
+def _class_maps(
+    model_class: str, n: int, space: Optional[TopoSpace]
+) -> tuple[Sequence, Sequence, Sequence]:
+    """(maps, firsts, moves) for the programs of a block on n points: the
+    maps a program may have, in product order; those that no move sends to
+    an earlier one; and the moves of the block's group on them.  On
+    ``pdl_serial`` (no space) the maps are the serial successor tables and
+    the group is every relabelling.  Otherwise the maps are the space's maps
+    of the class, references into ``_all_maps`` filtered once per space and
+    class, and the group is the space's homeomorphisms: the permutations p
+    with ``table[p[x]] == p(table[x])``, which keep a map open, continuous
+    or partial open, so they permute the maps."""
+    if space is None:
+        maps: Sequence = tuple(itertools.product(range(1, 1 << n), repeat=n))
+        moves = relabellings(n)
+    else:
+        maps = _all_maps(n, model_class == "subset")
+        condition = _map_condition(model_class)
+        if condition is not None:
+            maps = tuple(fn for fn in maps if condition(space, fn).holds)
+        table = space.min_nbhds
+        moves = tuple(
+            ({None: None, **dict(enumerate(p))}, inverse(p))
+            for p in itertools.permutations(range(n))
+            if all(table[p[x]] == sum(1 << p[y] for y in iter_points(m)) for x, m in enumerate(table))
+        )
+    if len(moves) == 1:
+        return maps, maps, moves
+    return maps, tuple(first_of_orbits(maps, moves)), moves
 
 
-def _moves(group: Sequence[tuple[int, ...]], n: int, partial: bool) -> list[tuple[Callable, list]]:
-    """One (digit, weights) pair per permutation p of the group, with which
-    ``sum(map(mul, map(digit, f), weights))`` is the position in
-    ``_all_maps(n, partial)`` of the conjugate ``g[p[x]] = p[f[x]]`` of a
-    map f: g's entries read as digits (None as 0 and y as y + 1 on partial
-    maps), most significant first."""
-    base = n + 1 if partial else n
-    out = []
-    for p in group:
-        digit = {None: 0, **{y: p[y] + 1 for y in range(n)}} if partial else p
-        out.append((digit.__getitem__, [base ** (n - 1 - p[x]) for x in range(n)]))
-    return out
-
-
-def _orbit_firsts(maps: Sequence, moves: list) -> tuple:
-    """The maps that no move sends to an earlier map.  maps come in product
-    order and hold each map's conjugates with it, so the first of each orbit
-    is met before the rest, whose positions it marks."""
-    ident, weights = moves[0]
-    seen: set[int] = set()
-    firsts = []
-    for f in maps:
-        if sum(map(mul, map(ident, f), weights)) not in seen:
-            firsts.append(f)
-            seen.update(sum(map(mul, map(digit, f), w)) for digit, w in moves)
-    return tuple(firsts)
-
-
-@cache
-def _class_maps(space: TopoSpace, model_class: str) -> tuple[Sequence, Sequence]:
-    """(maps, firsts): the space's program maps of the class, in product
-    order, and those that no homeomorphism of the space sends to an earlier
-    one.  A homeomorphism keeps a map open, continuous or partial open, so
-    it permutes the maps.  Both are references into ``_all_maps``, filtered
-    once per space and class."""
-    partial = model_class == "subset"
-    maps = _all_maps(space.n, partial)
-    condition = _map_condition(model_class)
-    if condition is not None:
-        maps = tuple(fn for fn in maps if condition(space, fn).holds)
-    group = _automorphisms(space)
-    if len(group) == 1:
-        return maps, maps
-    return maps, _orbit_firsts(maps, _moves(group, space.n, partial))
-
-
-def _first_tuples(maps: Sequence, firsts: Sequence, moves: list, k: int) -> Iterator[tuple]:
+def _first_tuples(maps: Sequence, firsts: Sequence, moves: Sequence, k: int) -> Iterator[tuple]:
     """Every k-tuple of maps, in product order, that no move sends to an
     earlier tuple; firsts are the single maps no move sends to an earlier
     one.  Those are the tuples whose first map is in firsts and whose rest
     is such a tuple under the first map's stabilizer: a move that does not
     fix the first map sends it, and so the tuple, later."""
-    if k == 1 or len(moves) <= 1:
+    if k == 1 or len(moves) == 1:
         yield from itertools.product(firsts, *[maps] * (k - 1))
         return
-    ident, weights = moves[0]
     for first in firsts:
-        own = sum(map(mul, map(ident, first), weights))
-        fixing = [m for m in moves if sum(map(mul, map(m[0], first), m[1])) == own]
-        rest_firsts = _orbit_firsts(maps, fixing) if len(fixing) > 1 else maps
+        fixing = [(act, inv) for act, inv in moves if tuple([act[first[x]] for x in inv]) == first]
+        rest_firsts = tuple(first_of_orbits(maps, fixing)) if len(fixing) > 1 else maps
         for rest in _first_tuples(maps, rest_firsts, fixing, k - 1):
             yield (first, *rest)
 
@@ -540,36 +507,28 @@ def _first_tuples(maps: Sequence, firsts: Sequence, moves: list, k: int) -> Iter
 def _class_models(model_class: str, n: int, progs: tuple[str, ...]) -> Iterator[Model]:
     """The (space, program maps) blocks the search judges on n points, as
     models of the class over progs with an empty valuation, in a fixed
-    order: one topology per homeomorphism class (on ``pdl_serial``, one
-    relation of the first program per isomorphism class, the others ranging
-    over all relations), each the first of its class in the labelled order,
-    then the tuples of program maps that come first in their orbit under the
-    space's homeomorphism group, in product order.  A homeomorphism p
-    carries a tuple to its conjugate ``g[p[x]] = p[f[x]]``, map by map, and
-    the model to an isomorphic one.  With no programs a block is just the
-    space, and no map is enumerated.  Every labelled block is a relabelling
-    of one of these, with the points of its valuations relabelled alike."""
-    if model_class == "pdl_serial":
-        if not progs:
-            yield PDLModel(n=n, alphabet=progs, rel={}, val={}, serial_flag=True)
-            return
-        successors = list(itertools.product(range(1, 1 << n), repeat=n))
-        for first in _serial_representatives(n):
-            for rest in itertools.product(successors, repeat=len(progs) - 1):
-                rel = dict(zip(progs, (first, *rest)))
-                yield PDLModel(n=n, alphabet=progs, rel=rel, val={}, serial_flag=True)
-        return
-
-    partial = model_class == "subset"
-    cls = SubsetModel if partial else DTModel
-    for space in representative_topologies(n):
-        if not progs:
-            yield cls(space, progs, {}, {})
-            continue
-        maps, firsts = _class_maps(space, model_class)
-        moves = _moves(_automorphisms(space), n, partial) if len(progs) > 1 else []
-        for chosen in _first_tuples(maps, firsts, moves, len(progs)):
-            yield cls(space, progs, dict(zip(progs, chosen)), {})
+    order: one topology per homeomorphism class, each the first of its
+    class in the labelled order, then the tuples of program maps that come
+    first in their orbit under the space's homeomorphism group, in product
+    order.  ``pdl_serial`` is one more such class, with no space, the serial
+    successor tables as its maps and every relabelling as its group.  A
+    group member p carries a tuple to its conjugate ``g[p[x]] = p[f[x]]``
+    (on a successor table, entry x's points mapped by p and moved to p[x]),
+    map by map, and the model to an isomorphic one; the first map is
+    reduced under the whole group and the rest under its stabilizer.  With
+    no programs a block is just the space, and no map is enumerated.  Every
+    labelled block is a relabelling of one of these, with the points of its
+    valuations relabelled alike."""
+    serial = model_class == "pdl_serial"
+    cls = SubsetModel if model_class == "subset" else DTModel
+    for space in (None,) if serial else representative_topologies(n):
+        tuples = _first_tuples(*_class_maps(model_class, n, space), len(progs)) if progs else [()]
+        for chosen in tuples:
+            maps = dict(zip(progs, chosen))
+            if serial:
+                yield PDLModel(n=n, alphabet=progs, rel=maps, val={}, serial_flag=True)
+            else:
+                yield cls(space, progs, maps, {})
 
 
 def search_countermodel(
@@ -586,12 +545,14 @@ def search_countermodel(
     labelled order's first countermodel.  The same holds within a space: a
     homeomorphism conjugates a tuple of maps, with the valuation relabelled
     alike, and keeps its verdict, so the first failing tuple in product
-    order is the first of its orbit, one that ``_class_models`` keeps.  A
-    space's kept maps are filtered and reduced once per process, on the
-    search that first reaches it.  ``checker.least_failure`` judges a
-    block's valuations a chunk at a time; a subset-space formula with a test
-    program is judged one model at a time, since its image steps depend on
-    the valuation.  ``_global_failure`` picks the witness."""
+    order is the first of its orbit, one that ``_class_models`` keeps; on
+    ``pdl_serial`` the same argument runs over tuples of relations under
+    every relabelling.  The kept maps of a space, or the kept relations on
+    n points, are found once per process, on the search that first reaches
+    them.  ``checker.least_failure`` judges a block's valuations a chunk at
+    a time; a subset-space formula with a test program is judged one model
+    at a time, since its image steps depend on the valuation.
+    ``_global_failure`` picks the witness."""
     if model_class not in MODEL_CLASSES:
         raise ValueError(f"unknown model class {model_class!r}")
     # atoms() compiles f; every evaluation below reuses the array cached on f

@@ -14,11 +14,16 @@ integer operations.  The canonical order (by size, then by mask) is two
 stable C-level sorts.  Only ``from_opens`` takes a family of opens, and only
 it checks one.
 
-A table with one mask per point (minimal neighbourhoods, or a relation's
-successor sets) is relabelled by a permutation p of the points: entry x moves
-to p[x] and its points are mapped by p.  ``orbit_representatives`` keeps one
-table of each isomorphism class, and ``representative_topologies`` one space
-of each homeomorphism class.
+Isomorphism classes are searched with one routine, ``first_of_orbits``: of
+the items given (tables, or tuples of program maps) it keeps, in order, each
+one that no move sends to an earlier kept one.  A move ``(act, inverse)``
+stands for a permutation p of the points and sends a tuple t to
+``tuple(act[t[x]] for x in inverse)``: entry x moves to p[x], and its value
+is acted on by p.  On a table with one mask per point (minimal
+neighbourhoods, or a relation's successor sets) act maps each mask to its
+points' images, and ``relabellings`` gives a move for every p; on a program
+map act maps each point to its image and fixes None.
+``representative_topologies`` keeps one space of each homeomorphism class.
 """
 
 from __future__ import annotations
@@ -321,27 +326,39 @@ def all_topologies(n: int) -> Iterator[TopoSpace]:
         yield TopoSpace(n, up)
 
 
-def orbit_representatives(
-    n: int, tables: Iterable[tuple[int, ...]]
-) -> Iterator[tuple[int, ...]]:
-    """The first of the given tables in each isomorphism class, in order:
-    each table met is kept unless a relabelling of an earlier kept one."""
-    moves = []  # per permutation p: the image of every mask, and p's inverse
-    for p in itertools.permutations(range(n)):
-        image = tuple(sum(1 << p[x] for x in iter_points(m)) for m in range(1 << n))
-        moves.append((image, sorted(range(n), key=p.__getitem__)))
-    seen: set[tuple[int, ...]] = set()
-    for table in tables:
-        if table not in seen:
-            yield table
-            seen.update(tuple([image[table[x]] for x in inverse]) for image, inverse in moves)
+Move = tuple[Sequence, Sequence[int]]
+
+
+def inverse(p: Sequence[int]) -> list[int]:
+    """The inverse of the permutation p of 0..len(p)-1."""
+    return sorted(range(len(p)), key=p.__getitem__)
+
+
+def relabellings(n: int) -> tuple[Move, ...]:
+    """One move on tables of masks per permutation of n points, in
+    ``itertools.permutations`` order, so the identity comes first."""
+    return tuple(
+        (tuple(sum(1 << p[x] for x in iter_points(m)) for m in range(1 << n)), inverse(p))
+        for p in itertools.permutations(range(n))
+    )
+
+
+def first_of_orbits(items: Iterable[tuple], moves: Sequence[Move]) -> Iterator[tuple]:
+    """The items, in order, that no move sends an earlier kept item to.
+    When the moves form a group and the items hold every image of each, that
+    is the first item of each orbit."""
+    seen: set[tuple] = set()
+    for t in items:
+        if t not in seen:
+            yield t
+            seen.update(tuple([act[t[x]] for x in inv]) for act, inv in moves)
 
 
 @cache
 def representative_topologies(n: int) -> tuple[TopoSpace, ...]:
     """One topology per homeomorphism class on n points: the first of each
     class in ``all_topologies`` order.  Built on first use and kept."""
-    return tuple(TopoSpace(n, up) for up in orbit_representatives(n, all_preorders(n)))
+    return tuple(TopoSpace(n, up) for up in first_of_orbits(all_preorders(n), relabellings(n)))
 
 
 def all_functions(n: int) -> Iterator[tuple[int, ...]]:

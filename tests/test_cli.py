@@ -28,9 +28,15 @@ def run(capsys, argv):
 
 
 def write_json(tmp_path, name, obj):
+    """A str is written as the file's text as it is, so it may be a document
+    json.dumps could not write."""
     path = tmp_path / name
-    path.write_text(json.dumps(obj), encoding="utf-8")
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj), encoding="utf-8")
     return str(path)
+
+
+# past the decoder's recursion limit, so reading it raises RecursionError
+_DEEP = 100_000
 
 
 @pytest.fixture()
@@ -619,21 +625,31 @@ _DROP = object()  # a field to leave out of the document
     ({"space": _DROP}, "a dtl model has no 'space' field"),
     ({"type": "subset", "space": _DROP}, "a subset model has no 'space' field"),
     ({"space": {"opens": [[], [1], [0, 1]]}}, "a space has no 'points' field"),
+    ("[" * _DEEP, "nested too deeply"),
+    ('{"type": "dtl", "space": ' + "[" * _DEEP + "]" * _DEEP + "}", "nested too deeply"),
 ], ids=["program", "valuation", "float-map", "bool-map", "bool-valuation", "bool-open",
         "float-points", "no-map", "subset-no-map", "no-space", "subset-no-space",
-        "no-space-points"])
+        "no-space-points", "nested-lists", "nested-space"])
 def test_malformed_models_exit_2(capsys, tmp_path, change, message):
-    doc = {
-        "type": "dtl",
-        "space": {"points": 2, "opens": [[], [1], [0, 1]]},
-        "programs": {"a": {"map": [1, 0]}},
-        "valuation": {"p": [1]},
-    }
-    doc.update(change)
-    doc = {key: value for key, value in doc.items() if value is not _DROP}
+    """A str change is the file's whole text.  Every command that reads a
+    model gives the same one-line error."""
+    if isinstance(change, str):
+        doc = change
+    else:
+        doc = {
+            "type": "dtl",
+            "space": {"points": 2, "opens": [[], [1], [0, 1]]},
+            "programs": {"a": {"map": [1, 0]}},
+            "valuation": {"p": [1]},
+        }
+        doc.update(change)
+        doc = {key: value for key, value in doc.items() if value is not _DROP}
     path = write_json(tmp_path, "bad.json", doc)
-    code, out, err = run(capsys, ["eval", "-m", path, "-f", "O[a] p"])
-    assert code == 2 and out == "" and _one_line_error(err) and message in err
+    for argv in (["eval", "-m", path, "-f", "O[a] p"],
+                 ["transform", "-m", path, "--depth", "1"],
+                 ["announce", "-m", path, "--phi", "p", "--psi", "p", "--scenario", "0,0"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and _one_line_error(err) and message in err
 
 
 def test_malformed_relational_model_exits_2(capsys, tmp_path):
@@ -672,10 +688,12 @@ def _box_dist_with(step, key, value):
     _box_dist_with(2, "by", {"nec": {"mod": "a", "from": "1"}}),
     _box_dist_with(2, "by", {"nec": {"mod": 5, "from": 1}}),
     _box_dist_with(2, "by", {"mon": {"prog": "a", "from": 1.0}}),
+    '{"system": "SPDL0", "steps": ' + "[" * _DEEP + "]" * _DEEP + "}",
 ], ids=["list", "no-system", "steps-int", "step-int", "system-list", "formula-int", "by-int",
         "axiom-int", "mp-int", "mp-bool-float", "mp-three", "nec-int", "nec-from-str",
-        "nec-mod-int", "mon-from-float"])
+        "nec-mod-int", "mon-from-float", "nested-steps"])
 def test_prove_malformed_derivations_exit_2(capsys, tmp_path, doc):
+    """A str doc is the file's whole text."""
     path = write_json(tmp_path, "bad.json", doc)
     code, out, err = run(capsys, ["prove", "-d", path])
     assert code == 2 and out == "" and _one_line_error(err)

@@ -1,14 +1,15 @@
-"""One space (and one first relation) per isomorphism class, and one tuple
-of program maps per orbit under the space's homeomorphisms.
+"""One space per isomorphism class, and one tuple of program maps per orbit
+under the space's homeomorphisms; on ``pdl_serial``, which has no space,
+one tuple of serial relations per orbit under every relabelling.  One
+routine, ``topology.first_of_orbits``, keeps all of them.
 
 The orbit–stabilizer sum checks the representative lists: the orbit of a
 table T on n points has n!/|Aut(T)| members, so pairwise non-isomorphic
 representatives whose orbit sizes add up to the labelled count cover every
-labelled table exactly once.  Burnside's lemma checks the kept map tuples
-the same way.  The search runs over the representatives' kept blocks
-alone; the labelled blocks and the one-model search over every labelled
-model, kept in test_valuations.py, are the reference for its blocks and its
-output.
+labelled table exactly once.  Burnside's lemma checks the kept tuples the
+same way.  The search runs over the representatives' kept blocks alone; the
+labelled blocks and the one-model search over every labelled model, kept in
+test_valuations.py, are the reference for its blocks and its output.
 """
 
 import contextlib
@@ -21,12 +22,13 @@ import pytest
 from topodyn import checker, cli, harness
 from topodyn.formula import parse, program_names
 from topodyn.frameprops import is_continuous, is_open_map
-from topodyn.harness import _class_models, _serial_representatives
+from topodyn.harness import _class_models
 from topodyn.models import PDLModel
 from topodyn.topology import (
     all_preorders,
+    first_of_orbits,
     iter_points,
-    orbit_representatives,
+    relabellings as mask_moves,
     representative_topologies,
 )
 
@@ -77,20 +79,25 @@ def test_topology_representatives(n, count, labelled):
     assert representative_topologies(n) is spaces  # built once
 
 
+def serial_tables(n):
+    return list(itertools.product(range(1, 1 << n), repeat=n))
+
+
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 6), (3, 70), (4, 2340)])
 def test_serial_representatives(n, count):
-    reps = _serial_representatives(n)
+    labelled = serial_tables(n)
+    reps = list(first_of_orbits(labelled, mask_moves(n)))
     assert len(reps) == count
-    labelled = list(itertools.product(range(1, 1 << n), repeat=n))
     assert len(labelled) == ((1 << n) - 1) ** n
     check_orbits(reps, labelled)
+    assert [b.rel["a"] for b in _class_models("pdl_serial", n, ("a",))] == reps
 
 
 def test_orbit_representatives_keeps_the_first_met():
     # the discrete table, the three relabellings of "point x reaches every
     # point" on 3 points, and the indiscrete table
     tables = [(1, 2, 4), (7, 2, 4), (1, 7, 4), (1, 2, 7), (7, 7, 7)]
-    assert list(orbit_representatives(3, tables)) == [(1, 2, 4), (7, 2, 4), (7, 7, 7)]
+    assert list(first_of_orbits(tables, mask_moves(3))) == [(1, 2, 4), (7, 2, 4), (7, 7, 7)]
 
 
 def block_key(block):
@@ -146,33 +153,59 @@ def class_maps(space, model_class):
             if condition is None or condition(space, fn).holds]
 
 
+def acting_groups(model_class, n):
+    """(space, group, maps, relabel) for each space the search uses on n
+    points: a representative space, its homeomorphisms, its maps of the
+    class and the conjugation of a map; on pdl_serial, no space, every
+    relabelling, the serial tables and the relabelling of a table."""
+    if model_class == "pdl_serial":
+        yield None, list(itertools.permutations(range(n))), serial_tables(n), relabel_masks
+        return
+    for space in representative_topologies(n):
+        yield space, homeomorphisms(space), class_maps(space, model_class), relabel_map
+
+
+def chosen_maps(block, progs):
+    maps = block.rel if isinstance(block, PDLModel) else block.fn
+    return tuple(maps[a] for a in progs)
+
+
 def product_key(fn):
     """A map's place in product order, no image first."""
     return tuple(-1 if y is None else y for y in fn)
 
 
-@pytest.mark.parametrize("model_class", list(CONDITIONS))
+@pytest.mark.parametrize("model_class", [*CONDITIONS, "pdl_serial"])
 @pytest.mark.parametrize("progs, sizes", [(("a",), (1, 2, 3, 4)), (("a", "b"), (1, 2, 3))])
 def test_kept_tuples_are_one_per_orbit(model_class, progs, sizes):
     """Per space, the kept tuples of k maps number the orbits of its
     homeomorphism group G on k-tuples, (1/|G|) sum_p |Fix(p)|^k by
     Burnside's lemma; on up to 3 points, each is also the least of its
-    conjugates, so each orbit is kept exactly once, by its first tuple."""
+    conjugates, so each orbit is kept exactly once, by its first tuple.
+    On pdl_serial G is every relabelling and the maps are serial tables, on
+    up to 3 points: test_serial_representatives covers the 50625 tables on
+    4 points."""
     for n in sizes:
+        if model_class == "pdl_serial" and n > 3:
+            continue
         blocks = list(_class_models(model_class, n, progs))
-        for space in representative_topologies(n):
-            group = homeomorphisms(space)
-            maps = class_maps(space, model_class)
-            fixed = sum(sum(1 for fn in maps if relabel_map(fn, p) == fn) ** len(progs)
+        for space, group, maps, relabel in acting_groups(model_class, n):
+            fixed = sum(sum(1 for fn in maps if relabel(fn, p) == fn) ** len(progs)
                         for p in group)
-            kept = [tuple(b.fn[a] for a in progs) for b in blocks if b.space == space]
+            kept = [chosen_maps(b, progs) for b in blocks if getattr(b, "space", None) == space]
             assert fixed % len(group) == 0 and len(kept) == fixed // len(group)
             if n > 3:
                 continue
             for chosen in kept:
                 own = [product_key(fn) for fn in chosen]
                 for p in group:
-                    assert own <= [product_key(relabel_map(fn, p)) for fn in chosen]
+                    assert own <= [product_key(relabel(fn, p)) for fn in chosen]
+
+
+def test_two_serial_programs_on_three_points():
+    """Burnside's count (7^6 + 3 * 21^2 + 2 * 7^2) / 6 of the 343^2 pairs."""
+    assert (117649 + 3 * 21**2 + 2 * 7**2) // 6 == 19845
+    assert sum(1 for _ in _class_models("pdl_serial", 3, ("a", "b"))) == 19845
 
 
 def test_one_program_dtl_on_four_points():
