@@ -13,7 +13,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import checker
@@ -37,8 +37,8 @@ from .formula import (
     Or,
     Program,
     Seq,
+    TOP,
     Test,
-    Top,
     atoms as formula_atoms,
     format_formula,
     kinds,
@@ -231,61 +231,67 @@ def gen_formula(
     allow_seq: bool = True,
     allow_tests: bool = False,
 ) -> Formula:
-    """Grammar-stratified sampler; modal depth never exceeds modal_budget."""
-    return _Sampler(rng, atom_names, programs, lang, allow_seq, allow_tests).formula(
-        modal_budget, size_budget
-    )
+    """Grammar-stratified sampler; modal depth never exceeds modal_budget.
+    Draws from the cached grammar of its names, language and options."""
+    grammar = _grammar(tuple(atom_names), tuple(programs), lang, allow_seq, allow_tests)
+    return grammar.formula(rng, modal_budget, size_budget)
 
 
-class _Sampler:
+@lru_cache(maxsize=64)
+def _grammar(atom_names, programs, lang, allow_seq, allow_tests) -> _Grammar:
+    return _Grammar(atom_names, programs, lang, allow_seq, allow_tests)
+
+
+class _Grammar:
     """gen_formula's recursion: kinds, atoms and programs are drawn from rng in
-    a fixed order, so one seed gives one stream of formulas."""
+    a fixed order, so one seed gives one stream of formulas.  Built once per
+    configuration; its leaves are shared nodes, one per name, so every
+    formula drawn from it holds the same leaf objects."""
 
-    def __init__(self, rng, atom_names, programs, lang, allow_seq, allow_tests):
-        self.rng = rng
-        self.atom_names = atom_names
-        self.programs = programs
-        self.lang = lang
+    def __init__(self, atom_names, programs, lang, allow_seq, allow_tests):
         self.tables = _KIND_TABLES[lang]
-        self.has_programs = len(programs) > 0
         self.allow_seq = allow_seq
-        self.allow_tests = allow_tests
+        self.allow_tests = allow_tests and lang is not Language.PDL
+        # test bodies are drawn from the box/next grammar, with its leaves
+        self.tests = self
+        if self.allow_tests and lang is not Language.BOX_NEXT:
+            self.tests = _grammar(atom_names, programs, Language.BOX_NEXT, allow_seq, True)
+            self.atoms, self.programs = self.tests.atoms, self.tests.programs
+        else:
+            leaves = {a: Atom(a) for a in atom_names}
+            self.atoms = tuple(leaves[a] for a in atom_names)
+            steps = {p: Atomic(p) for p in programs}
+            self.programs = tuple(steps[p] for p in programs)
 
-    def leaf(self) -> Formula:
-        return Top() if self.rng.random() < 0.08 else Atom(self.rng.choice(self.atom_names))
+    def leaf(self, rng: random.Random) -> Formula:
+        return TOP if rng.random() < 0.08 else rng.choice(self.atoms)
 
-    def formula(self, modal_budget: int, size_budget: int) -> Formula:
-        rng = self.rng
+    def formula(self, rng: random.Random, modal_budget: int, size_budget: int) -> Formula:
         if size_budget <= 0 or (rng.random() < 0.18 and size_budget < 4):
-            return self.leaf()
+            return self.leaf(rng)
         # the draw random.choices(kinds, weights) makes, from a precomputed table
-        kinds, cum, total = self.tables[modal_budget >= 1 and self.has_programs]
+        kinds, cum, total = self.tables[modal_budget >= 1 and bool(self.programs)]
         kind = kinds[bisect.bisect(cum, rng.random() * total, 0, len(cum) - 1)]
         if kind is Atom:
-            return self.leaf()
+            return self.leaf(rng)
         if kind in _BINARY:
-            left = self.formula(modal_budget, size_budget - 1)
-            return kind(left, self.formula(modal_budget, size_budget - 1))
+            left = self.formula(rng, modal_budget, size_budget - 1)
+            return kind(left, self.formula(rng, modal_budget, size_budget - 1))
         if kind not in MODAL:
-            return kind(self.formula(modal_budget, size_budget - 1))
-        prog, cost = self.program(modal_budget, size_budget)
-        return kind(prog, self.formula(modal_budget - cost, size_budget - 1))
+            return kind(self.formula(rng, modal_budget, size_budget - 1))
+        prog, cost = self.program(rng, modal_budget, size_budget)
+        return kind(prog, self.formula(rng, modal_budget - cost, size_budget - 1))
 
-    def program(self, modal_budget: int, size_budget: int) -> tuple[Program, int]:
-        rng, programs = self.rng, self.programs
-        if self.allow_seq and modal_budget >= 2 and self.has_programs and rng.random() < 0.25:
-            return Seq(Atomic(rng.choice(programs)), Atomic(rng.choice(programs))), 2
-        if (
-            self.allow_tests
-            and self.lang is not Language.PDL
-            and modal_budget >= 1
-            and rng.random() < 0.15
-        ):
-            body = _Sampler(
-                rng, self.atom_names, programs, Language.BOX_NEXT, self.allow_seq, self.allow_tests
-            ).formula(modal_budget - 1, size_budget // 2)
+    def program(
+        self, rng: random.Random, modal_budget: int, size_budget: int
+    ) -> tuple[Program, int]:
+        programs = self.programs
+        if self.allow_seq and modal_budget >= 2 and programs and rng.random() < 0.25:
+            return Seq(rng.choice(programs), rng.choice(programs)), 2
+        if self.allow_tests and modal_budget >= 1 and rng.random() < 0.15:
+            body = self.tests.formula(rng, modal_budget - 1, size_budget // 2)
             return Test(body), max(modal_depth(body), 1)
-        return Atomic(rng.choice(programs)), 1
+        return rng.choice(programs), 1
 
 
 # --- audits ---------------------------------------------------------------------
@@ -353,14 +359,25 @@ class AuditReport:
         return out
 
 
+def _judge(model: Model) -> checker._Semantics:
+    """One semantics for every instance judged on the model, so that each
+    atom and program is read once per model, not once per instance."""
+    if isinstance(model, SubsetModel):
+        return checker.ScenarioJudge(model)
+    relational = isinstance(model, PDLModel)
+    return (checker._Relational if relational else checker._DynamicTopological)(model)
+
+
 def _global_failure(
-    model: Model, inst: Formula, judge: Optional[checker.ScenarioJudge] = None
+    model: Model, inst: Formula, judge: Optional[checker._Semantics] = None
 ) -> Union[None, int, Scenario]:
-    """None when the instance holds everywhere; otherwise a witness.  On a
-    subset-space model, ``judge`` may be one already built for it."""
+    """None when the instance holds everywhere; otherwise a witness.
+    ``judge`` may be the model's ``_judge``, built once for many instances."""
     if isinstance(model, SubsetModel):
         return (judge or checker.ScenarioJudge(model)).witness(inst)
-    if isinstance(model, PDLModel):
+    if judge is not None:
+        ext = checker.evaluate(inst, judge)
+    elif isinstance(model, PDLModel):
         ext = checker.eval_pdl_relational(model, inst)
     else:
         ext = checker.eval_dtl(model, inst)
@@ -376,7 +393,8 @@ def audit(
     schemes: Optional[Iterable[str]] = None,
 ) -> AuditReport:
     """Instantiate each scheme with random formulas on generated models and
-    collect global-truth failures."""
+    collect global-truth failures.  Each model's instances are judged on one
+    ``_judge`` of it."""
     system = get_system(system_name)
     model_class = cfg.model_class or _DEFAULT_CLASS[system.name]
     if not 1 <= cfg.num_programs <= len(_PROGRAM_NAMES):
@@ -394,9 +412,12 @@ def audit(
     violations: list[AuditViolation] = []
     for trial in range(trials):
         model = gen_model(run_cfg, trial)
-        judge = checker.ScenarioJudge(model) if isinstance(model, SubsetModel) else None
+        judge = _judge(model)
         rng = _derived_rng(cfg.seed, trial, 0x5EED)
+        allow_seq = isinstance(model, (PDLModel, DTModel))
         allow_tests = model_class == "subset"
+        # the grammar gen_formula draws from; pmap draws its program leaves
+        grammar = _grammar(tuple(cfg.atoms), tuple(model.alphabet), lang, allow_seq, allow_tests)
         for name, template in scheme_list:
             for _ in range(instances):
                 fmap = {
@@ -407,15 +428,12 @@ def audit(
                         modal_budget=3,
                         size_budget=4,
                         lang=lang,
-                        allow_seq=isinstance(model, (PDLModel, DTModel)),
+                        allow_seq=allow_seq,
                         allow_tests=allow_tests,
                     )
                     for v in ("p", "q", "r")
                 }
-                pmap = {
-                    v: Atomic(rng.choice(model.alphabet))
-                    for v in ("pi", "pi1", "pi2")
-                }
+                pmap = {v: rng.choice(grammar.programs) for v in ("pi", "pi1", "pi2")}
                 if template is None:
                     base = rng.choice(_CPL_TEMPLATES)
                     inst = instantiate_scheme(base, fmap, {})

@@ -18,6 +18,8 @@ from topodyn.formula import (
     Next,
     Not,
     Seq,
+    TOP,
+    Top,
     compile,
     expand_duals,
     format_formula,
@@ -28,23 +30,65 @@ from topodyn.models import DTModel, SubsetModel
 from topodyn.topology import TopoSpace
 
 # SHA-256 of the newline-joined formulas below, as random.choices-based
-# sampling produced them; any change to the random stream shows here
+# sampling produced them, per (language, allow_seq); any change to the random
+# stream shows here.  The allow_seq=False streams are the subset-space audit's
+# (K_BOX_NEXT with tests) and its test bodies' (BOX_NEXT).
 GOLDEN = {
-    Language.PDL: "b2b0c1230aaf09f4e08663d46bb2236e0a2caf5adb727624e3cedb0fb4ddc070",
-    Language.BOX_NEXT: "4ee0fcdf4f35e5e8a09e906be6e496053e9bd9a61e48b821c0011fd379f5efc6",
-    Language.K_BOX_NEXT: "74d8e1a27c6e6798f19e18a3ca46a87faf00c53b056bf5907ab1375f4f293226",
+    (Language.PDL, True): "b2b0c1230aaf09f4e08663d46bb2236e0a2caf5adb727624e3cedb0fb4ddc070",
+    (Language.BOX_NEXT, True): "4ee0fcdf4f35e5e8a09e906be6e496053e9bd9a61e48b821c0011fd379f5efc6",
+    (Language.K_BOX_NEXT, True): "74d8e1a27c6e6798f19e18a3ca46a87faf00c53b056bf5907ab1375f4f293226",
+    (Language.BOX_NEXT, False): "02abaa0a805f808000f3b4bb6c2bf1cca814445cc06968c29f45cb0f1665e916",
+    (Language.K_BOX_NEXT, False): "9d745e2ef42ded81079e510e9921eadd71bb5811ed0e8d9942cebe33046e525a",
 }
 
 
-@pytest.mark.parametrize("lang", list(GOLDEN))
-def test_gen_formula_stream_is_pinned(lang):
+@pytest.mark.parametrize("lang, allow_seq", list(GOLDEN),
+                         ids=[f"{lang}{'' if seq else '-no_seq'}" for lang, seq in GOLDEN])
+def test_gen_formula_stream_is_pinned(lang, allow_seq):
     rng = random.Random(20261018)
     text = "\n".join(
         format_formula(gen_formula(rng, ("p", "q", "r"), ("a", "b"), lang=lang,
-                                   allow_tests=lang is not Language.PDL))
+                                   allow_seq=allow_seq, allow_tests=lang is not Language.PDL))
         for _ in range(300)
     )
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[lang]
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[lang, allow_seq]
+
+
+def _subterms(f):
+    """Every subterm of f, programs and test bodies included, by structural
+    equality."""
+    seen, stack = set(), [f]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(node.children)
+    return seen
+
+
+@pytest.mark.parametrize("lang", list(Language))
+def test_drawn_formulas_share_their_leaves(lang):
+    def draw(atom_names, programs):
+        rng = random.Random(41)
+        return [gen_formula(rng, atom_names, programs, lang=lang,
+                            allow_tests=lang is not Language.PDL) for _ in range(200)]
+
+    formulas = draw(("p", "q", "r"), ("a", "b"))
+    # list and tuple names give the same formulas, from the same grammar
+    again = draw(["p", "q", "r"], ["a", "b"])
+    assert formulas == again
+    leaves: dict = {}
+    for f in formulas + again:
+        nodes = compile(f)
+        for cls, _, node in nodes:
+            if cls in (Atom, Atomic, Top):
+                leaves.setdefault((cls, getattr(node, "name", None)), set()).add(id(node))
+        # one id per distinct subterm, however often a shared leaf repeats
+        distinct = _subterms(f)
+        assert len(nodes) == len(distinct) and {node for _, _, node in nodes} == distinct
+    assert all(len(objects) == 1 for objects in leaves.values())
+    assert leaves[Top, None] == {id(TOP)}
+    assert {name for cls, name in leaves if cls is Atom} == {"p", "q", "r"}
 
 
 def _arrays_match(f, g):

@@ -5,8 +5,15 @@ import json
 
 import pytest
 
-from topodyn.checker import SubsetEvaluator, eval_dtl, eval_pdl_relational, eval_subset
-from topodyn.formula import Language, in_language, modal_depth, parse
+from topodyn.checker import (
+    SubsetEvaluator,
+    _program_key,
+    eval_dtl,
+    eval_pdl_relational,
+    eval_subset,
+    evaluate,
+)
+from topodyn.formula import MODAL, Language, compile, in_language, modal_depth, parse
 from topodyn.frameprops import is_continuous, is_open_map, is_serial
 from topodyn.harness import (
     MODEL_CLASSES,
@@ -17,6 +24,7 @@ from topodyn.harness import (
     search_countermodel,
     _derived_rng,
     _global_failure,
+    _judge,
 )
 from topodyn.models import (
     DTModel,
@@ -163,6 +171,29 @@ def test_audit_catches_unsound_pairing():
     assert all(v.scheme == "Seq" for v in rep.violations)
 
 
+# SHA-256 of json.dumps(report.to_json(), sort_keys=True) per (system, model
+# class, seed, trials), recorded before formulas were drawn from one cached
+# grammar and each model kept one semantics.  The unsound pairing's
+# violations carry formulas, models and witness points, so a changed draw
+# order or witness shows here; None is the system's default class.
+AUDIT_GOLDEN = {
+    ("SPDL0_SEQ", "dtl", 3, 40): "63a766b2ca8c72cefe9e30773e2e3edc8c9206ab107180d5fcab6a41aaea1675",
+    ("SPDL0", None, 21, 30): "82bbd72db077f5bc68b12991ba1fd08576760ad9a62c4321f5c0dd0eb66e3f90",
+    ("SPDL0_SEQ", None, 22, 30): "9920e3167a3ce9bd3bc156ea25947fea3f0daa2154e396c5dd2bf8561b03f98d",
+    ("DTEL", None, 23, 30): "bdef1fc55ef75d83d3423e7a079471bfd8e5377f133afce20c2546498c794ce9",
+}
+
+
+@pytest.mark.parametrize("system, model_class, seed, trials", list(AUDIT_GOLDEN))
+def test_audit_report_is_pinned(system, model_class, seed, trials):
+    rep = audit(system, GenConfig(seed=seed, max_points=4, num_programs=2,
+                                  model_class=model_class), trials=trials)
+    text = json.dumps(rep.to_json(), sort_keys=True)
+    want = AUDIT_GOLDEN[system, model_class, seed, trials]
+    assert hashlib.sha256(text.encode()).hexdigest() == want
+    assert rep.ok is (model_class is None)
+
+
 def test_audit_violations_reverify():
     rep = audit(
         "SPDL0_SEQ",
@@ -190,6 +221,32 @@ def test_audit_takes_one_to_five_programs():
 def test_audit_unknown_system():
     with pytest.raises(ValueError, match="unknown proof system"):
         audit("S4", GenConfig(seed=1), trials=1)
+
+
+@pytest.mark.parametrize("model_class", ["dtl", "dtl_open", "dtl_continuous", "pdl_serial"])
+def test_kept_semantics_matches_a_fresh_one(model_class):
+    """The semantics audit keeps for a model gives every formula the mask a
+    fresh evaluator gives it, and interprets each distinct program once."""
+    fresh = eval_pdl_relational if model_class == "pdl_serial" else eval_dtl
+    langs = (Language.PDL,) if model_class == "pdl_serial" else (Language.PDL, Language.BOX_NEXT)
+    sequences = 0
+    for i in range(10):
+        model = gen_model(GenConfig(seed=61, max_points=4, num_programs=2,
+                                    model_class=model_class), i)
+        judge = _judge(model)
+        interpreted = []
+        interpret = judge.interpret
+        judge.interpret = lambda prog: interpreted.append(_program_key(prog)) or interpret(prog)
+        rng = _derived_rng(61, i)
+        programs = set()
+        for j in range(20):  # 200 formulas per class
+            f = gen_formula(rng, ("p", "q"), model.alphabet, lang=langs[j % len(langs)])
+            programs |= {_program_key(node.prog) for cls, _, node in compile(f) if cls in MODAL}
+            assert evaluate(f, judge) == fresh(model, f), (i, j)
+            assert _global_failure(model, f, judge) == _global_failure(model, f)
+        assert sorted(interpreted, key=repr) == sorted(programs, key=repr)
+        sequences += sum(isinstance(key, tuple) for key in programs)
+    assert sequences >= 5  # a;b programs among them
 
 
 # --- countermodel search --------------------------------------------------------------
