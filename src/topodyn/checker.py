@@ -1,10 +1,15 @@
 """Model checkers for the three semantics, over one evaluator core.
 
-``evaluate`` runs through a compiled formula (see ``formula.compile``) and
-computes the connectives itself.  A semantics supplies the rest: ``full(c)``,
-every point at context ``c``; ``atom(node, c)``; ``modal(node, body, c)``, a
-modality applied to its body's extension; and ``shifts``, the modalities whose
-body is read at another context, ``step(node, c)``.  Contexts are ints: the
+``evaluate`` computes the connectives itself, on one of two paths.  A root
+judged once, fresh and never compiled, is walked (``_walk``) when the
+semantics never shifts the context and no memo is passed: the audit judges
+each instance that way.  A compiled root, a memo caller and a shifting
+semantics go through the node array (see ``formula.compile``), which a root
+judged many times, like refute's, pays for once.  A semantics supplies the
+rest: ``full(c)``, every point at context ``c``; ``atom(node, c)``;
+``modal(node, body, c)``, a modality applied to its body's extension; and
+``shifts``, the modalities whose body is read at another context,
+``step(node, c)``.  Contexts are ints: the
 scenario set in subset spaces, the stratum for network spaces, 0 where truth
 does not depend on one.
 
@@ -93,7 +98,14 @@ CHUNK_BITS = 12
 
 
 def evaluate(f: Formula, sem, ctx: int = 0, memo: Optional[dict] = None) -> int:
-    """Extension of f at context ctx, by one loop over the node array.
+    """Extension of f at context ctx.
+
+    A root that has no node array yet, evaluated with no ``memo`` on a
+    semantics that never shifts the context, is walked once by ``_walk`` and
+    left uncompiled: the audit judges each fresh instance once, and building
+    its array would cost more than the walk.  Every other call loops over the
+    node array, built once per root (``formula.compile``), so a root judged
+    many times (refute's thousands of blocks) pays for it once.
 
     ``memo`` maps ``context * len(array) + id`` to masks; pass the same dict
     again, for the same formula, to reuse what it holds.  When no node of f
@@ -101,6 +113,8 @@ def evaluate(f: Formula, sem, ctx: int = 0, memo: Optional[dict] = None) -> int:
     test programs too, harmlessly); otherwise ``_demand`` first lists the
     (node, context) pairs the root needs.
     """
+    if memo is None and not sem.shifts and getattr(f, "_nodes", None) is None:
+        return _walk(f, sem, ctx)
     nodes = compile(f)
     width = len(nodes)
     root = ctx * width + width - 1
@@ -136,6 +150,64 @@ def evaluate(f: Formula, sem, ctx: int = 0, memo: Optional[dict] = None) -> int:
             m = modal(node, memo[s * width + kids[-1]], c)
         memo[base + i] = m
     return memo[root]
+
+
+_BINARY = frozenset({And, Or, Implies, Iff})
+
+
+def _walk(f: Formula, sem, ctx: int) -> int:
+    """Extension of f at ctx by one pass over its tree, children first,
+    without recursion: each node object is read once, memoized by ``id``
+    for this call only (f keeps every node alive).  A modality's body is
+    walked; its program, test guards included, is left to ``sem.program``."""
+    full, atom, modal = sem.full(ctx), sem.atom, sem.modal
+    memo: dict[int, int] = {}
+    stack: list = [f]
+    push, pop = stack.append, stack.pop
+    while stack:
+        node = pop()
+        if node is None:  # the children of the node below it are done
+            node = pop()
+            cls = type(node)
+            if cls in _BINARY:
+                left, right = node.children
+                a, b = memo[id(left)], memo[id(right)]
+                if cls is And:
+                    m = a & b
+                elif cls is Or:
+                    m = a | b
+                elif cls is Implies:
+                    m = (full & ~a) | b
+                else:
+                    m = full & ~(a ^ b)
+            elif cls is Not:
+                m = full & ~memo[id(node.children[0])]
+            else:
+                m = modal(node, memo[id(node.children[-1])], ctx)
+            memo[id(node)] = m
+        elif id(node) not in memo:
+            cls = type(node)
+            if cls is Atom:
+                memo[id(node)] = atom(node, ctx)
+            elif cls in _BINARY:
+                left, right = node.children
+                push(node)
+                push(None)
+                if id(right) not in memo:
+                    push(right)
+                if id(left) not in memo:
+                    push(left)
+            elif cls is Top:
+                memo[id(node)] = full
+            elif isinstance(node, Formula):  # Not, or a modality read at its body
+                body = node.children[-1]
+                push(node)
+                push(None)
+                if id(body) not in memo:
+                    push(body)
+            else:
+                raise TypeError(f"not a formula: {node!r}")
+    return memo[id(f)]
 
 
 def _demand(nodes: NodeArray, ctx: int, memo: dict, sem) -> list[tuple[int, int, int]]:

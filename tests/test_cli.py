@@ -432,6 +432,24 @@ def test_audit_accepts_cpl_and_the_system_schemes(capsys):
     assert code == 0 and json.loads(out)["checked"] > 0
 
 
+# the first instance the semantics refuses names the error, so each seed pins
+# the order in which an instance's nodes are judged
+@pytest.mark.parametrize("system, model_class, seed, message", [
+    ("DTEL", "dtl", 0, "knowledge needs subset-space semantics: K p"),
+    ("DTEL", "dtl", 7, "knowledge needs subset-space semantics: K r"),
+    ("SPDL0", "subset", 0, "relational modalities are not defined on subset-space models: [a] r"),
+    ("SPDL0", "subset", 7, "relational modalities are not defined on subset-space models: <b> top"),
+    ("DTEL", "pdl_serial", 0, "no relational semantics for K p"),
+    ("DTEL", "pdl_serial", 7, "no relational semantics for O[b] (r & ~p)"),
+])
+def test_audit_refuses_a_class_its_system_is_not_judged_on(capsys, system, model_class, seed,
+                                                          message):
+    code, out, err = run(capsys, [
+        "audit", "--system", system, "--model-class", model_class, "--seed", str(seed),
+    ])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def _chain_model(kind, n):
     """The chain 0 <= 1 <= ... <= n-1 given as a preorder, the reversal as
     its one map, and p on the upper half."""

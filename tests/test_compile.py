@@ -1,8 +1,11 @@
 """Node arrays, structural hashes and the shared evaluator core.
 
 Formulas compile once into a post-order node array cached on the root; every
-semantics evaluates that array through one core.  These tests pin what the
-cache may and may not hold, and that the random formula stream is unchanged.
+semantics evaluates that array through one core.  A root never compiled, on
+a semantics that never shifts the context, is walked instead and left
+uncompiled.  These tests pin what the cache may and may not hold, that both
+paths give the same extensions, and that the random formula stream is
+unchanged.
 """
 
 import hashlib
@@ -10,8 +13,9 @@ import random
 
 import pytest
 
-from topodyn import checker
+from topodyn import checker, harness
 from topodyn.formula import (
+    BOOLEAN,
     Atom,
     Atomic,
     Language,
@@ -23,11 +27,15 @@ from topodyn.formula import (
     compile,
     expand_duals,
     format_formula,
+    kinds,
     parse,
 )
+from topodyn.formula import Test as ProgramTest
 from topodyn.harness import GenConfig, _derived_rng, gen_formula, gen_model
 from topodyn.models import DTModel, SubsetModel
+from topodyn.proofkit import _TruthTable
 from topodyn.topology import TopoSpace
+from topodyn.transform import build_network_space
 
 # SHA-256 of the newline-joined formulas below, as random.choices-based
 # sampling produced them, per (language, allow_seq); any change to the random
@@ -176,15 +184,135 @@ def test_expand_duals_keeps_extensions(model_class):
 
 def test_deep_formulas_need_no_recursion():
     space = TopoSpace.from_opens(2, [[], [1], [0, 1]])
+    swap = DTModel(space, ("a",), {"a": (1, 0)}, {"p": 0b10})
     f = g = Atom("p")
     body, prog = Atom("p"), Atomic("a")
     for _ in range(3000):
         f, g = Not(f), Not(g)
         body, prog = Next(Atomic("a"), body), Seq(prog, Atomic("a"))
+    # never compiled, so walked first, then looped over once compiled; an
+    # even number of negations and of swaps
+    for chain in (g, body):
+        assert _walked_then_looped(chain, lambda: checker._DynamicTopological(swap)) == 0b10
     assert f == g and hash(f) == hash(g) and len(compile(f)) == 3001
-    # an even number of negations
-    assert checker.eval_dtl(DTModel(space, ("a",), {"a": (1, 0)}, {"p": 0b10}), f) == 0b10
+    assert checker.eval_dtl(swap, f) == 0b10
     subset = SubsetModel(space, ("a",), {"a": (1, 1)}, {"p": 0b10})
     assert checker.SubsetEvaluator(subset).extension(body, 0b11) == 0b11
     assert checker.SubsetEvaluator(subset).extension(Next(prog, Atom("p")), 0b11) == 0b11
     assert format_formula(f) == "~" * 3000 + "p"
+
+
+# --- walked and looped roots ---------------------------------------------------------
+
+
+def _uncompiled(f) -> bool:
+    return getattr(f, "_nodes", None) is None
+
+
+def _fresh(f):
+    """An equal root, never compiled, over the same children."""
+    return Atom(f.name) if type(f) is Atom else type(f)(*f.children)
+
+
+def _walked_then_looped(f, semantics):
+    """f's extension on a new ``semantics()``, walked while f is uncompiled;
+    then f is compiled and evaluated again, through its array, on another."""
+    assert _uncompiled(f)
+    walked = checker.evaluate(f, semantics())
+    assert _uncompiled(f)  # the walk built no array
+    compile(f)
+    assert walked == checker.evaluate(f, semantics())
+    return walked
+
+
+def _first_chunk(model, columns=1):
+    _, width, atoms = next(checker.valuation_chunks(model.n, ("p", "q", "r"), columns))
+    return atoms, width
+
+
+def _opaque_leaves(f):
+    """The non-Boolean subformulas reached from f through connectives, as
+    ``proofkit.is_tautology`` lists them."""
+    leaves, stack = [], [f]
+    while stack:
+        node = stack.pop()
+        if type(node) in BOOLEAN:
+            stack.extend(node.children)
+        elif node not in leaves:
+            leaves.append(node)
+    return leaves
+
+
+def _parallel(cls):
+    return lambda m, f: cls(m, *_first_chunk(m))
+
+
+def _chunk_judge(m, f):
+    return checker.ScenarioJudge(m, *_first_chunk(m, len(m.space.opens)))
+
+
+# name -> (model class, language, test programs drawn, semantics of (model, formula))
+_CONTEXT_FREE = {
+    "relational": ("pdl_serial", Language.PDL, False, lambda m, f: checker._Relational(m)),
+    "dynamic-topological": ("dtl", None, False, lambda m, f: checker._DynamicTopological(m)),
+    "parallel-relational": ("pdl_serial", Language.PDL, False,
+                            _parallel(checker._ParallelRelational)),
+    "parallel-dynamic-topological": ("dtl", None, False,
+                                     _parallel(checker._ParallelDynamicTopological)),
+    "scenario-judge": ("subset", Language.K_BOX_NEXT, True,
+                       lambda m, f: checker.ScenarioJudge(m)),
+    # a test program's image depends on the valuation, so a chunk has none
+    "scenario-judge-chunk": ("subset", Language.K_BOX_NEXT, False, _chunk_judge),
+    "truth-table": ("dtl", None, False, lambda m, f: _TruthTable(_opaque_leaves(f))),
+}
+
+
+@pytest.mark.parametrize("name", list(_CONTEXT_FREE))
+def test_walk_matches_the_array_loop(name):
+    model_class, lang, tests, semantics = _CONTEXT_FREE[name]
+    subset = model_class == "subset"
+    checked = guarded = 0
+    for i in range(60):
+        m = gen_model(GenConfig(seed=43, max_points=4, model_class=model_class), i)
+        rng = _derived_rng(43, 5, i)
+        f = gen_formula(rng, ("p", "q", "r"), m.alphabet,
+                        lang=lang or (Language.PDL, Language.BOX_NEXT)[i % 2],
+                        allow_seq=not subset, allow_tests=tests)
+        fresh = _fresh(f)
+        assert fresh == f
+        if name == "truth-table" and len(_opaque_leaves(f)) > 10:
+            continue
+        _walked_then_looped(fresh, lambda: semantics(m, f))
+        checked += 1
+        guarded += ProgramTest in kinds(f)
+    assert checked >= 50 and (guarded >= 10 if tests else not guarded)
+
+
+def test_the_audit_walks_its_instances_and_compiles_none(monkeypatch):
+    """Each instance is a fresh root judged once, so it is walked; compiled
+    roots, memo callers and shifting semantics still go through the array."""
+    instances, compiled = [], []
+    real_compile, real_instantiate = checker.compile, harness.instantiate_scheme
+    monkeypatch.setattr(checker, "compile", lambda f: compiled.append(f) or real_compile(f))
+    monkeypatch.setattr(harness, "instantiate_scheme",
+                        lambda *args: instances.append(real_instantiate(*args)) or instances[-1])
+    for system in ("SPDL0", "SPDL0_SEQ", "DTEL"):
+        assert harness.audit(system, GenConfig(seed=7, max_points=4), 4).ok
+    assert len(instances) == 4 * 3 * (3 + 4 + 13)
+    # both lists hold their nodes, so no id is reused while they are compared
+    assert not {id(f) for f in compiled} & {id(f) for f in instances}
+    assert all(map(_uncompiled, instances))
+    assert compiled  # the DTEL audit's test guards, read by SubsetEvaluator
+
+    compiled.clear()
+    m = gen_model(GenConfig(seed=7, max_points=4, model_class="subset"), 1)
+    f = parse("K (p -> O[a] box q)")  # compiled by the parser
+    checker.evaluate(f, checker.ScenarioJudge(m))
+    memo_caller, shifting = _fresh(f), _fresh(f)
+    checker.SubsetEvaluator(m).extension(memo_caller, m.space.full)
+    checker.evaluate(shifting, checker.SubsetEvaluator(m), m.space.full)
+    network = _fresh(parse("<a> p | [a] q"))
+    checker.evaluate(network, build_network_space(
+        gen_model(GenConfig(seed=7, max_points=3, model_class="pdl_serial"), 1), 1), 1)
+    assert [id(g) for g in compiled] == [id(f), id(memo_caller), id(shifting), id(network)]
+    assert not any(map(_uncompiled, compiled))
