@@ -48,65 +48,102 @@ def _dumps(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
 
     The stdlib runs its pure-Python chunk generator whenever ``indent`` is
-    set; this builds each container's text with one join.  A container the
-    document reaches more than once (the network documents of ``transform``
-    hold each network's dict in every parent) is encoded once per
-    indentation level and its text reused: the first reach only marks it
-    seen, so containers reached once are never cached.  The cache lives for
-    this call only, so a document changed between calls is encoded afresh.
-    Dict keys must be strings, as in every document the CLI prints; any
-    other key raises TypeError.
+    set; this appends every piece of the document to one list and joins it
+    once, so no container's text is copied into its parent's.  A container
+    the document reaches more than once (the network documents of
+    ``transform`` hold each network's dict in every parent) is encoded once
+    per indentation level, on a list of its own, and that text is appended
+    whole at every later reach there: the first reach only marks it seen, so
+    containers reached once are never cached.  The cache lives for this call
+    only, so a document changed between calls is encoded afresh.  A document
+    this encoder cannot write (a key that is not a string, an object with no
+    JSON form) goes to the stdlib whole, for its text or its TypeError.
     """
     seen: set[int] = set()
     texts: dict[tuple[int, str], str] = {}
+    names: dict[str, str] = {}  # a key's text, with its ": "
 
-    def encode(o, pad: str) -> str:
-        # pad is a newline plus the indentation of the level o sits at
-        if isinstance(o, str):
-            return _ascii(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if type(o) is int:
-            return int.__repr__(o)
-        is_dict = isinstance(o, dict)
-        if not (is_dict or isinstance(o, (list, tuple))):
-            # floats, and the stdlib's TypeError for anything unserializable
-            return json.dumps(o)
+    def encode(o, pad: str, out: list) -> None:
+        # appends o's text to out, in one frame per nesting level; pad is a
+        # newline plus the indentation of the level o sits at
+        cls = type(o)
+        if cls is dict or cls is list:
+            is_dict = cls is dict
+        elif isinstance(o, str):
+            out.append(_ascii(o))
+            return
+        elif o is None:
+            out.append("null")
+            return
+        elif o is True:
+            out.append("true")
+            return
+        elif o is False:
+            out.append("false")
+            return
+        elif cls is int:
+            out.append(int.__repr__(o))
+            return
+        else:
+            is_dict = isinstance(o, dict)
+            if not (is_dict or isinstance(o, (list, tuple))):
+                out.append(json.dumps(o))  # floats; anything else raises TypeError
+                return
         if not o:
-            return "{}" if is_dict else "[]"
+            out.append("{}" if is_dict else "[]")
+            return
         key = id(o)
-        shared = key in seen
-        if shared:
+        whole = None
+        if key in seen:
             text = texts.get((key, pad))
             if text is not None:
-                return text
+                out.append(text)
+                return
+            # reached again, first at this pad: its text gets a list of its own
+            whole, out = out, []
         else:
             seen.add(key)
         inner = pad + "  "
         sep = "," + inner
-        # each item list is a temporary of its join, and the text is formatted
-        # in one copy, so at most two copies of a large body are alive at once
+        append = out.append
         if is_dict:
-            body = sep.join([_ascii(k) + ": " + encode(v, inner) for k, v in sorted(o.items())])
-            text = "{%s%s%s}" % (inner, body, pad)
+            lead = "{" + inner
+            for k, v in sorted(o.items()):
+                name = names.get(k)
+                if name is None:
+                    name = names[k] = _ascii(k) + ": "
+                if type(v) is int:
+                    append(lead + name + int.__repr__(v))
+                else:
+                    append(lead + name)
+                    encode(v, inner, out)
+                lead = sep
+            append(pad + "}")
         else:
             kinds = set(map(type, o))
-            if kinds == _INT:
-                body = sep.join(map(int.__repr__, o))
-            elif kinds <= _INT_OR_NULL:
-                body = sep.join(["null" if x is None else int.__repr__(x) for x in o])
+            if kinds <= _INT_OR_NULL:
+                append("[" + inner)
+                if kinds == _INT:
+                    append(sep.join(map(int.__repr__, o)))
+                else:
+                    append(sep.join(["null" if x is None else int.__repr__(x) for x in o]))
             else:
-                body = sep.join([encode(x, inner) for x in o])
-            text = "[%s%s%s]" % (inner, body, pad)
-        if shared:
-            texts[key, pad] = text
-        return text
+                lead = "[" + inner
+                for x in o:
+                    append(lead)
+                    lead = sep
+                    encode(x, inner, out)
+            append(pad + "]")
+        if whole is not None:
+            text = texts[key, pad] = "".join(out)
+            whole.append(text)
 
-    return encode(doc, "\n")
+    out: list[str] = []
+    try:
+        encode(doc, "\n", out)
+    except TypeError:
+        return json.dumps(doc, indent=2, sort_keys=True)
+    return "".join(out)
 
 
 def _emit(obj: dict) -> None:

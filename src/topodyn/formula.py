@@ -64,9 +64,10 @@ _TOPOLOGICAL = frozenset({Language.BOX_NEXT, Language.K_BOX_NEXT})
 class Node:
     """A formula or program node.  ``children`` holds the subterms in field
     order (program before body), and the named fields read from it.  Nodes
-    are never mutated: their hash, language set and node array are cached."""
+    are never mutated: their hash, language set, modal depth and node array
+    are cached."""
 
-    __slots__ = ("children", "name", "_hash", "_nodes", "_kinds", "_in")
+    __slots__ = ("children", "name", "_hash", "_nodes", "_kinds", "_in", "_depth")
     _fields: tuple[str, ...] = ()
     _tag = ""  # JSON type name
     _langs = _ALL  # languages the node may occur in
@@ -366,8 +367,12 @@ def _depth_step(node: Node, kids: list[int]) -> int:
 
 
 def modal_depth(f: Formula) -> int:
-    """Maximum nesting of execution modalities; a seq of length k counts k."""
-    return fold(f, _depth_step)
+    """Maximum nesting of execution modalities; a seq of length k counts k.
+    Folded once per node and cached on it, like its language set."""
+    got = getattr(f, "_depth", None)
+    if got is None:
+        got = f._depth = fold(f, _depth_step)
+    return got
 
 
 program_depth = modal_depth  # a program's depth is the same measure

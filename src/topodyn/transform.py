@@ -281,9 +281,10 @@ def check_truth_preservation(
     for f in formulas:
         if not in_language(f, Language.PDL):
             raise ValueError(f"networks interpret relational formulas only: {format_formula(f)}")
-        if modal_depth(f) > depth:
+        need = modal_depth(f)  # cached on f, so network_extension's guard folds nothing
+        if need > depth:
             raise DepthExceeded(
-                f"formula {format_formula(f)} needs depth {modal_depth(f)}, space has {depth}"
+                f"formula {format_formula(f)} needs depth {need}, space has {depth}"
             )
         source_ext = eval_pdl_relational(model, f)
         net_ext = network_extension(space, f, depth)

@@ -725,8 +725,9 @@ def test_transform_rejects_negative_depth(capsys, pdl_file, depth):
 
 @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 250])
 def test_transform_rejects_depth_past_the_nesting_cap(capsys, tmp_path, depth):
-    # one network per root in every stratum, each spelled out in full: from
-    # about depth 250 on, printing one overran the interpreter's recursion limit
+    # one network per root in every stratum, each spelled out in full, two
+    # nesting levels per stratum: from about depth 490 on, printing one would
+    # overrun the interpreter's recursion limit
     doc = {"type": "pdl", "points": 2, "serial": True, "programs": {"a": {"rel": [[0, 1], [1, 0]]}}}
     path = write_json(tmp_path, "cycle.json", doc)
     code, out, err = run(capsys, ["transform", "-m", path, "--depth", str(depth)])
@@ -734,6 +735,18 @@ def test_transform_rejects_depth_past_the_nesting_cap(capsys, tmp_path, depth):
     # the cap itself is still built
     space = build_network_space(model_from_json(doc), MAX_NESTING)
     assert space.stratum_sizes() == [2] * (MAX_NESTING + 1)
+
+
+def test_transform_prints_the_space_at_the_nesting_cap(capsys, tmp_path):
+    # the deepest network of the cap nests about 200 containers, and the
+    # encoder takes one frame per nesting level
+    doc = {"type": "pdl", "points": 2, "serial": True, "programs": {"a": {"rel": [[0, 1], [1, 0]]}}}
+    path = write_json(tmp_path, "cycle.json", doc)
+    code, out, err = run(capsys, ["transform", "-m", path, "--depth", str(MAX_NESTING)])
+    assert code == 0 and err == ""
+    # a bool, so that a failure does not make pytest diff two 7.7 MB texts
+    same = out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert same
 
 
 @pytest.mark.parametrize("programs", ["-1", "0", "6", "9"])
@@ -837,6 +850,11 @@ def test_dumps_rejects_what_the_stdlib_rejects():
             _dumps(doc)
 
 
+def test_dumps_writes_non_string_keys_as_the_stdlib_does():
+    doc = {"a": {3: None, 10: [1.5]}, "b": [{True: 1, False: 2}], "c": {2.5: "x", -1: 0}, "d": {None: []}}
+    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
 _STDLIB = dict(indent=2, sort_keys=True)
 
 
@@ -876,6 +894,19 @@ def network_document():
 def test_dumps_matches_the_stdlib_on_a_network_document(network_document):
     # a bool, so that a failure does not make pytest diff two 1.35 MB texts
     same = _dumps(network_document) == json.dumps(network_document, **_STDLIB)
+    assert same
+
+
+def test_dumps_matches_the_stdlib_on_a_depth_3_network_document():
+    # the transform document of a 3-point, two-program serial model at depth 3,
+    # as the benchmark prints: each stratum-1 network dict is held by its
+    # parents, their parents and the strata list, at three indentation levels
+    serial = PDLModel(3, ("a", "b"), {"a": (0b010, 0b100, 0b001), "b": (0b011, 0b100, 0b101)},
+                      {"p": 0b001}, serial_flag=True)
+    space = build_network_space(serial, 3)
+    assert space.stratum_sizes() == [3, 5, 15, 125]
+    doc = {"network_space": network_space_to_json(space)}
+    same = _dumps(doc) == json.dumps(doc, **_STDLIB)
     assert same
 
 
