@@ -49,63 +49,45 @@ def _dumps(doc) -> str:
 
     The stdlib runs its pure-Python chunk generator whenever ``indent`` is
     set; this appends every piece of the document to one list and joins it
-    once, so no container's text is copied into its parent's.  A container
-    the document reaches more than once (the network documents of
-    ``transform`` hold each network's dict in every parent) is encoded once
-    per indentation level, on a list of its own, and that text is appended
-    whole at every later reach there: the first reach only marks it seen, so
-    containers reached once are never cached.  The cache lives for this call
-    only, so a document changed between calls is encoded afresh.  A document
+    once, so no container's text is copied into its parent's.  A document
     this encoder cannot write (a key that is not a string, an object with no
     JSON form) goes to the stdlib whole, for its text or its TypeError.
     """
-    seen: set[int] = set()
-    texts: dict[tuple[int, str], str] = {}
     names: dict[str, str] = {}  # a key's text, with its ": "
+    out: list[str] = []
+    append = out.append
 
-    def encode(o, pad: str, out: list) -> None:
+    def encode(o, pad: str) -> None:
         # appends o's text to out, in one frame per nesting level; pad is a
         # newline plus the indentation of the level o sits at
         cls = type(o)
         if cls is dict or cls is list:
             is_dict = cls is dict
         elif isinstance(o, str):
-            out.append(_ascii(o))
+            append(_ascii(o))
             return
         elif o is None:
-            out.append("null")
+            append("null")
             return
         elif o is True:
-            out.append("true")
+            append("true")
             return
         elif o is False:
-            out.append("false")
+            append("false")
             return
         elif cls is int:
-            out.append(int.__repr__(o))
+            append(int.__repr__(o))
             return
         else:
             is_dict = isinstance(o, dict)
             if not (is_dict or isinstance(o, (list, tuple))):
-                out.append(json.dumps(o))  # floats; anything else raises TypeError
+                append(json.dumps(o))  # floats; anything else raises TypeError
                 return
         if not o:
-            out.append("{}" if is_dict else "[]")
+            append("{}" if is_dict else "[]")
             return
-        key = id(o)
-        whole = None
-        if key in seen:
-            text = texts.get((key, pad))
-            if text is not None:
-                out.append(text)
-                return
-            # reached again, first at this pad: its text gets a list of its own
-            whole, out = out, []
-        else:
-            seen.add(key)
         inner = pad + "  "
         sep = "," + inner
-        append = out.append
         if is_dict:
             lead = "{" + inner
             for k, v in sorted(o.items()):
@@ -116,7 +98,7 @@ def _dumps(doc) -> str:
                     append(lead + name + int.__repr__(v))
                 else:
                     append(lead + name)
-                    encode(v, inner, out)
+                    encode(v, inner)
                 lead = sep
             append(pad + "}")
         else:
@@ -132,15 +114,11 @@ def _dumps(doc) -> str:
                 for x in o:
                     append(lead)
                     lead = sep
-                    encode(x, inner, out)
+                    encode(x, inner)
             append(pad + "]")
-        if whole is not None:
-            text = texts[key, pad] = "".join(out)
-            whole.append(text)
 
-    out: list[str] = []
     try:
-        encode(doc, "\n", out)
+        encode(doc, "\n")
     except TypeError:
         return json.dumps(doc, indent=2, sort_keys=True)
     return "".join(out)

@@ -301,25 +301,9 @@ def check_truth_preservation(
 def network_space_to_json(space: NetworkSpace) -> dict:
     """Emit the space as a subset-space model JSON: points are all networks,
     opens are generated by the root cells, shifts are partial maps, undefined
-    on stratum 0.
-
-    Each network's ``to_json`` dict is built once, bottom-up, and every
-    parent one stratum up holds that same dict as a child, so the returned
-    document shares its network dicts: callers must not mutate them."""
+    on stratum 0.  Each stratum lists its networks' roots in point order; a
+    network's children are its images under the program maps."""
     model = space.source
-    networks = [[{"root": x} for x in range(model.n)]]
-    for d in range(1, space.depth + 1):
-        below, rows = networks[-1], space.shift_index[d]
-        stratum = []
-        for x, span in enumerate(space.spans[d]):
-            for i in span:
-                out: dict = {"root": x}
-                if rows[i]:
-                    out["children"] = {
-                        name: below[j] for name, j in zip(model.alphabet, rows[i])
-                    }
-                stratum.append(out)
-        networks.append(stratum)
     sizes = space.stratum_sizes()
     offsets = [sum(sizes[:d]) for d in range(space.depth + 1)]
     cells = [list(range(offsets[d] + s.start, offsets[d] + s.stop))
@@ -344,7 +328,7 @@ def network_space_to_json(space: NetworkSpace) -> dict:
             {
                 "depth": d,
                 "points": list(range(offsets[d], offsets[d] + sizes[d])),
-                "networks": networks[d],
+                "roots": [x for x, span in enumerate(space.spans[d]) for _ in span],
             }
             for d in range(space.depth + 1)
         ],

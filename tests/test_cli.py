@@ -725,9 +725,10 @@ def test_transform_rejects_negative_depth(capsys, pdl_file, depth):
 
 @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 250])
 def test_transform_rejects_depth_past_the_nesting_cap(capsys, tmp_path, depth):
-    # one network per root in every stratum, each spelled out in full, two
-    # nesting levels per stratum: from about depth 490 on, printing one would
-    # overrun the interpreter's recursion limit
+    # no formula the parser accepts needs more strata; the printed strata list
+    # roots and do not nest with the depth, but a failed preservation check
+    # prints its network as a tree, two nesting levels per stratum: from about
+    # depth 490 on, printing one would overrun the interpreter's recursion limit
     doc = {"type": "pdl", "points": 2, "serial": True, "programs": {"a": {"rel": [[0, 1], [1, 0]]}}}
     path = write_json(tmp_path, "cycle.json", doc)
     code, out, err = run(capsys, ["transform", "-m", path, "--depth", str(depth)])
@@ -738,13 +739,13 @@ def test_transform_rejects_depth_past_the_nesting_cap(capsys, tmp_path, depth):
 
 
 def test_transform_prints_the_space_at_the_nesting_cap(capsys, tmp_path):
-    # the deepest network of the cap nests about 200 containers, and the
-    # encoder takes one frame per nesting level
+    # the strata list roots, so the document nests no deeper at the cap than at
+    # depth 0, and it must still print exactly as the stdlib prints it
     doc = {"type": "pdl", "points": 2, "serial": True, "programs": {"a": {"rel": [[0, 1], [1, 0]]}}}
     path = write_json(tmp_path, "cycle.json", doc)
     code, out, err = run(capsys, ["transform", "-m", path, "--depth", str(MAX_NESTING)])
     assert code == 0 and err == ""
-    # a bool, so that a failure does not make pytest diff two 7.7 MB texts
+    # a bool, so that a failure does not make pytest diff two long texts
     same = out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
     assert same
 
@@ -780,7 +781,7 @@ def test_transform_builds_the_network_space_once(capsys, pdl_file, monkeypatch):
 # CLI still printed through json.dumps(doc, indent=2, sort_keys=True); any byte
 # drift in a printed document shows here
 OUTPUT_GOLDEN = {
-    "transform": "9a2a36f1cf2869fd2446a2d062b790c407948a80ca7e647f84daff3975b228df",
+    "transform": "9da2c8ca48cbd06404702084aa9a96102c5a3d36b5fd6685ca91f4d8de319c95",
     "refute-dtl": "9a156a6aabdc0967694da9c7bc60c6304d02ac358d2d49542c2319da548c4125",
     "refute-subset": "47476c35d5ea20721124b0b5ac851d074e7a3a6d36934fbdb5139e1a6e02e06f",
     "frame-scheme": "e0e95e3004a2d7dea3359abf9e66b4e39dd1939a1e3c1444912a2d5df5f159b9",
@@ -885,22 +886,21 @@ def test_dumps_matches_the_stdlib_on_shared_subdocuments(doc):
 @pytest.fixture(scope="module")
 def network_document():
     """The transform document of a 3-point, two-program total model at depth 2:
-    every network dict is held by each of its parents, about 1.35 MB encoded."""
+    2217 points, their maps, cells and roots, about 145 KB encoded."""
     total = PDLModel(3, ("a", "b"), {"a": (0b111,) * 3, "b": (0b111,) * 3}, {"p": 0b001},
                      serial_flag=True)
     return network_space_to_json(build_network_space(total, 2))
 
 
 def test_dumps_matches_the_stdlib_on_a_network_document(network_document):
-    # a bool, so that a failure does not make pytest diff two 1.35 MB texts
+    # a bool, so that a failure does not make pytest diff two 145 KB texts
     same = _dumps(network_document) == json.dumps(network_document, **_STDLIB)
     assert same
 
 
 def test_dumps_matches_the_stdlib_on_a_depth_3_network_document():
     # the transform document of a 3-point, two-program serial model at depth 3,
-    # as the benchmark prints: each stratum-1 network dict is held by its
-    # parents, their parents and the strata list, at three indentation levels
+    # as the benchmark prints it: int/null maps, cells and roots of four strata
     serial = PDLModel(3, ("a", "b"), {"a": (0b010, 0b100, 0b001), "b": (0b011, 0b100, 0b101)},
                       {"p": 0b001}, serial_flag=True)
     space = build_network_space(serial, 3)
@@ -921,8 +921,8 @@ def test_dumps_keeps_no_text_between_calls():
 
 
 def test_dumps_peak_memory_stays_near_twice_its_output(network_document):
-    # texts are cached only for containers met a second time; caching every
-    # container's text would hold several copies of the document at once
+    # the encoder holds one list of the document's pieces, then their joined
+    # text: about twice the output at its peak
     size = len(_dumps(network_document))
     tracemalloc.start()
     try:

@@ -281,7 +281,7 @@ def test_network_space_json_strata_annotation():
     obj = network_space_to_json(space)
     depths = [s["depth"] for s in obj["strata"]]
     assert depths == [0, 1]
-    assert [len(s["networks"]) for s in obj["strata"]] == [2, 4]
+    assert [len(s["roots"]) for s in obj["strata"]] == [2, 4]
 
 
 SMALL_MODELS = pytest.mark.parametrize("model", [
@@ -300,11 +300,23 @@ def test_shift_index_and_cells_match_the_strata(model):
 
 
 @SMALL_MODELS
-def test_network_space_json_networks_match_to_json(model):
+def test_network_space_json_rebuilds_every_network(model):
     space = build_network_space(model, 3)
-    strata = network_space_to_json(space)["strata"]
+    doc = network_space_to_json(space)
+    maps = {name: doc["programs"][name]["map"] for name in model.alphabet}
+    roots = [x for stratum in doc["strata"] for x in stratum["roots"]]
+
+    def network(point):
+        # a network is its root plus, per program, the network its shift lands on
+        out = {"root": roots[point]}
+        children = {name: network(m[point]) for name, m in maps.items() if m[point] is not None}
+        if children:
+            out["children"] = children
+        return out
+
     for d, stratum in enumerate(space.strata):
-        assert strata[d]["networks"] == [net.to_json(model.alphabet) for net in stratum]
+        points = doc["strata"][d]["points"]
+        assert [network(i) for i in points] == [net.to_json(model.alphabet) for net in stratum]
 
 
 def test_truth_preservation_accepts_a_prebuilt_space():
