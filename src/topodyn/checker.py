@@ -1,17 +1,13 @@
 """Model checkers for the three semantics, over one evaluator core.
 
-``evaluate`` computes the connectives itself, on one of two paths.  A root
-judged once, fresh and never compiled, is walked (``_walk``) when the
-semantics never shifts the context and no memo is passed: the audit judges
-each instance that way.  A compiled root, a memo caller and a shifting
-semantics go through the node array (see ``formula.compile``), which a root
-judged many times, like refute's, pays for once.  A semantics supplies the
-rest: ``full(c)``, every point at context ``c``; ``atom(node, c)``;
-``modal(node, body, c)``, a modality applied to its body's extension; and
-``shifts``, the modalities whose body is read at another context,
-``step(node, c)``.  Contexts are ints: the
-scenario set in subset spaces, the stratum for network spaces, 0 where truth
-does not depend on one.
+``evaluate`` computes the connectives itself, in one pass over the
+formula's tree that builds no node array and switches context as it goes.  A
+semantics supplies the rest: ``full(c)``, every point at context ``c``;
+``atom(node, c)``; ``modal(node, body, c)``, a modality applied to its
+body's extension; and ``shifts``, the modalities whose body is read at
+another context, ``step(node, c)``.  Contexts are ints: the scenario set
+in subset spaces, the stratum for network spaces, 0 where truth does not
+depend on one.
 
 Relational: ``<prog>`` is existential preimage along the program relation.
 
@@ -40,12 +36,10 @@ the least failing valuation and point off the masks.
 from __future__ import annotations
 
 from functools import cache, lru_cache, reduce
-from itertools import repeat
 from operator import lshift, or_
 from typing import Iterator, Optional, Sequence
 
 from .formula import (
-    BOOLEAN,
     And,
     Atom,
     Atomic,
@@ -62,19 +56,15 @@ from .formula import (
     Language,
     Next,
     Node,
-    NodeArray,
     Not,
     Or,
     Program,
-    Seq,
     Test,
     Top,
-    compile,
     fold,
     format_formula,
     format_program,
     in_language,
-    kinds,
     seq_steps,
 )
 from .models import (
@@ -90,78 +80,33 @@ from .models import (
 )
 from .topology import iter_points, points_from_mask
 
-_PROGRAMS = (Atomic, Seq, Test)
-
 # At most 2**CHUNK_BITS valuations are judged in one evaluation, which keeps
 # a mask within n * 2**CHUNK_BITS bits however many atoms there are.
 CHUNK_BITS = 12
 
 
-def evaluate(f: Formula, sem, ctx: int = 0, memo: Optional[dict] = None) -> int:
-    """Extension of f at context ctx.
-
-    A root that has no node array yet, evaluated with no ``memo`` on a
-    semantics that never shifts the context, is walked once by ``_walk`` and
-    left uncompiled: the audit judges each fresh instance once, and building
-    its array would cost more than the walk.  Every other call loops over the
-    node array, built once per root (``formula.compile``), so a root judged
-    many times (refute's thousands of blocks) pays for it once.
-
-    ``memo`` maps ``context * len(array) + id`` to masks; pass the same dict
-    again, for the same formula, to reuse what it holds.  When no node of f
-    shifts the context, every node is read at ctx, in order (nodes inside
-    test programs too, harmlessly); otherwise ``_demand`` first lists the
-    (node, context) pairs the root needs.
-    """
-    if memo is None and not sem.shifts and getattr(f, "_nodes", None) is None:
-        return _walk(f, sem, ctx)
-    nodes = compile(f)
-    width = len(nodes)
-    root = ctx * width + width - 1
-    if memo is None:
-        memo = {}
-    elif root in memo:
-        return memo[root]
-    full, atom, modal = sem.full, sem.atom, sem.modal
-    if not sem.shifts or sem.shifts.isdisjoint(kinds(f)):
-        tasks = zip(range(width), repeat(ctx), repeat(ctx))
-    else:
-        tasks = _demand(nodes, ctx, memo, sem)
-    for i, c, s in tasks:
-        cls, kids, node = nodes[i]
-        base = c * width
-        if cls is Atom:
-            m = atom(node, c)
-        elif cls is And:
-            m = memo[base + kids[0]] & memo[base + kids[1]]
-        elif cls is Or:
-            m = memo[base + kids[0]] | memo[base + kids[1]]
-        elif cls is Not:
-            m = full(c) & ~memo[base + kids[0]]
-        elif cls is Implies:
-            m = (full(c) & ~memo[base + kids[0]]) | memo[base + kids[1]]
-        elif cls is Iff:
-            m = full(c) & ~(memo[base + kids[0]] ^ memo[base + kids[1]])
-        elif cls is Top:
-            m = full(c)
-        elif cls in _PROGRAMS:
-            continue
-        else:  # a modality, its body read at context s
-            m = modal(node, memo[s * width + kids[-1]], c)
-        memo[base + i] = m
-    return memo[root]
-
-
 _BINARY = frozenset({And, Or, Implies, Iff})
 
 
-def _walk(f: Formula, sem, ctx: int) -> int:
-    """Extension of f at ctx by one pass over its tree, children first,
-    without recursion: each node object is read once, memoized by ``id``
-    for this call only (f keeps every node alive).  A modality's body is
-    walked; its program, test guards included, is left to ``sem.program``."""
-    full, atom, modal = sem.full(ctx), sem.atom, sem.modal
-    memo: dict[int, int] = {}
+def evaluate(f: Formula, sem, ctx: int = 0, memo: Optional[dict] = None) -> int:
+    """Extension of f at context ctx, by one pass over its tree, children
+    first, without recursion: each (node, context) pair is read once and
+    memoized as ``memo[context][id(node)]``.  A modality in ``sem.shifts``
+    reads its body at ``sem.step(node, c)``: the walk pushes c, the body,
+    then that context, and popping a context switches to it.  A modality's
+    program, test guards included, is left to ``sem.program``.
+
+    ``memo`` maps a context to ``{id(node): mask}``; pass the same dict
+    again, for the same formula object, to reuse what it holds.  The formula
+    must outlive the memo's use, so that no id it holds is reused.  Without
+    one, the memo lives for the call, while f keeps every node alive.
+    """
+    if memo is None:
+        memo = {}
+    shifts, atom, modal = sem.shifts, sem.atom, sem.modal
+    c, full = ctx, sem.full(ctx)
+    done = memo.setdefault(ctx, {})
+    last = done  # the memo of the context the last switch left
     stack: list = [f]
     push, pop = stack.append, stack.pop
     while stack:
@@ -171,7 +116,7 @@ def _walk(f: Formula, sem, ctx: int) -> int:
             cls = type(node)
             if cls in _BINARY:
                 left, right = node.children
-                a, b = memo[id(left)], memo[id(right)]
+                a, b = done[id(left)], done[id(right)]
                 if cls is And:
                     m = a & b
                 elif cls is Or:
@@ -181,65 +126,41 @@ def _walk(f: Formula, sem, ctx: int) -> int:
                 else:
                     m = full & ~(a ^ b)
             elif cls is Not:
-                m = full & ~memo[id(node.children[0])]
-            else:
-                m = modal(node, memo[id(node.children[-1])], ctx)
-            memo[id(node)] = m
-        elif id(node) not in memo:
-            cls = type(node)
+                m = full & ~done[id(node.children[0])]
+            else:  # a shifted body was read in the context just left
+                m = modal(node, (last if cls in shifts else done)[id(node.children[-1])], c)
+            done[id(node)] = m
+            continue
+        cls = type(node)
+        if cls is int:  # switch to context node
+            last, c = done, node
+            done, full = memo.setdefault(c, {}), sem.full(c)
+        elif id(node) not in done:
             if cls is Atom:
-                memo[id(node)] = atom(node, ctx)
+                done[id(node)] = atom(node, c)
             elif cls in _BINARY:
                 left, right = node.children
                 push(node)
                 push(None)
-                if id(right) not in memo:
+                if id(right) not in done:
                     push(right)
-                if id(left) not in memo:
+                if id(left) not in done:
                     push(left)
             elif cls is Top:
-                memo[id(node)] = full
+                done[id(node)] = full
             elif isinstance(node, Formula):  # Not, or a modality read at its body
                 body = node.children[-1]
                 push(node)
                 push(None)
-                if id(body) not in memo:
+                if cls in shifts:
+                    push(c)
+                    push(body)
+                    push(sem.step(node, c))
+                elif id(body) not in done:
                     push(body)
             else:
                 raise TypeError(f"not a formula: {node!r}")
-    return memo[id(f)]
-
-
-def _demand(nodes: NodeArray, ctx: int, memo: dict, sem) -> list[tuple[int, int, int]]:
-    """(node id, context, body context) for each extension the root at ctx
-    needs and memo lacks, children first: one loop from the root down."""
-    width = len(nodes)
-    need: list[Optional[dict[int, int]]] = [None] * width  # context -> body context
-    need[-1] = {ctx: ctx}
-    for i in range(width - 1, -1, -1):
-        cs = need[i]
-        if cs is None:
-            continue
-        cls, kids, node = nodes[i]
-        if not kids:
-            continue
-        if cls in BOOLEAN:
-            targets = cs  # the children are read at the node's own contexts
-        else:
-            if cls in sem.shifts:
-                for c in cs:
-                    cs[c] = sem.step(node, c)
-            targets = cs.values()
-            kids = kids[-1:]
-        for k in kids:
-            got = need[k]
-            for c in targets:
-                if c * width + k not in memo:
-                    if got is None:
-                        got = need[k] = {c: c}
-                    else:
-                        got[c] = c
-    return [(i, c, s) for i, cs in enumerate(need) if cs for c, s in cs.items()]
+    return done[id(f)]
 
 
 def translate_pdl(f: Formula) -> Formula:
@@ -265,7 +186,10 @@ def _program_key(prog: Program):
     differently may share a key as they share an interpretation."""
     if type(prog) is Atomic:
         return prog.name
-    return tuple([s.name if type(s) is Atomic else s for s in seq_steps(prog)])
+    key = getattr(prog, "_key", None)
+    if key is None:  # cached on the node, like its modal depth
+        key = prog._key = tuple([s.name if type(s) is Atomic else s for s in seq_steps(prog)])
+    return key
 
 
 class _Semantics:
@@ -391,13 +315,15 @@ class SubsetEvaluator(_Semantics):
 
     def __init__(self, model: SubsetModel):
         super().__init__(model)
-        self._memos: dict[Formula, dict[int, int]] = {}
+        # id(f) -> (f, its memo): the memo holds node ids, so it serves only
+        # the formula object it was made for, which it keeps alive
+        self._memos: dict[int, tuple[Formula, dict]] = {}
 
     def extension(self, f: Formula, u: int) -> int:
-        memo = self._memos.get(f)
-        if memo is None:
-            memo = self._memos[f] = {}
-        return evaluate(f, self, u, memo)
+        got = self._memos.get(id(f))
+        if got is None:
+            got = self._memos[id(f)] = (f, {})
+        return evaluate(f, self, u, got[1])
 
     def full(self, u: int) -> int:
         return u

@@ -154,7 +154,7 @@ class Formula(Node):
 
 
 class Program(Node):
-    __slots__ = ()
+    __slots__ = ("_key",)  # the interpretation key (see ``checker``), cached
 
 
 class Atom(Formula):
@@ -504,6 +504,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 _TOO_DEEP = f"formula nests deeper than {MAX_NESTING} levels"
 
+Parsed = tuple[Node, int]  # a parsed node and its AST depth
+
 
 def _chain_cap(links: int) -> None:
     """Refuse an operator chain (or prefix list) once its own ``links``
@@ -515,7 +517,8 @@ def _chain_cap(links: int) -> None:
 class _Parser:
     """Recursive descent that recurses only into brackets, whose nesting it
     caps; operator chains are parsed by loops, which refuse a chain as soon as
-    it alone nests deeper than the cap."""
+    it alone nests deeper than the cap.  Each production returns its node with
+    the node's AST depth, counted as it is built, and ``finish`` caps that."""
 
     def __init__(self, text: str):
         self.text = text
@@ -552,51 +555,54 @@ class _Parser:
         self.depth -= 1
         return result
 
-    def right_chain(self, operand: Callable[[], Formula], op: str, cls: type) -> Formula:
+    def right_chain(self, operand: Callable[[], Parsed], op: str, cls: type) -> Parsed:
         parts = [operand()]
         while self.at(op):
             self.advance()
             _chain_cap(len(parts))
             parts.append(operand())
-        f = parts.pop()
+        f, depth = parts.pop()
         while parts:
-            f = cls(parts.pop(), f)
-        return f
+            g, d = parts.pop()
+            f, depth = cls(g, f), 1 + max(d, depth)
+        return f, depth
 
-    def formula(self) -> Formula:
+    def formula(self) -> Parsed:
         return self.right_chain(self.implication, "<->", Iff)
 
-    def implication(self) -> Formula:
+    def implication(self) -> Parsed:
         return self.right_chain(self.disjunction, "->", Implies)
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
+    def disjunction(self) -> Parsed:
+        f, depth = self.conjunction()
         links = 0
         while self.at("|"):
             self.advance()
             links += 1
             _chain_cap(links)
-            f = Or(f, self.conjunction())
-        return f
+            g, d = self.conjunction()
+            f, depth = Or(f, g), 1 + max(depth, d)
+        return f, depth
 
-    def conjunction(self) -> Formula:
-        f = self.unary()
+    def conjunction(self) -> Parsed:
+        f, depth = self.unary()
         links = 0
         while self.at("&"):
             self.advance()
             links += 1
             _chain_cap(links)
-            f = And(f, self.unary())
-        return f
+            g, d = self.unary()
+            f, depth = And(f, g), 1 + max(depth, d)
+        return f, depth
 
-    def unary(self) -> Formula:
-        wrappers: list[Callable[[Formula], Formula]] = []
+    def unary(self) -> Parsed:
+        wrappers: list[tuple[type, Parsed | None]] = []  # (class, its program)
         while True:
             _chain_cap(len(wrappers))
             kind = self.peek()[0]
             if kind in _PREFIX_TOKENS:
                 self.advance()
-                wrappers.append(_PREFIX_TOKENS[kind])
+                wrappers.append((_PREFIX_TOKENS[kind], None))
                 continue
             if kind not in _MODAL_TOKENS:
                 break
@@ -604,48 +610,51 @@ class _Parser:
             if kind == "O":
                 self.expect("[", "'[' after 'O'")
             cls, close = _MODAL_TOKENS[kind]
-            prog = self.bracketed(self.program, close)
-            wrappers.append(lambda body, cls=cls, prog=prog: cls(prog, body))
-        f = self.primary()
-        for wrap in reversed(wrappers):
-            f = wrap(f)
-        return f
+            wrappers.append((cls, self.bracketed(self.program, close)))
+        f, depth = self.primary()
+        for cls, prog in reversed(wrappers):
+            if prog is None:
+                f, depth = cls(f), depth + 1
+            else:
+                f, depth = cls(prog[0], f), 1 + max(prog[1], depth)
+        return f, depth
 
-    def primary(self) -> Formula:
+    def primary(self) -> Parsed:
         kind, value, pos = self.peek()
         if kind == "top":
             self.advance()
-            return Top()
+            return Top(), 1
         if kind == "name":
             self.advance()
-            return Atom(value)
+            return Atom(value), 1
         if kind == "(":
             self.advance()
             return self.bracketed(self.formula, ")")
         got = value or "end of input"
         raise _error_at(self.text, pos, f"expected a formula, found {got!r}")
 
-    def program(self) -> Program:
-        p = self.program_term()
+    def program(self) -> Parsed:
+        p, depth = self.program_term()
         links = 0
         while self.at(";"):
             self.advance()
             links += 1
             _chain_cap(links)
-            p = Seq(p, self.program_term())
-        return p
+            q, d = self.program_term()
+            p, depth = Seq(p, q), 1 + max(depth, d)
+        return p, depth
 
-    def program_term(self) -> Program:
+    def program_term(self) -> Parsed:
         kind, value, pos = self.peek()
         if kind == "name":
             self.advance()
-            return Atomic(value)
+            return Atomic(value), 1
         if kind == "?":
             self.advance()
             self.expect("(", "'(' after '?'")
-            body = self.bracketed(self.formula, ")")
+            body, depth = self.bracketed(self.formula, ")")
             try:
-                return Test(body)
+                return Test(body), depth + 1
             except FragmentViolation as exc:
                 message = exc.args[0].split(" (line")[0]
                 raise _error_at(self.text, pos, message, FragmentViolation) from None
@@ -655,13 +664,14 @@ class _Parser:
         got = value or "end of input"
         raise _error_at(self.text, pos, f"expected a program, found {got!r}")
 
-    def finish(self, result: T) -> T:
+    def finish(self, result: Parsed) -> Node:
         tok = self.peek()
         if tok[0] != "eof":
             raise _error_at(self.text, tok[2], f"unexpected trailing input {tok[1]!r}")
-        if fold(result, lambda _, kids: 1 + max(kids, default=0)) > MAX_NESTING:
+        node, depth = result
+        if depth > MAX_NESTING:
             raise ParseError(_TOO_DEEP)
-        return result
+        return node
 
 
 def parse(text: str) -> Formula:

@@ -573,7 +573,6 @@ def search_countermodel(
     ``_global_failure`` picks the witness."""
     if model_class not in MODEL_CLASSES:
         raise ValueError(f"unknown model class {model_class!r}")
-    # atoms() compiles f; every evaluation below reuses the array cached on f
     names = sorted(formula_atoms(f))
     progs = tuple(sorted(program_names(f)))
     one_at_a_time = model_class == "subset" and Test in kinds(f)

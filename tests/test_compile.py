@@ -1,10 +1,10 @@
 """Node arrays, structural hashes and the shared evaluator core.
 
-Formulas compile once into a post-order node array cached on the root; every
-semantics evaluates that array through one core.  A root never compiled, on
-a semantics that never shifts the context, is walked instead and left
-uncompiled.  These tests pin what the cache may and may not hold, that both
-paths give the same extensions, and that the random formula stream is
+Formulas compile once into a post-order node array cached on the root.  The
+evaluator core walks a formula's tree instead, switching context where a
+modality reads its body at another one, and builds no array.  These tests
+pin what the cache may and may not hold, that the walk gives the extensions
+a fold over the node array gives, and that the random formula stream is
 unchanged.
 """
 
@@ -16,16 +16,22 @@ import pytest
 from topodyn import checker, harness
 from topodyn.formula import (
     BOOLEAN,
+    And,
     Atom,
     Atomic,
+    Formula,
+    Iff,
+    Implies,
     Language,
     Next,
     Not,
+    Or,
     Seq,
     TOP,
     Top,
     compile,
     expand_duals,
+    fold,
     format_formula,
     kinds,
     parse,
@@ -190,10 +196,9 @@ def test_deep_formulas_need_no_recursion():
     for _ in range(3000):
         f, g = Not(f), Not(g)
         body, prog = Next(Atomic("a"), body), Seq(prog, Atomic("a"))
-    # never compiled, so walked first, then looped over once compiled; an
-    # even number of negations and of swaps
+    # an even number of negations and of swaps
     for chain in (g, body):
-        assert _walked_then_looped(chain, lambda: checker._DynamicTopological(swap)) == 0b10
+        assert _walked(chain, lambda: checker._DynamicTopological(swap)) == 0b10
     assert f == g and hash(f) == hash(g) and len(compile(f)) == 3001
     assert checker.eval_dtl(swap, f) == 0b10
     subset = SubsetModel(space, ("a",), {"a": (1, 1)}, {"p": 0b10})
@@ -202,7 +207,7 @@ def test_deep_formulas_need_no_recursion():
     assert format_formula(f) == "~" * 3000 + "p"
 
 
-# --- walked and looped roots ---------------------------------------------------------
+# --- the walk against a fold over the node array ---------------------------------------
 
 
 def _uncompiled(f) -> bool:
@@ -214,14 +219,34 @@ def _fresh(f):
     return Atom(f.name) if type(f) is Atom else type(f)(*f.children)
 
 
-def _walked_then_looped(f, semantics):
-    """f's extension on a new ``semantics()``, walked while f is uncompiled;
-    then f is compiled and evaluated again, through its array, on another."""
+def _folded(f, sem):
+    """f's extension by a fold over its node array, on a semantics that never
+    shifts the context: the reference the walk is checked against."""
+    full = sem.full(0)
+    ops = {Not: lambda a: full & ~a, And: lambda a, b: a & b, Or: lambda a, b: a | b,
+           Implies: lambda a, b: (full & ~a) | b, Iff: lambda a, b: full & ~(a ^ b)}
+
+    def visit(node, kids):
+        cls = type(node)
+        if cls is Atom:
+            return sem.atom(node, 0)
+        if cls is Top:
+            return full
+        if cls in ops:
+            return ops[cls](*kids)
+        # a modality; nodes inside test programs are folded too, harmlessly
+        return sem.modal(node, kids[-1], 0) if isinstance(node, Formula) else None
+
+    return fold(f, visit)
+
+
+def _walked(f, semantics):
+    """f's extension on a new ``semantics()``, walked while f is uncompiled
+    and checked against a fold over f's node array on another."""
     assert _uncompiled(f)
     walked = checker.evaluate(f, semantics())
     assert _uncompiled(f)  # the walk built no array
-    compile(f)
-    assert walked == checker.evaluate(f, semantics())
+    assert walked == _folded(f, semantics())
     return walked
 
 
@@ -282,37 +307,57 @@ def test_walk_matches_the_array_loop(name):
         assert fresh == f
         if name == "truth-table" and len(_opaque_leaves(f)) > 10:
             continue
-        _walked_then_looped(fresh, lambda: semantics(m, f))
+        _walked(fresh, lambda: semantics(m, f))
         checked += 1
         guarded += ProgramTest in kinds(f)
     assert checked >= 50 and (guarded >= 10 if tests else not guarded)
 
 
 def test_the_audit_walks_its_instances_and_compiles_none(monkeypatch):
-    """Each instance is a fresh root judged once, so it is walked; compiled
-    roots, memo callers and shifting semantics still go through the array."""
-    instances, compiled = [], []
-    real_compile, real_instantiate = checker.compile, harness.instantiate_scheme
-    monkeypatch.setattr(checker, "compile", lambda f: compiled.append(f) or real_compile(f))
+    """Each instance is a fresh root judged once, and nothing compiles it.
+    Memo callers and shifting semantics compile nothing either, nor does
+    the parser."""
+    instances, judged = [], []
+    real_evaluate, real_instantiate = checker.evaluate, harness.instantiate_scheme
+    monkeypatch.setattr(checker, "evaluate",
+                        lambda f, *args: judged.append(f) or real_evaluate(f, *args))
     monkeypatch.setattr(harness, "instantiate_scheme",
                         lambda *args: instances.append(real_instantiate(*args)) or instances[-1])
     for system in ("SPDL0", "SPDL0_SEQ", "DTEL"):
         assert harness.audit(system, GenConfig(seed=7, max_points=4), 4).ok
     assert len(instances) == 4 * 3 * (3 + 4 + 13)
     # both lists hold their nodes, so no id is reused while they are compared
-    assert not {id(f) for f in compiled} & {id(f) for f in instances}
+    assert {id(f) for f in instances} <= {id(f) for f in judged}
     assert all(map(_uncompiled, instances))
-    assert compiled  # the DTEL audit's test guards, read by SubsetEvaluator
 
-    compiled.clear()
     m = gen_model(GenConfig(seed=7, max_points=4, model_class="subset"), 1)
-    f = parse("K (p -> O[a] box q)")  # compiled by the parser
-    checker.evaluate(f, checker.ScenarioJudge(m))
-    memo_caller, shifting = _fresh(f), _fresh(f)
+    memo_caller = parse("K (p -> O[a] box q)")
     checker.SubsetEvaluator(m).extension(memo_caller, m.space.full)
+    shifting = parse("O[a] (p & ~q)")
     checker.evaluate(shifting, checker.SubsetEvaluator(m), m.space.full)
-    network = _fresh(parse("<a> p | [a] q"))
+    network = parse("<a> p | [a] q")
     checker.evaluate(network, build_network_space(
         gen_model(GenConfig(seed=7, max_points=3, model_class="pdl_serial"), 1), 1), 1)
-    assert [id(g) for g in compiled] == [id(f), id(memo_caller), id(shifting), id(network)]
-    assert not any(map(_uncompiled, compiled))
+    memo_judge = parse("box p -> K q")
+    checker.evaluate(memo_judge, checker.ScenarioJudge(m), 0, {})
+    assert all(map(_uncompiled, (memo_caller, shifting, network, memo_judge)))
+
+
+def test_a_subset_memo_serves_only_its_own_formula_object():
+    """Equal formulas built apart get memos of their own.  Each copy below is
+    dropped as soon as it is judged, so a memo shared by equality would read
+    node ids that later copies reuse; the evaluator keeps every formula it
+    memoizes alive instead."""
+    for i in range(20):
+        m = gen_model(GenConfig(seed=11, max_points=4, model_class="subset"), i)
+        f = gen_formula(_derived_rng(11, 3, i), ("p", "q"), m.alphabet,
+                        lang=Language.K_BOX_NEXT, allow_seq=False, allow_tests=True)
+        text, opens = format_formula(f), m.space.opens_sorted()
+        want = [checker.SubsetEvaluator(m).extension(f, u) for u in opens]
+        ev = checker.SubsetEvaluator(m)
+        assert [ev.extension(f, u) for u in opens] == want
+        for _ in range(3):
+            assert [ev.extension(parse(text), u) for u in opens] == want
+        held = [g for g, _ in ev._memos.values()]
+        assert len(held) == 1 + 3 * len(opens) and held[0] is f and all(g == f for g in held)
+        assert all(id(g) == key for key, (g, _) in ev._memos.items())
