@@ -29,8 +29,10 @@ On subset-space models a slice holds W columns of V valuations, one per open
 in ``opens_sorted`` order: bit ``(x * W + j) * V + v`` holds the truth at
 (x, opens[j]).  K ORs the slices and copies the result to every point with
 one multiplication, and ``O[prog]`` reads column j at the column of the
-image of opens[j], which is open since the map is.  ``least_failure`` reads
-the least failing valuation and point off the masks.
+image of opens[j], which is open since the map is.  The chunk's valuations
+are grouped by a test's guard G_v, and ``O[?phi]`` reads column j at the
+column of opens[j] & G_v.  ``least_failure`` reads the least failing
+valuation and point off the masks.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from .models import (
     PDLModel,
     Scenario,
     SubsetModel,
+    compose,
     image,
     preimage,
     program_function,
@@ -506,7 +509,7 @@ class ScenarioJudge(_Parallel, SubsetEvaluator):
     shifts = frozenset()
 
     def __init__(self, model: SubsetModel, atoms: Optional[dict[str, int]] = None, width: int = 1):
-        self.own, self.width, self.block = atoms is None, width, (1 << width) - 1
+        self.width, self.block = width, (1 << width) - 1
         self.opens = opens = model.space.opens_sorted()
         self.column = {u: j for j, u in enumerate(opens)}
         super().__init__(model, {}, len(opens) * width)
@@ -519,25 +522,39 @@ class ScenarioJudge(_Parallel, SubsetEvaluator):
         self.atoms = {  # an atom's slice at x, in every column of an open that holds x
             a: sum(((m >> x * width & self.block) * copies & inside[x]) << o
                    for x, o in enumerate(self.offsets))
-            for a, m in (model.val if self.own else atoms).items()
+            for a, m in (model.val if atoms is None else atoms).items()
         }
 
     def full(self, c: int) -> int:
         return self.all
 
-    def interpret(self, prog: Program) -> tuple[tuple[Optional[int], ...], list[tuple[int, int]]]:
-        """The map, and per open j the shifts of its image's column and of j."""
-        if not self.own and any(type(part) is Test for part in seq_steps(prog)):
-            raise ValueError("a test program depends on the valuation; judge one model at a time")
-        fn = super().interpret(prog)
-        moves = []
-        for j, u in enumerate(self.opens):
-            k = self.column.get(image(fn, u))
-            if k is None:
-                raise ValueError(f"program {format_program(prog)} maps the open "
-                                 f"{points_from_mask(u)} onto a set that is not open")
-            moves.append((k * self.width, j * self.width))
-        return fn, moves
+    def interpret(self, prog: Program) -> list[tuple[int, tuple[Optional[int], ...], list]]:
+        """Per group of the chunk's valuations under which prog is one map: their
+        bits, the map, and per open j the shifts of its image's column and of j."""
+        groups = {self.block: tuple(range(self.model.n))}  # valuation bits -> the map so far
+        for part in seq_steps(prog):
+            steps = self.guards(part.body) if type(part) is Test else {
+                self.block: program_function(self.model, part)}
+            groups = {b & c: compose(f, g) for b, f in groups.items() for c, g in steps.items() if b & c}
+        out = []
+        for bits, fn in groups.items():
+            out.append((bits, fn, moves := []))
+            for j, u in enumerate(self.opens):
+                k = self.column.get(image(fn, u))
+                if k is None:
+                    raise ValueError(f"program {format_program(prog)} maps the open "
+                                     f"{points_from_mask(u)} onto a set that is not open")
+                moves.append((k * self.width, j * self.width))
+        return out
+
+    def guards(self, body: Formula) -> dict[int, tuple[Optional[int], ...]]:
+        """The identity on ?(body)'s guard per group of valuations sharing it: the
+        interior of body, a box/next formula, read at the whole carrier's column."""
+        full, groups = self.column[self.space.full] * self.width, {self.block: ()}
+        for x, g in enumerate([s >> full for s in self.slices(self.interior(evaluate(body, self)))]):
+            groups = {b & h: fn + (y,) for b, fn in groups.items()
+                      for h, y in ((g, x), (~g, None)) if b & h}
+        return groups
 
     def modal(self, node: Node, body: int, c: int) -> int:
         cls = type(node)
@@ -547,9 +564,9 @@ class ScenarioJudge(_Parallel, SubsetEvaluator):
             return self.all & ~spread if cls is Know else spread
         if cls is not Next:
             return super().modal(node, body, c)
-        fn, moves = self.program(node.prog)
-        s, block = self.slices(body), self.block  # column j read at its image's column k
-        return self.all & sum(sum([(s[y] >> k & block) << j for k, j in moves]) << o
+        s = self.slices(body)  # column j read at its image's column k, per group
+        return self.all & sum(sum([(s[y] >> k & bits) << j for k, j in moves]) << o
+                              for bits, fn, moves in self.program(node.prog)
                               for o, y in zip(self.offsets, fn) if y is not None)
 
     def witness(self, f: Formula) -> Optional[Scenario]:
@@ -567,9 +584,7 @@ def failures(model: Model, f: Formula, atoms: dict[str, int], width: int) -> int
     """Where f fails on the model's space and programs under a chunk of
     valuations (see ``valuation_chunks``): bit ``x * width + v`` is set iff
     f fails at point x under valuation v, on subset-space models at some
-    scenario (x, U).  The model's own valuation is ignored.  On subset-space
-    models test programs are refused, since their images depend on the
-    valuation."""
+    scenario (x, U).  The model's own valuation is ignored."""
     if isinstance(model, SubsetModel):  # each point's columns ORed
         sem = ScenarioJudge(model, atoms, width)
         bad, cols = sem.slices(sem.all & ~evaluate(f, sem)), range(0, len(sem.opens) * width, width)

@@ -664,11 +664,15 @@ class _Parser:
         got = value or "end of input"
         raise _error_at(self.text, pos, f"expected a program, found {got!r}")
 
-    def finish(self, result: Parsed) -> Node:
+    def finish(self, rule: Callable[[], Parsed]) -> Node:
+        """Run rule over the whole text; a call stack too deep for it is an input error."""
+        try:
+            node, depth = rule()
+        except RecursionError:
+            raise ParseError("brackets nest too deeply to parse at this call depth") from None
         tok = self.peek()
         if tok[0] != "eof":
             raise _error_at(self.text, tok[2], f"unexpected trailing input {tok[1]!r}")
-        node, depth = result
         if depth > MAX_NESTING:
             raise ParseError(_TOO_DEEP)
         return node
@@ -676,12 +680,12 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     p = _Parser(text)
-    return p.finish(p.formula())
+    return p.finish(p.formula)
 
 
 def parse_program(text: str) -> Program:
     p = _Parser(text)
-    return p.finish(p.program())
+    return p.finish(p.program)
 
 
 # --- JSON views --------------------------------------------------------------

@@ -41,7 +41,6 @@ from .formula import (
     Test,
     atoms as formula_atoms,
     format_formula,
-    kinds,
     modal_depth,
     program_names,
 )
@@ -568,23 +567,15 @@ def search_countermodel(
     every relabelling.  The kept maps of a space, or the kept relations on
     n points, are found once per process, on the search that first reaches
     them.  ``checker.least_failure`` judges a block's valuations a chunk at
-    a time; a subset-space formula with a test program is judged one model
-    at a time, since its image steps depend on the valuation.
-    ``_global_failure`` picks the witness."""
+    a time.  ``_global_failure`` picks the witness."""
     if model_class not in MODEL_CLASSES:
         raise ValueError(f"unknown model class {model_class!r}")
     names = sorted(formula_atoms(f))
     progs = tuple(sorted(program_names(f)))
-    one_at_a_time = model_class == "subset" and Test in kinds(f)
     for n in range(1, bound + 1):
         for block in _class_models(model_class, n, progs):
-            if one_at_a_time:
-                models = (replace(block, val=checker.valuation(names, n, v))
-                          for v in range(1 << n * len(names)))
-                model = next((m for m in models if _global_failure(m, f) is not None), None)
-            else:
-                found = checker.least_failure(block, f, names)
-                model = found and replace(block, val=checker.valuation(names, n, found[0]))
-            if model is not None:
+            found = checker.least_failure(block, f, names)
+            if found is not None:
+                model = replace(block, val=checker.valuation(names, n, found[0]))
                 return model, _global_failure(model, f)
     return None

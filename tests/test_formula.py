@@ -140,13 +140,24 @@ def test_a_chain_is_refused_once_it_alone_passes_the_nesting_cap(op):
     # k operators nest a chain k + 1 levels deep, so MAX_NESTING - 1 of them fit
     chain, rule = CHAINS[op]
     fits = _Parser(chain(MAX_NESTING - 1))
-    fits.finish(getattr(fits, rule)())
+    fits.finish(getattr(fits, rule))
     for k in (MAX_NESTING, 100 * MAX_NESTING):
         parser = _Parser(chain(k))
         with pytest.raises(ParseError, match=f"^formula nests deeper than {MAX_NESTING} levels$"):
-            parser.finish(getattr(parser, rule)())
+            parser.finish(getattr(parser, rule))
         # refused inside the chain loop, long before the end of the input
         assert parser.pos <= 2 * MAX_NESTING
+
+
+def test_deep_brackets_deep_in_the_call_stack_are_a_parse_error():
+    text = "(" * MAX_NESTING + "p" + ")" * MAX_NESTING
+    assert parse(text) == parse("p")
+
+    def nested(frames):
+        return nested(frames - 1) if frames else parse(text)
+
+    with pytest.raises(ParseError, match="^brackets nest too deeply to parse at this call depth$"):
+        nested(120)
 
 
 def test_reserved_words_are_not_atoms():

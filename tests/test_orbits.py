@@ -299,11 +299,10 @@ def test_reduced_search_prints_what_the_labelled_one_does(monkeypatch, model_cla
     assert got == refute(argv)
 
 
-@pytest.mark.parametrize("model_class, text, bound", [e for e in CORPUS if "?(" not in e[1]])
+@pytest.mark.parametrize("model_class, text, bound", CORPUS)
 def test_no_block_is_judged_twice(monkeypatch, model_class, text, bound):
     """The search judges the blocks of ``_class_models`` in order, each once,
-    up to the countermodel's block.  Formulas with a test program on subset
-    models are judged one model at a time and are left out."""
+    up to the countermodel's block."""
     judged = []
     failures = checker.failures
 

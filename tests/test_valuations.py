@@ -47,6 +47,8 @@ CORPUS = [(c, f) for c in DT_CLASSES for f in DT_FORMULAS] + [
     ("subset", "O[a] top"),
     ("subset", "O[?(box p)] q -> q"),
     ("subset", "O[a;?(p)] p -> K p"),
+    ("subset", "O[?(p);a;?(box q)] p -> O[a] p"),
+    ("subset", "O[?(O[a] box p)] q -> Khat q"),
 ]
 
 
@@ -111,36 +113,40 @@ def same_result(got, want):
 
 
 @pytest.mark.parametrize("model_class, text", CORPUS)
-def test_every_block_agrees_with_one_model_path(model_class, text):
+def test_every_block_agrees_with_one_model_path(monkeypatch, model_class, text):
     """Up to 3 points: the verdict per point and valuation, and the search's
-    first witness."""
+    first witness.  A test program's valuations are judged in groups that
+    share its guard, and some chunk here splits into two or more."""
+    groups = []
+    guards = checker.ScenarioJudge.guards
+
+    def recording(judge, body):
+        got = guards(judge, body)
+        groups.append(len(got))
+        return got
+
+    monkeypatch.setattr(checker.ScenarioJudge, "guards", recording)
     f = parse(text)
     names = sorted(atoms(f))
     progs = tuple(sorted(program_names(f)))
-    valuation_dependent = model_class == "subset" and ProgramTest in kinds(f)
     first = None
     for n in (1, 2, 3):
         stream = one_model_stream(model_class, n, progs, names)
         for block in labelled_blocks(model_class, n, progs):
             for start, width, masks in valuation_chunks(n, names):
-                if valuation_dependent:
-                    with pytest.raises(ValueError, match="test program"):
-                        failures(block, f, masks, width)
-                    bad = None
-                else:
-                    bad = failures(block, f, masks, width)
+                bad = failures(block, f, masks, width)
                 for v in range(width):
                     model = next(stream)
                     assert key(model) == key(replace(block, val=model.val))
                     want = failing_points(model, f)
-                    if bad is not None:
-                        got = sum((bad >> x * width + v & 1) << x for x in range(n))
-                        assert got == want, (key(model), start + v)
+                    got = sum((bad >> x * width + v & 1) << x for x in range(n))
+                    assert got == want, (key(model), start + v)
                     assert (_global_failure(model, f) is None) == (want == 0)
                     if first is None and want:
                         first = model, _global_failure(model, f)
         assert next(stream, None) is None
     assert same_result(search_countermodel(f, 3, model_class), first)
+    assert (max(groups, default=0) >= 2) == (ProgramTest in kinds(f))
 
 
 @pytest.mark.parametrize("model_class, text", [
