@@ -1,8 +1,8 @@
 """Model checkers for the three semantics, over one evaluator core.
 
-``evaluate`` computes the connectives itself, in one pass over the
-formula's tree that builds no node array and switches context as it goes.  A
-semantics supplies the rest: ``full(c)``, every point at context ``c``;
+``evaluate`` reads the connectives from ``CONNECTIVES``, in one pass over
+the formula's tree that builds no node array and switches context as it
+goes.  A semantics supplies the rest: ``full(c)``, every point at context ``c``;
 ``atom(node, c)``; ``modal(node, body, c)``, a modality applied to its
 body's extension; and ``shifts``, the modalities whose body is read at
 another context, ``step(node, c)``.  Contexts are ints: the scenario set
@@ -90,6 +90,17 @@ CHUNK_BITS = 12
 
 _BINARY = frozenset({And, Or, Implies, Iff})
 
+# The Boolean connectives on masks, given ``full``, every point at the
+# context; ``evaluate`` reads them, passing Not its one child twice, and so
+# do the audit's masks.
+CONNECTIVES = {
+    Not: lambda full, a, b=0: full & ~a,
+    And: lambda full, a, b: a & b,
+    Or: lambda full, a, b: a | b,
+    Implies: lambda full, a, b: (full & ~a) | b,
+    Iff: lambda full, a, b: full & ~(a ^ b),
+}
+
 
 def evaluate(f: Formula, sem, ctx: int = 0, memo: Optional[dict] = None) -> int:
     """Extension of f at context ctx, by one pass over its tree, children
@@ -117,19 +128,10 @@ def evaluate(f: Formula, sem, ctx: int = 0, memo: Optional[dict] = None) -> int:
         if node is None:  # the children of the node below it are done
             node = pop()
             cls = type(node)
-            if cls in _BINARY:
-                left, right = node.children
-                a, b = done[id(left)], done[id(right)]
-                if cls is And:
-                    m = a & b
-                elif cls is Or:
-                    m = a | b
-                elif cls is Implies:
-                    m = (full & ~a) | b
-                else:
-                    m = full & ~(a ^ b)
-            elif cls is Not:
-                m = full & ~done[id(node.children[0])]
+            op = CONNECTIVES.get(cls)
+            if op is not None:
+                kids = node.children
+                m = op(full, done[id(kids[0])], done[id(kids[-1])])
             else:  # a shifted body was read in the context just left
                 m = modal(node, (last if cls in shifts else done)[id(node.children[-1])], c)
             done[id(node)] = m

@@ -12,8 +12,9 @@ import bisect
 import itertools
 import random
 import time
+from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import checker
@@ -40,6 +41,7 @@ from .formula import (
     TOP,
     Test,
     atoms as formula_atoms,
+    compile as compile_formula,
     format_formula,
     modal_depth,
     program_names,
@@ -198,9 +200,9 @@ def gen_model(cfg: GenConfig, index: int = 0) -> Model:
 _BASE_KINDS = ((Atom, 2.0), (Not, 1.5), (And, 1.5), (Or, 1.2), (Implies, 1.2), (Iff, 0.6))
 
 
-def _kind_table(lang: Language, modal: bool) -> tuple[tuple[type, ...], list[float], float]:
-    """Kinds with their cumulative weights and total, as ``random.choices``
-    would build them from the weights."""
+def _kind_table(lang: Language, modal: bool) -> tuple[tuple[type, ...], list[float], float, int]:
+    """Kinds with their cumulative weights, total and last index, as
+    ``random.choices`` would build them from the weights."""
     choices = list(_BASE_KINDS)
     if modal:
         if lang is Language.PDL:
@@ -212,7 +214,7 @@ def _kind_table(lang: Language, modal: bool) -> tuple[tuple[type, ...], list[flo
         if lang is Language.K_BOX_NEXT:
             choices += [(Know, 1.2), (KHat, 0.8)]
     cum = list(itertools.accumulate(w for _, w in choices))
-    return tuple(c for c, _ in choices), cum, cum[-1] + 0.0
+    return tuple(c for c, _ in choices), cum, cum[-1] + 0.0, len(cum) - 1
 
 
 # per language: the table without, then with, modalities
@@ -233,7 +235,7 @@ def gen_formula(
     """Grammar-stratified sampler; modal depth never exceeds modal_budget.
     Draws from the cached grammar of its names, language and options."""
     grammar = _grammar(tuple(atom_names), tuple(programs), lang, allow_seq, allow_tests)
-    return grammar.formula(rng, modal_budget, size_budget)
+    return grammar.formula(rng, grammar.nodes, modal_budget, size_budget)
 
 
 @lru_cache(maxsize=64)
@@ -241,14 +243,20 @@ def _grammar(atom_names, programs, lang, allow_seq, allow_tests) -> _Grammar:
     return _Grammar(atom_names, programs, lang, allow_seq, allow_tests)
 
 
+# what the grammar makes of a draw: ``top`` and ``atoms`` (in the grammar's
+# order) for leaves, ``ops[kind](*children)`` for nodes, a modality's program first
+_Algebra = namedtuple("_Algebra", "top atoms ops")
+_KINDS = (Not, And, Or, Implies, Iff, Diamond, BoxPdl, Next, Int, Cl, Know, KHat)
+
+
 class _Grammar:
     """gen_formula's recursion: kinds, atoms and programs are drawn from rng in
-    a fixed order, so one seed gives one stream of formulas.  Built once per
-    configuration; its leaves are shared nodes, one per name, so every
-    formula drawn from it holds the same leaf objects."""
+    a fixed order, so one seed gives one stream of formulas, whatever algebra
+    makes them: ``nodes`` builds them from shared leaves, one per name, and
+    ``draws`` builds nothing.  Programs and test bodies are always nodes."""
 
     def __init__(self, atom_names, programs, lang, allow_seq, allow_tests):
-        self.tables = _KIND_TABLES[lang]
+        self.tables = _KIND_TABLES[lang] if programs else (_KIND_TABLES[lang][0],) * 2
         self.allow_seq = allow_seq
         self.allow_tests = allow_tests and lang is not Language.PDL
         # test bodies are drawn from the box/next grammar, with its leaves
@@ -261,25 +269,25 @@ class _Grammar:
             self.atoms = tuple(leaves[a] for a in atom_names)
             steps = {p: Atomic(p) for p in programs}
             self.programs = tuple(steps[p] for p in programs)
+        self.nodes = _Algebra(TOP, self.atoms, {kind: kind for kind in _KINDS})
+        self.draws = _Algebra(
+            None, [None] * len(atom_names), dict.fromkeys(_KINDS, lambda *_: None))
 
-    def leaf(self, rng: random.Random) -> Formula:
-        return TOP if rng.random() < 0.08 else rng.choice(self.atoms)
-
-    def formula(self, rng: random.Random, modal_budget: int, size_budget: int) -> Formula:
-        if size_budget <= 0 or (rng.random() < 0.18 and size_budget < 4):
-            return self.leaf(rng)
-        # the draw random.choices(kinds, weights) makes, from a precomputed table
-        kinds, cum, total = self.tables[modal_budget >= 1 and bool(self.programs)]
-        kind = kinds[bisect.bisect(cum, rng.random() * total, 0, len(cum) - 1)]
-        if kind is Atom:
-            return self.leaf(rng)
-        if kind in _BINARY:
-            left = self.formula(rng, modal_budget, size_budget - 1)
-            return kind(left, self.formula(rng, modal_budget, size_budget - 1))
-        if kind not in MODAL:
-            return kind(self.formula(rng, modal_budget, size_budget - 1))
-        prog, cost = self.program(rng, modal_budget, size_budget)
-        return kind(prog, self.formula(rng, modal_budget - cost, size_budget - 1))
+    def formula(self, rng: random.Random, alg: _Algebra, modal_budget: int, size_budget: int):
+        if size_budget > 0 and (rng.random() >= 0.18 or size_budget >= 4):
+            # the draw random.choices(kinds, weights) makes, from a precomputed table
+            kinds, cum, total, last = self.tables[modal_budget >= 1]
+            kind = kinds[bisect.bisect(cum, rng.random() * total, 0, last)]
+            if kind is not Atom:  # Atom stands for a leaf
+                make, size = alg.ops[kind], size_budget - 1
+                if kind in _BINARY:
+                    left = self.formula(rng, alg, modal_budget, size)
+                    return make(left, self.formula(rng, alg, modal_budget, size))
+                if kind not in MODAL:
+                    return make(self.formula(rng, alg, modal_budget, size))
+                prog, cost = self.program(rng, modal_budget, size_budget)
+                return make(prog, self.formula(rng, alg, modal_budget - cost, size))
+        return alg.top if rng.random() < 0.08 else rng.choice(alg.atoms)
 
     def program(
         self, rng: random.Random, modal_budget: int, size_budget: int
@@ -288,7 +296,7 @@ class _Grammar:
         if self.allow_seq and modal_budget >= 2 and programs and rng.random() < 0.25:
             return Seq(rng.choice(programs), rng.choice(programs)), 2
         if self.allow_tests and modal_budget >= 1 and rng.random() < 0.15:
-            body = self.tests.formula(rng, modal_budget - 1, size_budget // 2)
+            body = self.tests.formula(rng, self.tests.nodes, modal_budget - 1, size_budget // 2)
             return Test(body), max(modal_depth(body), 1)
         return rng.choice(programs), 1
 
@@ -367,6 +375,40 @@ def _judge(model: Model) -> checker._Semantics:
     return (checker._Relational if relational else checker._DynamicTopological)(model)
 
 
+def _masks(judge: checker._Semantics, atoms: Sequence[Atom]) -> _Algebra:
+    """The algebra of the judge's masks: ``checker.CONNECTIVES``, and the
+    judge's ``modal`` on a stand-in node of each modality and program."""
+    full, modal = judge.full(0), judge.modal
+    ops = {kind: partial(op, full) for kind, op in checker.CONNECTIVES.items()}
+    for kind in (Int, Cl, Know, KHat):
+        ops[kind] = lambda body, node=kind(TOP): modal(node, body, 0)
+    for kind in MODAL:
+        ops[kind] = lambda prog, body, kind=kind: modal(kind(prog, TOP), body, 0)
+    return _Algebra(full, tuple(judge.atom(a, 0) for a in atoms), ops)
+
+
+def _apply(template: Formula, formulas: dict, programs: dict[str, Program], alg: _Algebra):
+    """The template's value in alg, its atoms read as formulas' values and its
+    atomic programs as programs' nodes; over nodes, ``instantiate_scheme``."""
+    vals: list = []
+    for cls, kids, node in compile_formula(template):
+        if kids:
+            vals.append((Seq if cls is Seq else alg.ops[cls])(*[vals[k] for k in kids]))
+        else:  # a formula or program variable, or top
+            vals.append(formulas[node.name] if cls is Atom else
+                        programs[node.name] if cls is Atomic else alg.top)
+    return vals[-1]
+
+
+def _instance(rng: random.Random, grammar: _Grammar, template: Optional[Formula],
+              formula: Callable[[str], object]) -> tuple[Formula, dict, dict]:
+    """(template, formula variables, program variables) of the next instance,
+    in draw order; ``formula(v)`` draws v, and CPL (None) its template last."""
+    formulas = {v: formula(v) for v in ("p", "q", "r")}
+    programs = {v: rng.choice(grammar.programs) for v in ("pi", "pi1", "pi2")}
+    return template or rng.choice(_CPL_TEMPLATES), formulas, programs
+
+
 def _global_failure(
     model: Model, inst: Formula, judge: Optional[checker._Semantics] = None
 ) -> Union[None, int, Scenario]:
@@ -393,7 +435,11 @@ def audit(
 ) -> AuditReport:
     """Instantiate each scheme with random formulas on generated models and
     collect global-truth failures.  Each model's instances are judged on one
-    ``_judge`` of it."""
+    ``_judge`` of it.
+
+    An instance is judged as it is drawn, as masks of the variables its
+    template reads.  One that fails, or that the judge refuses, is drawn
+    again as a tree for ``_global_failure`` to find its witness or error."""
     system = get_system(system_name)
     model_class = cfg.model_class or _DEFAULT_CLASS[system.name]
     if not 1 <= cfg.num_programs <= len(_PROGRAM_NAMES):
@@ -401,62 +447,54 @@ def audit(
     run_cfg = replace(cfg, model_class=model_class)
     lang = system.language
     wanted = set(schemes) if schemes is not None else None
-    scheme_list: list[tuple[str, Optional[Formula]]] = [("CPL", None)]
-    scheme_list += [(name, template) for name, template in system.schemes]
-    if wanted is not None:
-        scheme_list = [(n, t) for n, t in scheme_list if n in wanted]
+    # a trial's instances in draw order, with the formula variables each reads
+    plan = [(name, t, formula_atoms(t) if t else {"p", "q", "r"})
+            for name, t in (("CPL", None), *system.schemes) if wanted is None or name in wanted
+            for _ in range(instances)]
 
     start = time.perf_counter()
-    checked = 0
     violations: list[AuditViolation] = []
     for trial in range(trials):
         model = gen_model(run_cfg, trial)
         judge = _judge(model)
-        rng = _derived_rng(cfg.seed, trial, 0x5EED)
         allow_seq = isinstance(model, (PDLModel, DTModel))
         allow_tests = model_class == "subset"
-        # the grammar gen_formula draws from; pmap draws its program leaves
+        # the grammar gen_formula draws from; _instance draws its program leaves
         grammar = _grammar(tuple(cfg.atoms), tuple(model.alphabet), lang, allow_seq, allow_tests)
-        for name, template in scheme_list:
-            for _ in range(instances):
-                fmap = {
-                    v: gen_formula(
-                        rng,
-                        cfg.atoms,
-                        model.alphabet,
-                        modal_budget=3,
-                        size_budget=4,
-                        lang=lang,
-                        allow_seq=allow_seq,
-                        allow_tests=allow_tests,
-                    )
-                    for v in ("p", "q", "r")
-                }
-                pmap = {v: rng.choice(grammar.programs) for v in ("pi", "pi1", "pi2")}
-                if template is None:
-                    base = rng.choice(_CPL_TEMPLATES)
-                    inst = instantiate_scheme(base, fmap, {})
-                else:
-                    inst = instantiate_scheme(template, fmap, pmap)
-                checked += 1
-                witness = _global_failure(model, inst, judge)
-                if witness is not None:
-                    violations.append(
-                        AuditViolation(
-                            trial=trial,
-                            scheme=name,
-                            formula=format_formula(inst),
-                            model=model_to_json(model),
-                            point=witness if isinstance(witness, int) else None,
-                            scenario=witness.to_json() if isinstance(witness, Scenario) else None,
-                        )
-                    )
+        masks, full = _masks(judge, grammar.atoms), judge.full(0)
+        rng = _derived_rng(cfg.seed, trial, 0x5EED)
+
+        def tree(v: str) -> Formula:
+            return gen_formula(rng, cfg.atoms, model.alphabet, modal_budget=3, size_budget=4,
+                               lang=lang, allow_seq=allow_seq, allow_tests=allow_tests)
+
+        def judged(read: Iterable[str]) -> Callable[[str], object]:  # the rest only drawn
+            return lambda v: grammar.formula(rng, masks if v in read else grammar.draws, 3, 4)
+
+        for k, (name, template, read) in enumerate(plan):
+            try:
+                if not full & ~_apply(*_instance(rng, grammar, template, judged(read)), masks):
+                    continue
+            except ValueError:
+                pass
+            # draw it as a tree from where it began, reached by drawing the earlier
+            # ones again: Random.getstate before each would cost a third of one
+            rng = _derived_rng(cfg.seed, trial, 0x5EED)
+            for _, earlier, _ in plan[:k]:
+                _instance(rng, grammar, earlier, judged(()))
+            inst = instantiate_scheme(*_instance(rng, grammar, template, tree))
+            witness = _global_failure(model, inst, judge)
+            if witness is not None:
+                scenario = witness.to_json() if isinstance(witness, Scenario) else None
+                violations.append(AuditViolation(
+                    trial, name, format_formula(inst), model_to_json(model),
+                    witness if isinstance(witness, int) else None, scenario))
     return AuditReport(
         system=system.name,
         model_class=model_class,
         trials=trials,
         instances=instances,
-        checked=checked,
+        checked=trials * len(plan),
         violations=violations,
         elapsed=time.perf_counter() - start,
     )

@@ -450,6 +450,16 @@ def test_audit_refuses_a_class_its_system_is_not_judged_on(capsys, system, model
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_audit_judges_only_the_variables_an_instance_reads(capsys):
+    """T_Box reads only p.  Two of the r this run draws hold K or Khat,
+    which dtl models refuse, but no instance holds them, so it passes."""
+    code, out, err = run(capsys, [
+        "audit", "--system", "DTEL", "--model-class", "dtl", "--scheme", "T_Box",
+        "--trials", "1", "--points", "3", "--seed", "3",
+    ])
+    assert code == 0 and json.loads(out)["ok"] is True and "error" not in err
+
+
 def _chain_model(kind, n):
     """The chain 0 <= 1 <= ... <= n-1 given as a preorder, the reversal as
     its one map, and p on the upper half."""

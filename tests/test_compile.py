@@ -314,21 +314,25 @@ def test_walk_matches_the_array_loop(name):
 
 
 def test_the_audit_walks_its_instances_and_compiles_none(monkeypatch):
-    """Each instance is a fresh root judged once, and nothing compiles it.
-    Memo callers and shifting semantics compile nothing either, nor does
-    the parser."""
-    instances, judged = [], []
+    """A passing audit builds no instance: it judges each one as it is
+    drawn.  A failing one builds each violation once, as a fresh root judged
+    once, and nothing compiles it.  Memo callers and shifting semantics
+    compile nothing either, nor does the parser."""
+    instances, judged = [], {}  # judged: id -> (root, uncompiled when judged)
     real_evaluate, real_instantiate = checker.evaluate, harness.instantiate_scheme
-    monkeypatch.setattr(checker, "evaluate",
-                        lambda f, *args: judged.append(f) or real_evaluate(f, *args))
+    monkeypatch.setattr(checker, "evaluate", lambda f, *args: judged.setdefault(
+        id(f), (f, _uncompiled(f))) and real_evaluate(f, *args))
     monkeypatch.setattr(harness, "instantiate_scheme",
                         lambda *args: instances.append(real_instantiate(*args)) or instances[-1])
     for system in ("SPDL0", "SPDL0_SEQ", "DTEL"):
         assert harness.audit(system, GenConfig(seed=7, max_points=4), 4).ok
-    assert len(instances) == 4 * 3 * (3 + 4 + 13)
-    # both lists hold their nodes, so no id is reused while they are compared
-    assert {id(f) for f in instances} <= {id(f) for f in judged}
-    assert all(map(_uncompiled, instances))
+    assert instances == []
+    rep = harness.audit("SPDL0_SEQ", GenConfig(seed=3, max_points=4, model_class="dtl"), 40)
+    assert len(rep.violations) == len(instances) > 0
+    assert [v.formula for v in rep.violations] == list(map(format_formula, instances))
+    # both hold their nodes, so no id is reused while they are compared; the
+    # printer compiles each violation only after it is judged
+    assert all(judged[id(f)] == (f, True) for f in instances)
 
     m = gen_model(GenConfig(seed=7, max_points=4, model_class="subset"), 1)
     memo_caller = parse("K (p -> O[a] box q)")

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from topodyn import harness
 from topodyn.checker import (
     SubsetEvaluator,
     _program_key,
@@ -13,7 +14,15 @@ from topodyn.checker import (
     eval_subset,
     evaluate,
 )
-from topodyn.formula import MODAL, Language, compile, in_language, modal_depth, parse
+from topodyn.formula import (
+    MODAL,
+    Language,
+    compile,
+    format_formula,
+    in_language,
+    modal_depth,
+    parse,
+)
 from topodyn.frameprops import is_continuous, is_open_map, is_serial
 from topodyn.harness import (
     MODEL_CLASSES,
@@ -22,9 +31,14 @@ from topodyn.harness import (
     gen_formula,
     gen_model,
     search_countermodel,
+    _DEFAULT_CLASS,
+    _apply,
     _derived_rng,
     _global_failure,
+    _grammar,
+    _instance,
     _judge,
+    _masks,
 )
 from topodyn.models import (
     DTModel,
@@ -35,6 +49,7 @@ from topodyn.models import (
     model_to_json,
     validate,
 )
+from topodyn.proofkit import get_system, instantiate_scheme
 from topodyn.topology import iter_points
 
 
@@ -192,6 +207,84 @@ def test_audit_report_is_pinned(system, model_class, seed, trials):
     want = AUDIT_GOLDEN[system, model_class, seed, trials]
     assert hashlib.sha256(text.encode()).hexdigest() == want
     assert rep.ok is (model_class is None)
+
+
+# SHA-256 of the newline-joined formulas of every instance the audit of
+# AUDIT_GOLDEN's passing runs draws, in order, as the tree path formats them;
+# recorded by wrapping instantiate_scheme before the audit judged instances
+# as they were drawn, when every instance went through it
+AUDIT_STREAM = {
+    ("SPDL0", 21): "09988db40afc9f2d00bdacfadc23edc10960ef2bd77c06fcbebcc5b800926f41",
+    ("SPDL0_SEQ", 22): "8a895640e3ad11cdc15ef86ea516c4ef1794eec862d3390192cbb6b257613450",
+    ("DTEL", 23): "73657ee8879f09d75e7d486f5eb74c0034f2264af0ae2b076771afe4bf5d2267",
+}
+
+
+@pytest.mark.parametrize("system, seed", list(AUDIT_STREAM))
+def test_audit_instance_stream_is_pinned(monkeypatch, system, seed):
+    """With the mask path refusing every instance, each is drawn again as a
+    tree; the instances and the report are the ones pinned.  A passing
+    audit's report holds only counts, so the stream is what pins its draws."""
+    texts, instantiate = [], harness.instantiate_scheme
+
+    def recorded(*args):
+        inst = instantiate(*args)
+        texts.append(format_formula(inst))
+        return inst
+
+    def refused(*args):
+        raise ValueError("judged as a tree")
+
+    monkeypatch.setattr(harness, "instantiate_scheme", recorded)
+    monkeypatch.setattr(harness, "_apply", refused)
+    rep = audit(system, GenConfig(seed=seed, max_points=4, num_programs=2), trials=30)
+    assert len(texts) == rep.checked
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == AUDIT_STREAM[system, seed]
+    report = hashlib.sha256(json.dumps(rep.to_json(), sort_keys=True).encode()).hexdigest()
+    assert report == AUDIT_GOLDEN[system, None, seed, 30]
+
+
+@pytest.mark.parametrize("system, model_class, seed", [
+    *[(system, None, seed) for system in ("SPDL0", "SPDL0_SEQ", "DTEL") for seed in (5, 29)],
+    ("SPDL0_SEQ", "dtl", 3), ("SPDL0_SEQ", "dtl", 29),
+])
+def test_every_algebra_draws_what_the_node_one_does(system, model_class, seed):
+    """Drawn as masks or drawn only, every audit instance leaves rng where
+    the tree draw leaves it.  Each mask, of a variable or of the instance,
+    is the judge's ``evaluate`` of the tree, and the template applied to the
+    trees is ``instantiate_scheme``'s instance."""
+    proof_system, unsound = get_system(system), model_class is not None
+    model_class = model_class or _DEFAULT_CLASS[system]
+    cfg = GenConfig(seed=seed, max_points=4, num_programs=2, model_class=model_class)
+    templates = [None] + [t for _, t in proof_system.schemes]
+    failing = 0
+    for trial in range(8):
+        model = gen_model(cfg, trial)
+        judge = _judge(model)
+        grammar = _grammar(cfg.atoms, model.alphabet, proof_system.language,
+                           model_class != "subset", model_class == "subset")
+        masks, full = _masks(judge, grammar.atoms), judge.full(0)
+        rng = _derived_rng(seed, trial, 0x5EED)
+        for template in [t for t in templates for _ in range(3)]:  # the audit's order
+            before = rng.getstate()
+            base, trees, programs = _instance(
+                rng, grammar, template, lambda v: grammar.formula(rng, grammar.nodes, 3, 4))
+            after = rng.getstate()
+            inst = instantiate_scheme(base, trees, programs)
+            assert _apply(base, trees, programs, grammar.nodes) == inst
+            for alg in (masks, grammar.draws):
+                rng.setstate(before)
+                got = _instance(rng, grammar, template, lambda v: grammar.formula(rng, alg, 3, 4))
+                assert rng.getstate() == after
+                assert got[0] is base and got[2] == programs
+                if alg is grammar.draws:
+                    assert list(got[1].values()) == [None] * 3
+                    continue
+                assert got[1] == {v: evaluate(f, judge) for v, f in trees.items()}
+                mask = _apply(*got, masks)
+                assert mask == evaluate(inst, judge)
+            failing += bool(full & ~mask)
+    assert (failing > 0) is unsound
 
 
 def test_audit_violations_reverify():
