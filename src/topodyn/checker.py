@@ -42,6 +42,7 @@ from operator import lshift, or_
 from typing import Iterator, Optional, Sequence
 
 from .formula import (
+    BINARY,
     And,
     Atom,
     Atomic,
@@ -86,9 +87,6 @@ from .topology import iter_points, points_from_mask
 # At most 2**CHUNK_BITS valuations are judged in one evaluation, which keeps
 # a mask within n * 2**CHUNK_BITS bits however many atoms there are.
 CHUNK_BITS = 12
-
-
-_BINARY = frozenset({And, Or, Implies, Iff})
 
 # The Boolean connectives on masks, given ``full``, every point at the
 # context; ``evaluate`` reads them, passing Not its one child twice, and so
@@ -143,7 +141,7 @@ def evaluate(f: Formula, sem, ctx: int = 0, memo: Optional[dict] = None) -> int:
         elif id(node) not in done:
             if cls is Atom:
                 done[id(node)] = atom(node, c)
-            elif cls in _BINARY:
+            elif cls in BINARY:
                 left, right = node.children
                 push(node)
                 push(None)
@@ -192,7 +190,7 @@ def _program_key(prog: Program):
     if type(prog) is Atomic:
         return prog.name
     key = getattr(prog, "_key", None)
-    if key is None:  # cached on the node, like its modal depth
+    if key is None:  # cached on the node, like its node array
         key = prog._key = tuple([s.name if type(s) is Atomic else s for s in seq_steps(prog)])
     return key
 

@@ -12,11 +12,13 @@ Programs are atomic names, sequential compositions ``a;b`` and test programs
 ``?(f)``.  Test bodies must stay inside the box/next fragment; the constructor
 enforces this.
 
-Nodes are never mutated.  Each one computes its structural hash once, at
-construction, from its children's hashes, so hashing and most unequal
-comparisons cost O(1) whatever the depth.  ``compile`` flattens a formula into
-a post-order node array, built once and cached on the root; every structural
-query below is one loop over that array, so none of them recurses.
+Nodes are never mutated.  Each one computes its structural hash, language
+set, modal depth and AST depth once, at construction, from its children's, so
+hashing, most unequal comparisons, ``in_language`` and ``modal_depth`` cost
+O(1) whatever the depth.  ``compile`` flattens a formula into a post-order
+node array, built once and cached on the root; the folds below (substitution,
+printing, the JSON view) are one loop over that array, so none of them
+recurses.
 
 Concrete syntax (ASCII): atoms are ``[a-z][a-z0-9_]*``; ``box``, ``dia`` and
 ``top`` are reserved words.  Unary modalities bind tighter than ``&``, which
@@ -54,8 +56,10 @@ class Language(Enum):
     K_BOX_NEXT = "k_box_next"
 
 
-_ALL = frozenset(Language)
-_TOPOLOGICAL = frozenset({Language.BOX_NEXT, Language.K_BOX_NEXT})
+# a set of languages is a mask with one bit per language
+_BIT = {lang: 1 << i for i, lang in enumerate(Language)}
+_ALL = sum(_BIT.values())
+_TOPOLOGICAL = _BIT[Language.BOX_NEXT] | _BIT[Language.K_BOX_NEXT]
 
 
 # --- AST -------------------------------------------------------------------
@@ -64,13 +68,14 @@ _TOPOLOGICAL = frozenset({Language.BOX_NEXT, Language.K_BOX_NEXT})
 class Node:
     """A formula or program node.  ``children`` holds the subterms in field
     order (program before body), and the named fields read from it.  Nodes
-    are never mutated: their hash, language set, modal depth and node array
-    are cached."""
+    are never mutated: the constructor sets the hash, the language set
+    ``_in``, the modal depth and the AST depth ``_height`` from the
+    children's, and ``compile`` caches the node array."""
 
-    __slots__ = ("children", "name", "_hash", "_nodes", "_kinds", "_in", "_depth")
+    __slots__ = ("children", "name", "_hash", "_in", "_depth", "_height", "_nodes")
     _fields: tuple[str, ...] = ()
     _tag = ""  # JSON type name
-    _langs = _ALL  # languages the node may occur in
+    _langs = _ALL  # mask of the languages the node may occur in
 
     def __init_subclass__(cls) -> None:
         fields = cls.__dict__.get("_fields", ())
@@ -82,6 +87,7 @@ class Node:
     def __init__(self) -> None:
         self.children = ()
         self._hash = hash((type(self),))
+        self._in, self._depth, self._height = _ALL, 0, 1
 
     def rebuild(self, children) -> "Node":
         """The same node over new children; itself when none changed."""
@@ -118,23 +124,34 @@ class Node:
         return format_formula(self)
 
 
-# constructors by arity: the hash is computed here, once, from the children's
+# constructors by arity: each fact of a node is computed here, once, from
+# its children's.  Modal depth counts an atomic program as one step; a
+# program runs before its body (or a sequence's second step), so their
+# depths add, and every other node takes its children's maximum.
 
 
 def _leaf_init(self: Node, name: str) -> None:
     self.name = name
     self.children = ()
     self._hash = hash((type(self), name))
+    self._in, self._height = _ALL, 1
+    self._depth = 1 if isinstance(self, Program) else 0
 
 
 def _unary_init(self: Node, body: Node) -> None:
     self.children = (body,)
     self._hash = hash((type(self), body._hash))
+    self._in, self._depth, self._height = body._in & self._langs, body._depth, body._height + 1
 
 
 def _binary_init(self: Node, left: Node, right: Node) -> None:
     self.children = (left, right)
     self._hash = hash((type(self), left._hash, right._hash))
+    self._in = left._in & right._in & self._langs
+    a, b = left._depth, right._depth
+    self._depth = a + b if isinstance(left, Program) else a if a > b else b
+    a, b = left._height, right._height
+    self._height = 1 + (a if a > b else b)  # not max(): this runs per node built
 
 
 class Formula(Node):
@@ -197,14 +214,14 @@ class Diamond(Formula):
     """Relational possibility: some execution of the program reaches body."""
 
     __slots__ = ()
-    _fields, _tag, _langs = ("prog", "body"), "pdl_dia", frozenset({Language.PDL})
+    _fields, _tag, _langs = ("prog", "body"), "pdl_dia", _BIT[Language.PDL]
 
 
 class BoxPdl(Formula):
     """Relational necessity, the dual of Diamond."""
 
     __slots__ = ()
-    _fields, _tag, _langs = ("prog", "body"), "pdl_box", frozenset({Language.PDL})
+    _fields, _tag, _langs = ("prog", "body"), "pdl_box", _BIT[Language.PDL]
 
 
 class Int(Formula):
@@ -223,12 +240,12 @@ class Cl(Formula):
 
 class Know(Formula):
     __slots__ = ()
-    _fields, _tag, _langs = ("body",), "know", frozenset({Language.K_BOX_NEXT})
+    _fields, _tag, _langs = ("body",), "know", _BIT[Language.K_BOX_NEXT]
 
 
 class KHat(Formula):
     __slots__ = ()
-    _fields, _tag, _langs = ("body",), "khat", frozenset({Language.K_BOX_NEXT})
+    _fields, _tag, _langs = ("body",), "khat", _BIT[Language.K_BOX_NEXT]
 
 
 class Next(Formula):
@@ -265,6 +282,7 @@ class Test(Program):
 TOP = Top()
 
 BOOLEAN = frozenset({Top, Not, And, Or, Implies, Iff})
+BINARY = frozenset({And, Or, Implies, Iff})
 MODAL = (Diamond, BoxPdl, Next)
 
 
@@ -341,38 +359,15 @@ def seq_steps(p: Program) -> list[Program]:
 # --- language membership and measures ---------------------------------------
 
 
-def kinds(f: Node) -> frozenset[type]:
-    """The node classes occurring in f, cached on f like its array."""
-    got = getattr(f, "_kinds", None)
-    if got is None:
-        got = f._kinds = frozenset([cls for cls, _, _ in compile(f)])
-    return got
-
-
 def in_language(f: Formula, lang: Language) -> bool:
     # Test bodies sit in the box/next fragment by construction, so a test is
     # allowed exactly where box and next are.
-    langs = getattr(f, "_in", None)
-    if langs is None:
-        langs = f._in = _ALL.intersection(*[cls._langs for cls in kinds(f)])
-    return lang in langs
-
-
-def _depth_step(node: Node, kids: list[int]) -> int:
-    if type(node) is Atomic:
-        return 1
-    if type(node) is Seq or type(node) in MODAL:
-        return kids[0] + kids[1]
-    return max(kids, default=0)
+    return bool(f._in & _BIT[lang])
 
 
 def modal_depth(f: Formula) -> int:
-    """Maximum nesting of execution modalities; a seq of length k counts k.
-    Folded once per node and cached on it, like its language set."""
-    got = getattr(f, "_depth", None)
-    if got is None:
-        got = f._depth = fold(f, _depth_step)
-    return got
+    """Maximum nesting of execution modalities; a seq of length k counts k."""
+    return f._depth
 
 
 program_depth = modal_depth  # a program's depth is the same measure
@@ -504,8 +499,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 _TOO_DEEP = f"formula nests deeper than {MAX_NESTING} levels"
 
-Parsed = tuple[Node, int]  # a parsed node and its AST depth
-
 
 def _chain_cap(links: int) -> None:
     """Refuse an operator chain (or prefix list) once its own ``links``
@@ -517,8 +510,8 @@ def _chain_cap(links: int) -> None:
 class _Parser:
     """Recursive descent that recurses only into brackets, whose nesting it
     caps; operator chains are parsed by loops, which refuse a chain as soon as
-    it alone nests deeper than the cap.  Each production returns its node with
-    the node's AST depth, counted as it is built, and ``finish`` caps that."""
+    it alone nests deeper than the cap.  Each production returns a plain node,
+    which knows its own AST depth, and ``finish`` caps the root's."""
 
     def __init__(self, text: str):
         self.text = text
@@ -555,48 +548,45 @@ class _Parser:
         self.depth -= 1
         return result
 
-    def right_chain(self, operand: Callable[[], Parsed], op: str, cls: type) -> Parsed:
+    def right_chain(self, operand: Callable[[], Node], op: str, cls: type) -> Node:
         parts = [operand()]
         while self.at(op):
             self.advance()
             _chain_cap(len(parts))
             parts.append(operand())
-        f, depth = parts.pop()
+        f = parts.pop()
         while parts:
-            g, d = parts.pop()
-            f, depth = cls(g, f), 1 + max(d, depth)
-        return f, depth
+            f = cls(parts.pop(), f)
+        return f
 
-    def formula(self) -> Parsed:
+    def formula(self) -> Formula:
         return self.right_chain(self.implication, "<->", Iff)
 
-    def implication(self) -> Parsed:
+    def implication(self) -> Formula:
         return self.right_chain(self.disjunction, "->", Implies)
 
-    def disjunction(self) -> Parsed:
-        f, depth = self.conjunction()
+    def disjunction(self) -> Formula:
+        f = self.conjunction()
         links = 0
         while self.at("|"):
             self.advance()
             links += 1
             _chain_cap(links)
-            g, d = self.conjunction()
-            f, depth = Or(f, g), 1 + max(depth, d)
-        return f, depth
+            f = Or(f, self.conjunction())
+        return f
 
-    def conjunction(self) -> Parsed:
-        f, depth = self.unary()
+    def conjunction(self) -> Formula:
+        f = self.unary()
         links = 0
         while self.at("&"):
             self.advance()
             links += 1
             _chain_cap(links)
-            g, d = self.unary()
-            f, depth = And(f, g), 1 + max(depth, d)
-        return f, depth
+            f = And(f, self.unary())
+        return f
 
-    def unary(self) -> Parsed:
-        wrappers: list[tuple[type, Parsed | None]] = []  # (class, its program)
+    def unary(self) -> Formula:
+        wrappers: list[tuple[type, Program | None]] = []  # (class, its program)
         while True:
             _chain_cap(len(wrappers))
             kind = self.peek()[0]
@@ -611,50 +601,46 @@ class _Parser:
                 self.expect("[", "'[' after 'O'")
             cls, close = _MODAL_TOKENS[kind]
             wrappers.append((cls, self.bracketed(self.program, close)))
-        f, depth = self.primary()
+        f = self.primary()
         for cls, prog in reversed(wrappers):
-            if prog is None:
-                f, depth = cls(f), depth + 1
-            else:
-                f, depth = cls(prog[0], f), 1 + max(prog[1], depth)
-        return f, depth
+            f = cls(f) if prog is None else cls(prog, f)
+        return f
 
-    def primary(self) -> Parsed:
+    def primary(self) -> Formula:
         kind, value, pos = self.peek()
         if kind == "top":
             self.advance()
-            return Top(), 1
+            return Top()
         if kind == "name":
             self.advance()
-            return Atom(value), 1
+            return Atom(value)
         if kind == "(":
             self.advance()
             return self.bracketed(self.formula, ")")
         got = value or "end of input"
         raise _error_at(self.text, pos, f"expected a formula, found {got!r}")
 
-    def program(self) -> Parsed:
-        p, depth = self.program_term()
+    def program(self) -> Program:
+        p = self.program_term()
         links = 0
         while self.at(";"):
             self.advance()
             links += 1
             _chain_cap(links)
-            q, d = self.program_term()
-            p, depth = Seq(p, q), 1 + max(depth, d)
-        return p, depth
+            p = Seq(p, self.program_term())
+        return p
 
-    def program_term(self) -> Parsed:
+    def program_term(self) -> Program:
         kind, value, pos = self.peek()
         if kind == "name":
             self.advance()
-            return Atomic(value), 1
+            return Atomic(value)
         if kind == "?":
             self.advance()
             self.expect("(", "'(' after '?'")
-            body, depth = self.bracketed(self.formula, ")")
+            body = self.bracketed(self.formula, ")")
             try:
-                return Test(body), depth + 1
+                return Test(body)
             except FragmentViolation as exc:
                 message = exc.args[0].split(" (line")[0]
                 raise _error_at(self.text, pos, message, FragmentViolation) from None
@@ -664,16 +650,16 @@ class _Parser:
         got = value or "end of input"
         raise _error_at(self.text, pos, f"expected a program, found {got!r}")
 
-    def finish(self, rule: Callable[[], Parsed]) -> Node:
+    def finish(self, rule: Callable[[], Node]) -> Node:
         """Run rule over the whole text; a call stack too deep for it is an input error."""
         try:
-            node, depth = rule()
+            node = rule()
         except RecursionError:
             raise ParseError("brackets nest too deeply to parse at this call depth") from None
         tok = self.peek()
         if tok[0] != "eof":
             raise _error_at(self.text, tok[2], f"unexpected trailing input {tok[1]!r}")
-        if depth > MAX_NESTING:
+        if node._height > MAX_NESTING:
             raise ParseError(_TOO_DEEP)
         return node
 

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import checker
 from .formula import (
+    BINARY,
     MODAL,
     And,
     Atom,
@@ -219,7 +220,6 @@ def _kind_table(lang: Language, modal: bool) -> tuple[tuple[type, ...], list[flo
 
 # per language: the table without, then with, modalities
 _KIND_TABLES = {lang: (_kind_table(lang, False), _kind_table(lang, True)) for lang in Language}
-_BINARY = frozenset({And, Or, Implies, Iff})
 
 
 def gen_formula(
@@ -280,7 +280,7 @@ class _Grammar:
             kind = kinds[bisect.bisect(cum, rng.random() * total, 0, last)]
             if kind is not Atom:  # Atom stands for a leaf
                 make, size = alg.ops[kind], size_budget - 1
-                if kind in _BINARY:
+                if kind in BINARY:
                     left = self.formula(rng, alg, modal_budget, size)
                     return make(left, self.formula(rng, alg, modal_budget, size))
                 if kind not in MODAL:

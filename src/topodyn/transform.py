@@ -281,7 +281,7 @@ def check_truth_preservation(
     for f in formulas:
         if not in_language(f, Language.PDL):
             raise ValueError(f"networks interpret relational formulas only: {format_formula(f)}")
-        need = modal_depth(f)  # cached on f, so network_extension's guard folds nothing
+        need = modal_depth(f)  # set when f was built, so no guard here walks f
         if need > depth:
             raise DepthExceeded(
                 f"formula {format_formula(f)} needs depth {need}, space has {depth}"

@@ -9,11 +9,13 @@ unchanged.
 """
 
 import hashlib
+import json
 import random
+import sys
 
 import pytest
 
-from topodyn import checker, harness
+from topodyn import checker, cli, formula, harness
 from topodyn.formula import (
     BOOLEAN,
     And,
@@ -33,7 +35,8 @@ from topodyn.formula import (
     expand_duals,
     fold,
     format_formula,
-    kinds,
+    in_language,
+    modal_depth,
     parse,
 )
 from topodyn.formula import Test as ProgramTest
@@ -309,7 +312,7 @@ def test_walk_matches_the_array_loop(name):
             continue
         _walked(fresh, lambda: semantics(m, f))
         checked += 1
-        guarded += ProgramTest in kinds(f)
+        guarded += any(cls is ProgramTest for cls, _, _ in compile(f))
     assert checked >= 50 and (guarded >= 10 if tests else not guarded)
 
 
@@ -365,3 +368,28 @@ def test_a_subset_memo_serves_only_its_own_formula_object():
         held = [g for g, _ in ev._memos.values()]
         assert len(held) == 1 + 3 * len(opens) and held[0] is f and all(g == f for g in held)
         assert all(id(g) == key for key, (g, _) in ev._memos.items())
+
+
+def test_language_and_depth_checks_compile_nothing(monkeypatch, capsys, tmp_path):
+    """Each node's languages and modal depth are set when it is built, so
+    neither the parse -> check path of ``transform --check`` nor a test
+    program's fragment check builds a node array."""
+    compiled = []
+    real = formula.compile
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "topodyn"]:
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, lambda f: compiled.append(f) or real(f))
+    model = tmp_path / "serial.json"
+    model.write_text(json.dumps({
+        "type": "pdl", "points": 2, "serial": True,
+        "programs": {"a": {"rel": [[0, 1], [1, 0]]}, "b": {"rel": [[0, 0], [1, 0], [1, 1]]}},
+        "valuation": {"p": [0]},
+    }))
+    code = cli.main(["transform", "-m", str(model), "--depth", "2",
+                     "--check", "p; <a>p -> [b]<a>p"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["preservation"]["ok"]
+    assert compiled == []
+    test = ProgramTest(parse("box p"))
+    assert in_language(test, Language.BOX_NEXT) and modal_depth(test) == 0
+    assert compiled == []

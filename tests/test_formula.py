@@ -7,13 +7,17 @@ JSON/CLI surface silently corrupts formulas.
 
 import random
 import re
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topodyn.checker import translate_pdl
 from topodyn.formula import (
     MAX_NESTING,
+    MODAL,
     And,
     Atom,
     Atomic,
@@ -34,7 +38,9 @@ from topodyn.formula import (
     Seq,
     Top,
     atoms,
+    compile,
     expand_duals,
+    fold,
     format_formula,
     format_program,
     formula_from_json,
@@ -49,7 +55,7 @@ from topodyn.formula import (
     substitute_programs,
 )
 from topodyn.formula import Test as ProgramTest
-from topodyn.formula import _Parser
+from topodyn.formula import _BIT, _Parser
 from topodyn.harness import gen_formula
 
 
@@ -294,6 +300,61 @@ def test_test_program_depth_is_body_depth():
     assert program_depth(ProgramTest(parse("O[a] p"))) == 1
     assert modal_depth(parse("O[?(O[a] p)] q")) == 1
     assert modal_depth(parse("O[?(p)] q")) == 0
+
+
+# --- facts set by the node constructors -----------------------------------------
+
+
+def _depth_step(node, kids):
+    """Modal depth as a fold over the node array: the reference definition."""
+    if type(node) is Atomic:
+        return 1
+    if type(node) is Seq or type(node) in MODAL:
+        return kids[0] + kids[1]
+    return max(kids, default=0)
+
+
+def _assert_facts(f):
+    """The modal depth, languages and AST depth f's constructor set are those
+    the reference folds over f's node array give."""
+    assert modal_depth(f) == fold(f, _depth_step)
+    langs = reduce(and_, [cls._langs for cls, _, _ in compile(f)])
+    for lang in Language:
+        assert in_language(f, lang) is bool(langs & _BIT[lang])
+    assert f._height == fold(f, lambda node, kids: 1 + max(kids, default=0))
+
+
+def test_constructors_set_the_folded_facts():
+    rng = random.Random(20261019)
+    langs = list(Language)
+    drawn = [gen_formula(rng, ("p", "q", "r"), ("a", "b"), modal_budget=4, size_budget=8,
+                         lang=langs[i % 3], allow_seq=True, allow_tests=True)
+             for i in range(600)]
+    kinds = {cls for f in drawn for cls, _, _ in compile(f)}
+    assert {Seq, ProgramTest, Diamond, Next, Know} <= kinds
+    parsed = [parse(format_formula(f)) for f in drawn] + [parse(text) for text in (
+        "<a;b;?(p)>q", "O[a;?(box p & O[b] q)] K r", "((p)) <-> [a](q -> <b;a>top)",
+        "Khat dia ~O[?(O[a;a] p)] p",
+    )]
+    swap = {"p": parse("O[a;b] box q"), "q": parse("top")}
+    rebuilt = [g for f in drawn for g in (
+        substitute(f, swap), expand_duals(f), formula_from_json(formula_to_json(f)),
+    )] + [translate_pdl(f) for f in drawn if in_language(f, Language.PDL)]
+    for f in drawn:
+        for _, _, node in compile(f):  # every subterm, programs and test bodies too
+            _assert_facts(node)
+    for f in parsed + rebuilt:
+        _assert_facts(f)
+
+
+def test_deep_chains_set_their_facts_without_recursion():
+    f = body = Atom("p")
+    prog = Atomic("a")
+    for _ in range(3000):
+        f, body, prog = Not(f), Next(Atomic("a"), body), Seq(prog, Atomic("a"))
+    for chain, depth in ((f, 0), (body, 3000), (prog, 3001)):
+        assert modal_depth(chain) == depth and chain._height == 3001
+        _assert_facts(chain)
 
 
 def test_atoms_and_program_names():
