@@ -121,6 +121,10 @@ def _dumps(doc) -> str:
         encode(doc, "\n")
     except TypeError:
         return json.dumps(doc, indent=2, sort_keys=True)
+    finally:
+        # encode's closure holds encode, and out through append: emptying
+        # its cell breaks that cycle, so out is freed on return, not by gc
+        del encode
     return "".join(out)
 
 

@@ -388,11 +388,6 @@ def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
     return fold(f, lambda n, kids: mapping.get(n.name, n) if type(n) is Atom else n.rebuild(kids))
 
 
-def substitute_programs(f: Formula, mapping: Mapping[str, Program]) -> Formula:
-    """Replace atomic program names throughout, used to instantiate schemes."""
-    return fold(f, lambda n, kids: mapping.get(n.name, n) if type(n) is Atomic else n.rebuild(kids))
-
-
 def _expand(node: Node, kids: list) -> Node:
     cls = type(node)
     if cls is Cl:
@@ -709,6 +704,3 @@ def _from_json(obj: dict, kind: type) -> Node:
 def formula_from_json(obj: dict) -> Formula:
     return _from_json(obj, Formula)
 
-
-def program_from_json(obj: dict) -> Program:
-    return _from_json(obj, Program)

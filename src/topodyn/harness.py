@@ -85,9 +85,11 @@ class GenConfig:
 
 
 def _derived_rng(seed: int, *salt: int) -> random.Random:
-    # splitmix-style mixing so per-trial streams are independent of ordering
+    """The stream of (seed, *salt): splitmix64's step and finalizer applied
+    to the seed alone, then once more per salt added, so that neighbouring
+    keys such as (s + 1, i) and (s, i + 1) give unrelated streams."""
     x = seed & 0xFFFFFFFFFFFFFFFF
-    for s in salt:
+    for s in (0, *salt):
         x = (x + 0x9E3779B97F4A7C15 + s) & 0xFFFFFFFFFFFFFFFF
         x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
@@ -251,9 +253,9 @@ _KINDS = (Not, And, Or, Implies, Iff, Diamond, BoxPdl, Next, Int, Cl, Know, KHat
 
 class _Grammar:
     """gen_formula's recursion: kinds, atoms and programs are drawn from rng in
-    a fixed order, so one seed gives one stream of formulas, whatever algebra
-    makes them: ``nodes`` builds them from shared leaves, one per name, and
-    ``draws`` builds nothing.  Programs and test bodies are always nodes."""
+    a fixed order, so one stream gives one formula whatever algebra makes it:
+    ``nodes`` builds it from shared leaves, one per name, and the audit's
+    ``_masks`` judges it.  Programs and test bodies are always nodes."""
 
     def __init__(self, atom_names, programs, lang, allow_seq, allow_tests):
         self.tables = _KIND_TABLES[lang] if programs else (_KIND_TABLES[lang][0],) * 2
@@ -270,8 +272,6 @@ class _Grammar:
             steps = {p: Atomic(p) for p in programs}
             self.programs = tuple(steps[p] for p in programs)
         self.nodes = _Algebra(TOP, self.atoms, {kind: kind for kind in _KINDS})
-        self.draws = _Algebra(
-            None, [None] * len(atom_names), dict.fromkeys(_KINDS, lambda *_: None))
 
     def formula(self, rng: random.Random, alg: _Algebra, modal_budget: int, size_budget: int):
         if size_budget > 0 and (rng.random() >= 0.18 or size_budget >= 4):
@@ -401,12 +401,14 @@ def _apply(template: Formula, formulas: dict, programs: dict[str, Program], alg:
 
 
 def _instance(rng: random.Random, grammar: _Grammar, template: Optional[Formula],
-              formula: Callable[[str], object]) -> tuple[Formula, dict, dict]:
-    """(template, formula variables, program variables) of the next instance,
-    in draw order; ``formula(v)`` draws v, and CPL (None) its template last."""
-    formulas = {v: formula(v) for v in ("p", "q", "r")}
+              alg: _Algebra) -> tuple[Formula, dict, dict]:
+    """(template, formula variables, program variables) of an instance, in
+    draw order: a CPL (None) template, the program variables, then a formula
+    in alg for each atom the template reads, in name order."""
+    template = template or rng.choice(_CPL_TEMPLATES)
     programs = {v: rng.choice(grammar.programs) for v in ("pi", "pi1", "pi2")}
-    return template or rng.choice(_CPL_TEMPLATES), formulas, programs
+    formulas = {v: grammar.formula(rng, alg, 3, 4) for v in sorted(formula_atoms(template))}
+    return template, formulas, programs
 
 
 def _global_failure(
@@ -437,9 +439,10 @@ def audit(
     collect global-truth failures.  Each model's instances are judged on one
     ``_judge`` of it.
 
-    An instance is judged as it is drawn, as masks of the variables its
-    template reads.  One that fails, or that the judge refuses, is drawn
-    again as a tree for ``_global_failure`` to find its witness or error."""
+    Instance k of a trial draws from its own stream, ``_derived_rng(seed,
+    trial, k)``, and is judged as it is drawn, as masks.  One that fails, or
+    that the judge refuses, is drawn again from a fresh copy of its stream
+    as a tree for ``_global_failure`` to find its witness or error."""
     system = get_system(system_name)
     model_class = cfg.model_class or _DEFAULT_CLASS[system.name]
     if not 1 <= cfg.num_programs <= len(_PROGRAM_NAMES):
@@ -447,10 +450,9 @@ def audit(
     run_cfg = replace(cfg, model_class=model_class)
     lang = system.language
     wanted = set(schemes) if schemes is not None else None
-    # a trial's instances in draw order, with the formula variables each reads
-    plan = [(name, t, formula_atoms(t) if t else {"p", "q", "r"})
-            for name, t in (("CPL", None), *system.schemes) if wanted is None or name in wanted
-            for _ in range(instances)]
+    # a trial's instances, in order
+    plan = [(name, t) for name, t in (("CPL", None), *system.schemes)
+            if wanted is None or name in wanted for _ in range(instances)]
 
     start = time.perf_counter()
     violations: list[AuditViolation] = []
@@ -462,27 +464,15 @@ def audit(
         # the grammar gen_formula draws from; _instance draws its program leaves
         grammar = _grammar(tuple(cfg.atoms), tuple(model.alphabet), lang, allow_seq, allow_tests)
         masks, full = _masks(judge, grammar.atoms), judge.full(0)
-        rng = _derived_rng(cfg.seed, trial, 0x5EED)
-
-        def tree(v: str) -> Formula:
-            return gen_formula(rng, cfg.atoms, model.alphabet, modal_budget=3, size_budget=4,
-                               lang=lang, allow_seq=allow_seq, allow_tests=allow_tests)
-
-        def judged(read: Iterable[str]) -> Callable[[str], object]:  # the rest only drawn
-            return lambda v: grammar.formula(rng, masks if v in read else grammar.draws, 3, 4)
-
-        for k, (name, template, read) in enumerate(plan):
+        for k, (name, template) in enumerate(plan):
             try:
-                if not full & ~_apply(*_instance(rng, grammar, template, judged(read)), masks):
+                drawn = _instance(_derived_rng(cfg.seed, trial, k), grammar, template, masks)
+                if not full & ~_apply(*drawn, masks):
                     continue
             except ValueError:
                 pass
-            # draw it as a tree from where it began, reached by drawing the earlier
-            # ones again: Random.getstate before each would cost a third of one
-            rng = _derived_rng(cfg.seed, trial, 0x5EED)
-            for _, earlier, _ in plan[:k]:
-                _instance(rng, grammar, earlier, judged(()))
-            inst = instantiate_scheme(*_instance(rng, grammar, template, tree))
+            drawn = _instance(_derived_rng(cfg.seed, trial, k), grammar, template, grammar.nodes)
+            inst = instantiate_scheme(*drawn)
             witness = _global_failure(model, inst, judge)
             if witness is not None:
                 scenario = witness.to_json() if isinstance(witness, Scenario) else None

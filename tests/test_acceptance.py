@@ -211,7 +211,7 @@ def test_c08_dtel_soundness_and_rules():
                 premise_held += 1
                 for prog in m.alphabet:
                     assert _globally(m, parse(f"O[{prog}] ({phi}) -> O[{prog}] ({psi})"))
-        assert premise_held == 972  # frozen count; guards against a vacuous sweep
+        assert premise_held == 980  # frozen count; guards against a vacuous sweep
 
         bad = {"system": "DTEL", "steps": [
             {"formula": "p -> p", "by": {"axiom": "CPL"}},

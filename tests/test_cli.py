@@ -1,5 +1,6 @@
 """Exit codes and JSON output of every CLI subcommand."""
 
+import gc
 import hashlib
 import json
 import math
@@ -435,12 +436,12 @@ def test_audit_accepts_cpl_and_the_system_schemes(capsys):
 # the first instance the semantics refuses names the error, so each seed pins
 # the order in which an instance's nodes are judged
 @pytest.mark.parametrize("system, model_class, seed, message", [
-    ("DTEL", "dtl", 0, "knowledge needs subset-space semantics: K p"),
-    ("DTEL", "dtl", 7, "knowledge needs subset-space semantics: K r"),
-    ("SPDL0", "subset", 0, "relational modalities are not defined on subset-space models: [a] r"),
-    ("SPDL0", "subset", 7, "relational modalities are not defined on subset-space models: <b> top"),
-    ("DTEL", "pdl_serial", 0, "no relational semantics for K p"),
-    ("DTEL", "pdl_serial", 7, "no relational semantics for O[b] (r & ~p)"),
+    ("DTEL", "dtl", 0, "knowledge needs subset-space semantics: Khat r"),
+    ("DTEL", "dtl", 7, "knowledge needs subset-space semantics: K dia O[b] ~q"),
+    ("SPDL0", "subset", 0, "relational modalities are not defined on subset-space models: [b] r"),
+    ("SPDL0", "subset", 7, "relational modalities are not defined on subset-space models: [a] (top -> q)"),
+    ("DTEL", "pdl_serial", 0, "no relational semantics for Khat r"),
+    ("DTEL", "pdl_serial", 7, "no relational semantics for O[a] (top <-> q)"),
 ])
 def test_audit_refuses_a_class_its_system_is_not_judged_on(capsys, system, model_class, seed,
                                                           message):
@@ -448,16 +449,6 @@ def test_audit_refuses_a_class_its_system_is_not_judged_on(capsys, system, model
         "audit", "--system", system, "--model-class", model_class, "--seed", str(seed),
     ])
     assert (code, out, err) == (2, "", f"error: {message}\n")
-
-
-def test_audit_judges_only_the_variables_an_instance_reads(capsys):
-    """T_Box reads only p.  Two of the r this run draws hold K or Khat,
-    which dtl models refuse, but no instance holds them, so it passes."""
-    code, out, err = run(capsys, [
-        "audit", "--system", "DTEL", "--model-class", "dtl", "--scheme", "T_Box",
-        "--trials", "1", "--points", "3", "--seed", "3",
-    ])
-    assert code == 0 and json.loads(out)["ok"] is True and "error" not in err
 
 
 def _chain_model(kind, n):
@@ -928,6 +919,20 @@ def test_dumps_keeps_no_text_between_calls():
     shared["x"] = {"z": [3, None]}
     second = _dumps(doc)
     assert second != first and second == json.dumps(doc, **_STDLIB)
+
+
+def test_dumps_leaves_nothing_for_the_cyclic_collector():
+    # the stdlib's own indenting encoder leaves a cycle, so only documents
+    # this encoder writes are checked
+    doc = {"a": [1, None, {"b": "c", "f": 0.5}], "d": {}, "e": [[2, 3], [True, "g"]]}
+    want = json.dumps(doc, **_STDLIB)
+    gc.collect()
+    gc.disable()
+    try:
+        assert _dumps(doc) == want
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_dumps_peak_memory_stays_near_twice_its_output(network_document):

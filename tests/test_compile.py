@@ -300,7 +300,7 @@ def test_walk_matches_the_array_loop(name):
     model_class, lang, tests, semantics = _CONTEXT_FREE[name]
     subset = model_class == "subset"
     checked = guarded = 0
-    for i in range(60):
+    for i in range(80):
         m = gen_model(GenConfig(seed=43, max_points=4, model_class=model_class), i)
         rng = _derived_rng(43, 5, i)
         f = gen_formula(rng, ("p", "q", "r"), m.alphabet,

@@ -52,7 +52,6 @@ from topodyn.formula import (
     program_depth,
     program_names,
     substitute,
-    substitute_programs,
 )
 from topodyn.formula import Test as ProgramTest
 from topodyn.formula import _BIT, _Parser
@@ -388,12 +387,6 @@ def test_substitute_rejects_fragment_escape():
     f = parse("O[?(p)] q")
     with pytest.raises(FragmentViolation):
         substitute(f, {"p": parse("K q")})
-
-
-def test_substitute_programs():
-    f = parse("<a>p -> [a][b]p")
-    g = substitute_programs(f, {"a": parse_program("a;c")})
-    assert g == parse("<a;c>p -> [a;c][b]p")
 
 
 # --- dual expansion ------------------------------------------------------------

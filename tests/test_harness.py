@@ -17,6 +17,7 @@ from topodyn.checker import (
 from topodyn.formula import (
     MODAL,
     Language,
+    atoms,
     compile,
     format_formula,
     in_language,
@@ -31,6 +32,7 @@ from topodyn.harness import (
     gen_formula,
     gen_model,
     search_countermodel,
+    _CPL_TEMPLATES,
     _DEFAULT_CLASS,
     _apply,
     _derived_rng,
@@ -63,17 +65,17 @@ def test_gen_model_is_deterministic():
 
 
 # SHA-256 of the newline-joined JSON of models 0..59 per (class, max_attempts),
-# recorded before generation and search shared one class table; max_attempts 0
+# recorded when the seed was first mixed alone, before the index; max_attempts 0
 # sends every constrained map to the constructive fallback
 MODEL_GOLDEN = {
-    ("pdl_serial", 10_000): "c2b3f723b791c7dab0c01f1969644291514a320e47e99c4ee56b11e9ea68b2e3",
-    ("dtl", 10_000): "1edaebcf0c4d7ac990c4e4a961922acc55867ca907781767e38fd1f7190a74f5",
-    ("dtl_open", 10_000): "8801896ebd351e0c4495ceb5b0bc775d6341377414c2a969ed56bb7e85308646",
-    ("dtl_open", 0): "323e0cb0150043481c54459287fdfdbcf11c5ac1f70ee46434a98297d4a50117",
-    ("dtl_continuous", 10_000): "b953a472859d2b8871d5af3d9f674d65bb9dd5ac05981ce115c56d19581949d4",
-    ("dtl_continuous", 0): "a6439c0a818e4fa7519b859b5afcf9a72e5c41cfa7d47d26f7dbe79db3c5f6fa",
-    ("subset", 10_000): "605567d3adfa64798430207b0c92eddbb052a4cc606aa0dee4ecd0126cb24a88",
-    ("subset", 0): "d3d8d4af1346c2a029b5ce583a6ef57ddbb6996d5fdcd160ad6978ac46c3c447",
+    ("pdl_serial", 10_000): "062ad6b64d3de5c02cab535f4d6b798f8a471adbf568c100a2fe34f1200384be",
+    ("dtl", 10_000): "64830d4429ce3c594fccbb5d4fcd92ea256acf695e669eff7d0a542bbfd87cef",
+    ("dtl_open", 10_000): "23748c19c67502fafd240f2b94101681b12b479b26fafd583baf717ae0b1d142",
+    ("dtl_open", 0): "40fede7e1e760ca376abfb4cf06cc7d1d5861558c64e5917fd82e651ccf7768f",
+    ("dtl_continuous", 10_000): "81bd35433ec2586e9fec59eedc27af2e667918c0984b397d1239781578c7c2e5",
+    ("dtl_continuous", 0): "7420a8ac99147761f10d594c5ac97a5fdbebf14e6b422c1a5e43ac00b527b778",
+    ("subset", 10_000): "12cb69f937e2d7c83736117cd6a19c69a957a08f238997a510c07c71b721a464",
+    ("subset", 0): "e78063ab60d63fc102d988ec8c03b4bdc2681474e59719a821b8b4e552a7e019",
 }
 
 
@@ -91,6 +93,30 @@ def test_gen_model_varies_with_index():
     cfg = GenConfig(seed=8, max_points=5, num_programs=2, model_class="dtl")
     seen = {json.dumps(model_to_json(gen_model(cfg, index=i)), sort_keys=True) for i in range(20)}
     assert len(seen) > 1
+
+
+def test_neighbouring_keys_give_different_streams():
+    """The seed is mixed before any salt goes in, so a key one step up in
+    one place and one step down in another gives another stream."""
+    for s in (0, 1, 3, 11, 2**31, 20261018, 2**64 - 1):
+        for i in range(20):
+            draws = {_derived_rng(*key).getrandbits(64) for key in (
+                (s, i), (s + 1, i), (s, i + 1), (s + 1, i, 0), (s, i + 1, 0), (s, i, 1))}
+            assert len(draws) == 6, (s, i)
+
+
+@pytest.mark.parametrize("model_class", MODEL_CLASSES)
+def test_neighbouring_seeds_do_not_share_models(model_class):
+    """Seed s + 1's models are not seed s's shifted by one index.  Small
+    models can coincide by chance, so the lists are compared whole."""
+    def models(seed, indices):
+        cfg = GenConfig(seed=seed, model_class=model_class)
+        return [model_to_json(gen_model(cfg, i)) for i in indices]
+
+    for s in (3, 11, 20261018):
+        later, shifted = models(s + 1, range(50)), models(s, range(1, 51))
+        assert later != shifted
+        assert sum(a == b for a, b in zip(later, shifted)) < 10
 
 
 def test_gen_model_classes_deliver_their_contracts():
@@ -187,12 +213,13 @@ def test_audit_catches_unsound_pairing():
 
 
 # SHA-256 of json.dumps(report.to_json(), sort_keys=True) per (system, model
-# class, seed, trials), recorded before formulas were drawn from one cached
-# grammar and each model kept one semantics.  The unsound pairing's
+# class, seed, trials); the passing runs' were recorded before formulas were
+# drawn from one cached grammar, the unsound pairing's when each audit
+# instance was first given its own stream.  The unsound pairing's
 # violations carry formulas, models and witness points, so a changed draw
 # order or witness shows here; None is the system's default class.
 AUDIT_GOLDEN = {
-    ("SPDL0_SEQ", "dtl", 3, 40): "63a766b2ca8c72cefe9e30773e2e3edc8c9206ab107180d5fcab6a41aaea1675",
+    ("SPDL0_SEQ", "dtl", 3, 40): "0426ad0d961215b7b0be26f203c360792507682fd38f8b2fc69c06c350c42be9",
     ("SPDL0", None, 21, 30): "82bbd72db077f5bc68b12991ba1fd08576760ad9a62c4321f5c0dd0eb66e3f90",
     ("SPDL0_SEQ", None, 22, 30): "9920e3167a3ce9bd3bc156ea25947fea3f0daa2154e396c5dd2bf8561b03f98d",
     ("DTEL", None, 23, 30): "bdef1fc55ef75d83d3423e7a079471bfd8e5377f133afce20c2546498c794ce9",
@@ -211,20 +238,18 @@ def test_audit_report_is_pinned(system, model_class, seed, trials):
 
 # SHA-256 of the newline-joined formulas of every instance the audit of
 # AUDIT_GOLDEN's passing runs draws, in order, as the tree path formats them;
-# recorded by wrapping instantiate_scheme before the audit judged instances
-# as they were drawn, when every instance went through it
+# recorded by wrapping instantiate_scheme when each instance was first given
+# its own stream
 AUDIT_STREAM = {
-    ("SPDL0", 21): "09988db40afc9f2d00bdacfadc23edc10960ef2bd77c06fcbebcc5b800926f41",
-    ("SPDL0_SEQ", 22): "8a895640e3ad11cdc15ef86ea516c4ef1794eec862d3390192cbb6b257613450",
-    ("DTEL", 23): "73657ee8879f09d75e7d486f5eb74c0034f2264af0ae2b076771afe4bf5d2267",
+    ("SPDL0", 21): "f3f31ebfdf5ae9e633b1d4750e9357d78d8d2ac28916de95b9d0e2e01c0617e1",
+    ("SPDL0_SEQ", 22): "fa7aa5fd0f0e1bbaaae08b986cbcdfbce0381777b9bd77701692f6f39f42ed9c",
+    ("DTEL", 23): "d1d1a3c1db17f44055dff0c54dab936da6e7e976e0405cd6de29bdaeeaa27390",
 }
 
 
-@pytest.mark.parametrize("system, seed", list(AUDIT_STREAM))
-def test_audit_instance_stream_is_pinned(monkeypatch, system, seed):
-    """With the mask path refusing every instance, each is drawn again as a
-    tree; the instances and the report are the ones pinned.  A passing
-    audit's report holds only counts, so the stream is what pins its draws."""
+def _drawn_as_trees(monkeypatch) -> list:
+    """The formulas of the instances audits draw from now on, in order: the
+    mask path refuses every instance, so each is drawn again as a tree."""
     texts, instantiate = [], harness.instantiate_scheme
 
     def recorded(*args):
@@ -237,6 +262,15 @@ def test_audit_instance_stream_is_pinned(monkeypatch, system, seed):
 
     monkeypatch.setattr(harness, "instantiate_scheme", recorded)
     monkeypatch.setattr(harness, "_apply", refused)
+    return texts
+
+
+@pytest.mark.parametrize("system, seed", list(AUDIT_STREAM))
+def test_audit_instance_stream_is_pinned(monkeypatch, system, seed):
+    """With the mask path refusing every instance, each is drawn again as a
+    tree; the instances and the report are the ones pinned.  A passing
+    audit's report holds only counts, so the stream is what pins its draws."""
+    texts = _drawn_as_trees(monkeypatch)
     rep = audit(system, GenConfig(seed=seed, max_points=4, num_programs=2), trials=30)
     assert len(texts) == rep.checked
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == AUDIT_STREAM[system, seed]
@@ -244,19 +278,63 @@ def test_audit_instance_stream_is_pinned(monkeypatch, system, seed):
     assert report == AUDIT_GOLDEN[system, None, seed, 30]
 
 
+@pytest.mark.parametrize("system", ["SPDL0", "SPDL0_SEQ", "DTEL"])
+def test_neighbouring_seeds_draw_different_instances(monkeypatch, system):
+    """The instances of seed s + 1 are not seed s's one trial later."""
+    texts, trials = _drawn_as_trees(monkeypatch), 8
+    drawn = {}
+    for seed in (30, 31):
+        start = len(texts)
+        rep = audit(system, GenConfig(seed=seed, max_points=3), trials=trials)
+        per_trial = rep.checked // trials
+        drawn[seed] = [texts[start + t * per_trial:start + (t + 1) * per_trial]
+                       for t in range(trials)]
+    later, shifted = sum(drawn[31][:-1], []), sum(drawn[30][1:], [])
+    assert later != shifted
+    assert sum(a == b for a, b in zip(later, shifted)) < len(later) // 2
+
+
+@pytest.mark.parametrize("system", ["SPDL0", "SPDL0_SEQ", "DTEL"])
+def test_an_instance_draws_formulas_only_for_the_atoms_its_template_reads(system):
+    """From its own stream an instance draws its template (CPL's only), its
+    three program variables, then one formula per atom the template reads,
+    in name order, and nothing more."""
+    proof_system = get_system(system)
+    model_class = _DEFAULT_CLASS[system]
+    cfg = GenConfig(seed=41, max_points=3, model_class=model_class)
+    model = gen_model(cfg, 0)
+    grammar = _grammar(cfg.atoms, model.alphabet, proof_system.language,
+                       model_class != "subset", model_class == "subset")
+    read = []
+    for k, template in enumerate([None] * 12 + [t for _, t in proof_system.schemes]):
+        rng = _derived_rng(41, 0, k)
+        base, formulas, programs = _instance(rng, grammar, template, grammar.nodes)
+        assert list(formulas) == sorted(atoms(base))
+        replay = _derived_rng(41, 0, k)
+        assert (template or replay.choice(_CPL_TEMPLATES)) is base
+        assert programs == {v: replay.choice(grammar.programs) for v in ("pi", "pi1", "pi2")}
+        assert list(formulas.values()) == [grammar.formula(replay, grammar.nodes, 3, 4)
+                                           for _ in formulas]
+        assert replay.getstate() == rng.getstate()
+        read.append(len(formulas))
+    assert min(read) == 1 and max(read) == 3
+
+
 @pytest.mark.parametrize("system, model_class, seed", [
     *[(system, None, seed) for system in ("SPDL0", "SPDL0_SEQ", "DTEL") for seed in (5, 29)],
     ("SPDL0_SEQ", "dtl", 3), ("SPDL0_SEQ", "dtl", 29),
 ])
 def test_every_algebra_draws_what_the_node_one_does(system, model_class, seed):
-    """Drawn as masks or drawn only, every audit instance leaves rng where
-    the tree draw leaves it.  Each mask, of a variable or of the instance,
-    is the judge's ``evaluate`` of the tree, and the template applied to the
-    trees is ``instantiate_scheme``'s instance."""
+    """Drawn as nodes or as masks, each from a fresh copy of the instance's
+    own stream, an audit instance makes the same draws.  Each mask, of a
+    variable or of the instance, is the judge's ``evaluate`` of the tree,
+    and the template applied to the trees is ``instantiate_scheme``'s
+    instance."""
     proof_system, unsound = get_system(system), model_class is not None
     model_class = model_class or _DEFAULT_CLASS[system]
     cfg = GenConfig(seed=seed, max_points=4, num_programs=2, model_class=model_class)
     templates = [None] + [t for _, t in proof_system.schemes]
+    plan = [t for t in templates for _ in range(3)]  # the audit's order
     failing = 0
     for trial in range(8):
         model = gen_model(cfg, trial)
@@ -264,25 +342,19 @@ def test_every_algebra_draws_what_the_node_one_does(system, model_class, seed):
         grammar = _grammar(cfg.atoms, model.alphabet, proof_system.language,
                            model_class != "subset", model_class == "subset")
         masks, full = _masks(judge, grammar.atoms), judge.full(0)
-        rng = _derived_rng(seed, trial, 0x5EED)
-        for template in [t for t in templates for _ in range(3)]:  # the audit's order
-            before = rng.getstate()
-            base, trees, programs = _instance(
-                rng, grammar, template, lambda v: grammar.formula(rng, grammar.nodes, 3, 4))
+        for k, template in enumerate(plan):
+            rng = _derived_rng(seed, trial, k)
+            base, trees, programs = _instance(rng, grammar, template, grammar.nodes)
             after = rng.getstate()
             inst = instantiate_scheme(base, trees, programs)
             assert _apply(base, trees, programs, grammar.nodes) == inst
-            for alg in (masks, grammar.draws):
-                rng.setstate(before)
-                got = _instance(rng, grammar, template, lambda v: grammar.formula(rng, alg, 3, 4))
-                assert rng.getstate() == after
-                assert got[0] is base and got[2] == programs
-                if alg is grammar.draws:
-                    assert list(got[1].values()) == [None] * 3
-                    continue
-                assert got[1] == {v: evaluate(f, judge) for v, f in trees.items()}
-                mask = _apply(*got, masks)
-                assert mask == evaluate(inst, judge)
+            rng = _derived_rng(seed, trial, k)
+            got = _instance(rng, grammar, template, masks)
+            assert rng.getstate() == after
+            assert got[0] is base and got[2] == programs
+            assert got[1] == {v: evaluate(f, judge) for v, f in trees.items()}
+            mask = _apply(*got, masks)
+            assert mask == evaluate(inst, judge)
             failing += bool(full & ~mask)
     assert (failing > 0) is unsound
 

@@ -353,10 +353,13 @@ def test_modalities_on_strata_past_a_machine_word():
 
 
 def test_disagreements_are_the_networks_whose_truth_differs(monkeypatch):
-    m = gen_model(TRANSFORM_CFG_SMALL, 4)
+    m = PDLModel(3, ("a", "b"), {"a": (0b010, 0b011, 0b011), "b": (0b001, 0b100, 0b110)},
+                 {"p": 0b011, "q": 0b100}, serial_flag=True)
     formulas = [parse("<a>p -> [b]q"), parse("[a][b]p | <b>~q")]
     space = build_network_space(m, 2)
     assert check_truth_preservation(m, formulas, 2, space=space).ok
+    # the flips below name networks 1, 2 and the last, which must be real ones
+    assert len(space.strata[2]) >= 3
     last = len(space.strata[2]) - 1
     flips = {formulas[0]: 1 | 1 << last, formulas[1]: 0b110}
     exact = transform.network_extension
