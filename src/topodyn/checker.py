@@ -1,13 +1,12 @@
 """Model checkers for the three semantics, over one evaluator core.
 
 ``evaluate`` reads the connectives from ``CONNECTIVES``, in one pass over
-the formula's tree that builds no node array and switches context as it
-goes.  A semantics supplies the rest: ``full(c)``, every point at context ``c``;
-``atom(node, c)``; ``modal(node, body, c)``, a modality applied to its
-body's extension; and ``shifts``, the modalities whose body is read at
-another context, ``step(node, c)``.  Contexts are ints: the scenario set
-in subset spaces, the stratum for network spaces, 0 where truth does not
-depend on one.
+the formula's tree that switches context as it goes.  A semantics supplies
+the rest: ``full(c)``, every point at context ``c``; ``atom(node, c)``;
+``modal(node, body, c)``, a modality applied to its body's extension; and
+``shifts``, the modalities whose body is read at another context,
+``step(node, c)``.  Contexts are ints: the scenario set in subset spaces,
+the stratum for network spaces, 0 where truth does not depend on one.
 
 Relational: ``<prog>`` is existential preimage along the program relation.
 
@@ -100,21 +99,16 @@ CONNECTIVES = {
 }
 
 
-def evaluate(f: Formula, sem, ctx: int = 0, memo: Optional[dict] = None) -> int:
+def evaluate(f: Formula, sem, ctx: int = 0) -> int:
     """Extension of f at context ctx, by one pass over its tree, children
     first, without recursion: each (node, context) pair is read once and
     memoized as ``memo[context][id(node)]``.  A modality in ``sem.shifts``
     reads its body at ``sem.step(node, c)``: the walk pushes c, the body,
     then that context, and popping a context switches to it.  A modality's
-    program, test guards included, is left to ``sem.program``.
-
-    ``memo`` maps a context to ``{id(node): mask}``; pass the same dict
-    again, for the same formula object, to reuse what it holds.  The formula
-    must outlive the memo's use, so that no id it holds is reused.  Without
-    one, the memo lives for the call, while f keeps every node alive.
+    program, test guards included, is left to ``sem.program``.  The memo
+    lives for the call, while f keeps every node alive.
     """
-    if memo is None:
-        memo = {}
+    memo: dict[int, dict[int, int]] = {}
     shifts, atom, modal = sem.shifts, sem.atom, sem.modal
     c, full = ctx, sem.full(ctx)
     done = memo.setdefault(ctx, {})
@@ -190,7 +184,7 @@ def _program_key(prog: Program):
     if type(prog) is Atomic:
         return prog.name
     key = getattr(prog, "_key", None)
-    if key is None:  # cached on the node, like its node array
+    if key is None:  # cached on the node
         key = prog._key = tuple([s.name if type(s) is Atomic else s for s in seq_steps(prog)])
     return key
 
@@ -307,26 +301,22 @@ def eval_dtl(model: DTModel, f: Formula) -> int:
 
 
 class SubsetEvaluator(_Semantics):
-    """Relativized extensions on one subset-space model, memoized.
+    """Relativized extensions on one subset-space model.
 
     ``extension(f, u)`` returns the set of points of the open u at which f
     holds in scenario (., u).  Keeping one evaluator alive across many queries
-    on the same model shares the memo.  A node's context is its scenario set.
+    on the same model shares its program interpretations.  A node's context
+    is its scenario set.
     """
 
     shifts = frozenset({Next})
 
+    # not inherited: perfbench/tracing.py wraps it through the class __dict__
     def __init__(self, model: SubsetModel):
         super().__init__(model)
-        # id(f) -> (f, its memo): the memo holds node ids, so it serves only
-        # the formula object it was made for, which it keeps alive
-        self._memos: dict[int, tuple[Formula, dict]] = {}
 
     def extension(self, f: Formula, u: int) -> int:
-        got = self._memos.get(id(f))
-        if got is None:
-            got = self._memos[id(f)] = (f, {})
-        return evaluate(f, self, u, got[1])
+        return evaluate(f, self, u)
 
     def full(self, u: int) -> int:
         return u

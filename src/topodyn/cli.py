@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import checker, frameprops, harness, proofkit, transform
 from .announce import announce, check_test_announcement_identity
-from .formula import Formula, ParseError, format_formula, formula_to_json, parse
+from .formula import ParseError, format_formula, formula_to_json, parse
 from .models import (
     DTModel,
     PDLModel,
@@ -250,6 +250,23 @@ def _cmd_frame(args: argparse.Namespace) -> int:
     return 0 if holds else 1
 
 
+def _split_formulas(text: str) -> list[str]:
+    """The non-blank pieces of text between its ``;`` tokens outside
+    brackets; a ``;`` inside ``<a;b>`` or ``O[a;b]`` belongs to a program.
+    ``->`` and ``<->`` are tokens of their own, so counting ``( [ <``
+    against ``) ] >``, less the arrows' ``<`` and ``>``, is exact."""
+    pieces, depth = [], 0
+    for part in text.split(";"):
+        if depth > 0:  # this ';' is inside brackets
+            pieces[-1] += ";" + part
+        else:
+            pieces.append(part)
+        count = part.count
+        depth += (count("(") - count(")") + count("[") - count("]")
+                  + count("<") - count("<->") - count(">") + count("->"))
+    return [piece.strip() for piece in pieces if piece.strip()]
+
+
 def _cmd_transform(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     if not isinstance(model, PDLModel):
@@ -258,12 +275,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     out: dict = {"network_space": transform.network_space_to_json(space)}
     out["stratum_sizes"] = space.stratum_sizes()
     code = 0
-    formulas: list[Formula] = []
-    for chunk in args.check or []:
-        for piece in chunk.split(";"):
-            piece = piece.strip()
-            if piece:
-                formulas.append(parse(piece))
+    formulas = [parse(piece) for chunk in args.check or [] for piece in _split_formulas(chunk)]
     if formulas:
         report = transform.check_truth_preservation(
             model, formulas, args.depth, args.budget, space=space

@@ -15,10 +15,9 @@ enforces this.
 Nodes are never mutated.  Each one computes its structural hash, language
 set, modal depth and AST depth once, at construction, from its children's, so
 hashing, most unequal comparisons, ``in_language`` and ``modal_depth`` cost
-O(1) whatever the depth.  ``compile`` flattens a formula into a post-order
-node array, built once and cached on the root; the folds below (substitution,
-printing, the JSON view) are one loop over that array, so none of them
-recurses.
+O(1) whatever the depth.  ``postorder`` lists a formula's node objects,
+children first, without recursion; the folds below (substitution, printing,
+the JSON view) are one loop over that list, so none of them recurses.
 
 Concrete syntax (ASCII): atoms are ``[a-z][a-z0-9_]*``; ``box``, ``dia`` and
 ``top`` are reserved words.  Unary modalities bind tighter than ``&``, which
@@ -70,9 +69,9 @@ class Node:
     order (program before body), and the named fields read from it.  Nodes
     are never mutated: the constructor sets the hash, the language set
     ``_in``, the modal depth and the AST depth ``_height`` from the
-    children's, and ``compile`` caches the node array."""
+    children's."""
 
-    __slots__ = ("children", "name", "_hash", "_in", "_depth", "_height", "_nodes")
+    __slots__ = ("children", "name", "_hash", "_in", "_depth", "_height")
     _fields: tuple[str, ...] = ()
     _tag = ""  # JSON type name
     _langs = _ALL  # mask of the languages the node may occur in
@@ -286,50 +285,25 @@ BINARY = frozenset({And, Or, Implies, Iff})
 MODAL = (Diamond, BoxPdl, Next)
 
 
-# --- the node array and folds over it ------------------------------------------
-
-NodeArray = tuple[tuple[type, tuple[int, ...], Node], ...]
+# --- traversal and folds ---------------------------------------------------------
 
 
-def compile(f: Node) -> NodeArray:
-    """Post-order node array of f: entry i is ``(class, child ids, node)``.
-
-    Children precede their parents, equal subterms (programs and test bodies
-    included) share one id, and the root comes last.  Built without recursion,
-    once per root, and cached on it; the array holds nothing model-dependent.
-    """
-    nodes = getattr(f, "_nodes", None)
-    if nodes is not None:
-        return nodes
+def postorder(f: Node) -> list[Node]:
+    """Each node object of f once, programs and test bodies included,
+    children before parents and the root last; listed without recursion."""
     if not isinstance(f, Node):
         raise TypeError(f"not a formula: {f!r}")
-    index: dict[int, int] = {}  # id() of a node object -> its array id
-    ids: dict[tuple, int] = {}  # (class, child ids or name) -> array id
-    out = []
-    stack = [(f, False)]  # (node, children done?)
+    out: list[Node] = []
+    seen: set[int] = set()
+    stack = [f]
     while stack:
-        n, ready = stack.pop()
-        cls = type(n)
-        if ready:
-            kids = tuple([index[id(c)] for c in n.children])
-            key = (cls, kids)
-        elif id(n) in index:
-            continue
-        elif n.children:
-            stack.append((n, True))
-            stack.extend([(c, False) for c in reversed(n.children) if id(c) not in index])
-            continue
-        else:
-            kids = ()
-            key = (cls, ()) if cls is Top else (cls, n.name)
-        # nodes are equal iff their classes and names or child ids are
-        i = ids.get(key)
-        if i is None:
-            i = ids[key] = len(out)
-            out.append((cls, kids, n))
-        index[id(n)] = i
-    nodes = f._nodes = tuple(out)
-    return nodes
+        n = stack.pop()
+        if n is None:  # the children of the node below it are listed
+            out.append(stack.pop())
+        elif id(n) not in seen:
+            seen.add(id(n))
+            stack += (n, None, *reversed(n.children))
+    return out
 
 
 T = TypeVar("T")
@@ -337,11 +311,11 @@ T = TypeVar("T")
 
 def fold(f: Node, visit: Callable[[Node, list], T]) -> T:
     """Bottom-up value of f: ``visit(node, values of its children)`` runs once
-    per distinct subterm, children first."""
-    vals: list = []
-    for _, kids, node in compile(f):
-        vals.append(visit(node, [vals[k] for k in kids]))
-    return vals[-1]
+    per node object, children first."""
+    vals: dict[int, T] = {}
+    for node in postorder(f):
+        val = vals[id(node)] = visit(node, [vals[id(c)] for c in node.children])
+    return val
 
 
 def seq_steps(p: Program) -> list[Program]:
@@ -374,12 +348,12 @@ program_depth = modal_depth  # a program's depth is the same measure
 
 
 def atoms(f: Formula) -> frozenset[str]:
-    return frozenset(n.name for cls, _, n in compile(f) if cls is Atom)
+    return frozenset(n.name for n in postorder(f) if type(n) is Atom)
 
 
 def program_names(f: Formula) -> frozenset[str]:
     """Atomic program names occurring anywhere in f, tests included."""
-    return frozenset(n.name for cls, _, n in compile(f) if cls is Atomic)
+    return frozenset(n.name for n in postorder(f) if type(n) is Atomic)
 
 
 def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:

@@ -35,6 +35,7 @@ from .formula import (
     Know,
     Language,
     Next,
+    Node,
     Not,
     Or,
     Program,
@@ -42,9 +43,9 @@ from .formula import (
     TOP,
     Test,
     atoms as formula_atoms,
-    compile as compile_formula,
     format_formula,
     modal_depth,
+    postorder,
     program_names,
 )
 from .frameprops import is_continuous, is_open_map
@@ -387,17 +388,26 @@ def _masks(judge: checker._Semantics, atoms: Sequence[Atom]) -> _Algebra:
     return _Algebra(full, tuple(judge.atom(a, 0) for a in atoms), ops)
 
 
+@cache
+def _template(template: Formula) -> tuple[list[Node], list[str]]:
+    """A scheme template's nodes in post-order and the atoms it reads, in
+    name order: read once per template, as the templates are constants."""
+    return postorder(template), sorted(formula_atoms(template))
+
+
 def _apply(template: Formula, formulas: dict, programs: dict[str, Program], alg: _Algebra):
     """The template's value in alg, its atoms read as formulas' values and its
     atomic programs as programs' nodes; over nodes, ``instantiate_scheme``."""
-    vals: list = []
-    for cls, kids, node in compile_formula(template):
+    vals: dict = {}
+    for node in _template(template)[0]:
+        cls, kids = type(node), node.children
         if kids:
-            vals.append((Seq if cls is Seq else alg.ops[cls])(*[vals[k] for k in kids]))
+            val = (Seq if cls is Seq else alg.ops[cls])(*[vals[id(k)] for k in kids])
         else:  # a formula or program variable, or top
-            vals.append(formulas[node.name] if cls is Atom else
-                        programs[node.name] if cls is Atomic else alg.top)
-    return vals[-1]
+            val = (formulas[node.name] if cls is Atom else
+                   programs[node.name] if cls is Atomic else alg.top)
+        vals[id(node)] = val
+    return val
 
 
 def _instance(rng: random.Random, grammar: _Grammar, template: Optional[Formula],
@@ -407,7 +417,7 @@ def _instance(rng: random.Random, grammar: _Grammar, template: Optional[Formula]
     in alg for each atom the template reads, in name order."""
     template = template or rng.choice(_CPL_TEMPLATES)
     programs = {v: rng.choice(grammar.programs) for v in ("pi", "pi1", "pi2")}
-    formulas = {v: grammar.formula(rng, alg, 3, 4) for v in sorted(formula_atoms(template))}
+    formulas = {v: grammar.formula(rng, alg, 3, 4) for v in _template(template)[1]}
     return template, formulas, programs
 
 

@@ -30,7 +30,6 @@ from .formula import (
     Next,
     ParseError,
     Program,
-    compile,
     fold,
     format_formula,
     in_language,
@@ -69,23 +68,24 @@ class _TruthTable:
 
 def is_tautology(f: Formula) -> bool:
     """Truth-table check treating modal subformulas as opaque variables."""
-    nodes = compile(f)
     # the leaves are the non-Boolean nodes reached from the root through
-    # connectives only; children precede parents, so scan downwards
-    reached = {len(nodes) - 1}
-    leaves = []
-    for i in range(len(nodes) - 1, -1, -1):
-        if i in reached:
-            cls, kids, node = nodes[i]
-            if cls in BOOLEAN:
-                reached.update(kids)
-            else:
-                leaves.append(node)
+    # connectives only, keyed by node so that equal leaves count once
+    leaves: dict[Formula, None] = {}
+    seen, stack = set(), [f]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if type(node) in BOOLEAN:
+            stack += node.children
+        else:
+            leaves[node] = None
     if len(leaves) > MAX_TABLE_VARS:
         raise ValueError(
             f"tautology check needs {len(leaves)} variables, over the cap of {MAX_TABLE_VARS}"
         )
-    table = _TruthTable(leaves)
+    table = _TruthTable(list(leaves))
     return evaluate(f, table) == table.all
 
 
@@ -116,7 +116,7 @@ def instantiate_scheme(
 ) -> Formula:
     """Programs first, then atoms, so substituted formulas are never touched
     by the program pass, while atoms inside substituted programs are.  One
-    pass over the template's node array does both."""
+    fold over the template does both."""
 
     def visit(node: Formula, kids: list) -> Formula:
         if type(node) is Atom:

@@ -327,7 +327,7 @@ def test_each_distinct_program_is_interpreted_once(monkeypatch, kind, text):
     monkeypatch.setattr(cls, "interpret", counting)
     sem = cls(model)
     for c in ([0b01, 0b10, 0b11] if kind == "subset" else [0]):
-        checker.evaluate(f, sem, c, {})
+        checker.evaluate(f, sem, c)
     assert sorted(interpreted) == sorted(set(interpreted))
     assert len(interpreted) == (6 if kind == "subset" else 4)
 

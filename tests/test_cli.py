@@ -304,10 +304,25 @@ def test_transform_requires_serial(capsys, nonserial_file):
 
 
 def test_transform_check_rejects_sequencing(capsys, pdl_file):
-    # the ';' separator splits the chunk, leaving an unparseable fragment
-    code, _, _ = run(capsys, ["transform", "-m", pdl_file, "--depth", "1",
-                              "--check", "<rand;at>one"])
+    # a ';' inside brackets belongs to the program, so the network semantics
+    # itself refuses the formula
+    code, _, err = run(capsys, ["transform", "-m", pdl_file, "--depth", "2",
+                                "--check", "<rand;at>one"])
     assert code == 2
+    assert "network semantics treats programs as atomic: <rand;at> one" in err
+
+
+def test_transform_check_splits_at_top_level_semicolons(capsys, pdl_file):
+    def checked(*texts):
+        args = [arg for text in texts for arg in ("--check", text)]
+        code, out, _ = run(capsys, ["transform", "-m", pdl_file, "--depth", "2", *args])
+        assert code == 0
+        return json.loads(out)["preservation"]
+
+    formula = "<rand>zero -> [at]<rand>zero"
+    both = checked(f"zero; {formula};")
+    assert both == checked("zero", formula)
+    assert both["checked"] == 2 * checked("zero")["checked"] > 0
 
 
 # --- announce ---------------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""Node arrays, structural hashes and the shared evaluator core.
+"""Traversal, structural hashes and the shared evaluator core.
 
-Formulas compile once into a post-order node array cached on the root.  The
-evaluator core walks a formula's tree instead, switching context where a
-modality reads its body at another one, and builds no array.  These tests
-pin what the cache may and may not hold, that the walk gives the extensions
-a fold over the node array gives, and that the random formula stream is
-unchanged.
+Folds visit a formula's node objects in post-order, as ``postorder`` lists
+them.  The evaluator core walks the tree itself, switching context where a
+modality reads its body at another one.  These tests pin the traversal, that
+the walk gives the extensions a fold gives, and that the random formula
+stream is unchanged.
 """
 
 import hashlib
@@ -31,18 +30,21 @@ from topodyn.formula import (
     Seq,
     TOP,
     Top,
-    compile,
+    atoms,
     expand_duals,
     fold,
     format_formula,
+    format_program,
+    formula_to_json,
     in_language,
     modal_depth,
     parse,
+    postorder,
 )
 from topodyn.formula import Test as ProgramTest
 from topodyn.harness import GenConfig, _derived_rng, gen_formula, gen_model
 from topodyn.models import DTModel, SubsetModel
-from topodyn.proofkit import _TruthTable
+from topodyn.proofkit import MAX_TABLE_VARS, _TruthTable, is_tautology
 from topodyn.topology import TopoSpace
 from topodyn.transform import build_network_space
 
@@ -96,26 +98,19 @@ def test_drawn_formulas_share_their_leaves(lang):
     assert formulas == again
     leaves: dict = {}
     for f in formulas + again:
-        nodes = compile(f)
-        for cls, _, node in nodes:
+        nodes = postorder(f)
+        for node in nodes:
+            cls = type(node)
             if cls in (Atom, Atomic, Top):
                 leaves.setdefault((cls, getattr(node, "name", None)), set()).add(id(node))
-        # one id per distinct subterm, however often a shared leaf repeats
-        distinct = _subterms(f)
-        assert len(nodes) == len(distinct) and {node for _, _, node in nodes} == distinct
+        # each node object once, however often a shared leaf repeats
+        assert len({id(node) for node in nodes}) == len(nodes) and set(nodes) == _subterms(f)
     assert all(len(objects) == 1 for objects in leaves.values())
     assert leaves[Top, None] == {id(TOP)}
     assert {name for cls, name in leaves if cls is Atom} == {"p", "q", "r"}
 
 
-def _arrays_match(f, g):
-    a, b = compile(f), compile(g)
-    return [(cls, kids) for cls, kids, _ in a] == [(cls, kids) for cls, kids, _ in b] and all(
-        x == y for (_, _, x), (_, _, y) in zip(a, b)
-    )
-
-
-def test_equal_formulas_hash_and_compile_alike():
+def test_equal_formulas_hash_and_fold_alike():
     rng = random.Random(7)
     for i in range(200):
         lang = list(Language)[i % 3]
@@ -123,16 +118,48 @@ def test_equal_formulas_hash_and_compile_alike():
                         allow_tests=lang is not Language.PDL)
         g = parse(format_formula(f))  # the same formula, built separately
         assert f is not g and f == g and hash(f) == hash(g)
-        assert _arrays_match(f, g)
+        assert formula_to_json(f) == formula_to_json(g)
+        # the drawn formula shares its leaves; the parsed one does not
+        assert set(postorder(f)) == set(postorder(g)) and len(postorder(f)) <= len(postorder(g))
 
 
-def test_equal_subterms_share_one_id():
+def test_postorder_lists_each_node_object_once_children_first():
+    pq = parse("p & q")
     f = parse("(p & q) | ~(p & q) | O[a;a] (p & q)")
-    nodes = compile(f)
-    assert compile(f) is nodes  # cached on the root
-    assert [format_formula(n) for _, _, n in nodes].count("p & q") == 1
-    assert [format_formula(n) for _, _, n in nodes].count("a") == 1
-    assert len(nodes) == len({(cls, kids, getattr(n, "name", None)) for cls, kids, n in nodes})
+    nodes = postorder(f)
+    assert nodes[-1] is f and len({id(n) for n in nodes}) == len(nodes)
+    position = {id(n): i for i, n in enumerate(nodes)}
+    assert all(position[id(c)] < i for i, n in enumerate(nodes) for c in n.children)
+    # equal subterms built apart are listed apart; one object is listed once
+    assert [n for n in nodes if n == pq] == [f.left.left, f.left.right.body, f.right.body]
+    shared = Or(pq, Not(pq))
+    assert postorder(shared) == [pq.left, pq.right, pq, shared.right, shared]
+    assert [format_formula(n) for n in postorder(parse("O[a;b] p"))] == [
+        "a", "b", "a;b", "p", "O[a;b] p"]
+    with pytest.raises(TypeError, match="not a formula"):
+        postorder(42)
+
+
+def test_a_shared_node_is_visited_once():
+    x = Atom("p")
+    for _ in range(60):
+        x = And(x, x)  # 2**60 paths, 61 objects
+    assert len(postorder(x)) == 61
+    assert atoms(x) == {"p"}
+    assert fold(x, lambda node, kids: 1 + sum(kids)) == 2**61 - 1
+
+
+def test_equal_leaves_are_one_truth_table_variable():
+    copies = [parse("box p") for _ in range(MAX_TABLE_VARS + 1)]
+    f = copies[0]
+    for g in copies[1:]:
+        f = Or(f, Not(g))
+    assert len({id(g) for g in copies}) == MAX_TABLE_VARS + 1
+    assert is_tautology(f)
+    conjunction = copies[0]
+    for g in copies[1:]:
+        conjunction = And(conjunction, g)
+    assert not is_tautology(conjunction)
 
 
 def test_unequal_formulas_differ():
@@ -141,19 +168,17 @@ def test_unequal_formulas_differ():
     assert parse("O[a;b] p") != parse("O[a] O[b] p")
 
 
-def test_one_array_serves_two_models():
+def test_one_formula_serves_two_models():
     sierpinski = TopoSpace.from_opens(2, [[], [1], [0, 1]])
     swap = DTModel(sierpinski, ("a",), {"a": (1, 0)}, {"p": 0b10})
     ident = DTModel(sierpinski, ("a",), {"a": (0, 1)}, {"p": 0b11})
     f = parse("dia O[a] p & ~box p")
-    nodes = compile(f)
     on_swap = checker.eval_dtl(swap, f)
     on_ident = checker.eval_dtl(ident, f)
     # a separately built copy, never evaluated before, reads each model afresh
     assert on_ident == checker.eval_dtl(ident, parse("dia O[a] p & ~box p"))
     assert on_swap == checker.eval_dtl(swap, f) == checker.eval_dtl(swap, parse(str(f)))
     assert on_swap != on_ident
-    assert compile(f) is nodes and all(len(entry) == 3 for entry in nodes)
 
     const = SubsetModel(sierpinski, ("a",), {"a": (1, 1)}, {"p": 0b10})
     undefined = SubsetModel(sierpinski, ("a",), {"a": (None, None)}, {"p": 0b10})
@@ -169,9 +194,12 @@ def test_subset_memo_is_reused_across_scenarios():
     f = gen_formula(rng, ("p", "q"), m.alphabet, lang=Language.K_BOX_NEXT)
     ev = checker.SubsetEvaluator(m)
     first = [ev.extension(f, u) for u in m.space.opens_sorted()]
+    interpreted = dict(ev._programs)
     again = [ev.extension(f, u) for u in m.space.opens_sorted()]
     fresh = [checker.SubsetEvaluator(m).extension(f, u) for u in m.space.opens_sorted()]
     assert first == again == fresh
+    # the evaluator's program table serves every later call: nothing new is interpreted
+    assert ev._programs == interpreted
 
 
 @pytest.mark.parametrize("model_class", ["dtl", "subset"])
@@ -202,29 +230,21 @@ def test_deep_formulas_need_no_recursion():
     # an even number of negations and of swaps
     for chain in (g, body):
         assert _walked(chain, lambda: checker._DynamicTopological(swap)) == 0b10
-    assert f == g and hash(f) == hash(g) and len(compile(f)) == 3001
+    assert f == g and hash(f) == hash(g) and len(postorder(f)) == 3001
     assert checker.eval_dtl(swap, f) == 0b10
     subset = SubsetModel(space, ("a",), {"a": (1, 1)}, {"p": 0b10})
     assert checker.SubsetEvaluator(subset).extension(body, 0b11) == 0b11
     assert checker.SubsetEvaluator(subset).extension(Next(prog, Atom("p")), 0b11) == 0b11
     assert format_formula(f) == "~" * 3000 + "p"
+    assert format_program(prog) == ";".join(["a"] * 3001)
 
 
-# --- the walk against a fold over the node array ---------------------------------------
-
-
-def _uncompiled(f) -> bool:
-    return getattr(f, "_nodes", None) is None
-
-
-def _fresh(f):
-    """An equal root, never compiled, over the same children."""
-    return Atom(f.name) if type(f) is Atom else type(f)(*f.children)
+# --- the walk against a fold ------------------------------------------------------------
 
 
 def _folded(f, sem):
-    """f's extension by a fold over its node array, on a semantics that never
-    shifts the context: the reference the walk is checked against."""
+    """f's extension by a fold, on a semantics that never shifts the
+    context: the reference the walk is checked against."""
     full = sem.full(0)
     ops = {Not: lambda a: full & ~a, And: lambda a, b: a & b, Or: lambda a, b: a | b,
            Implies: lambda a, b: (full & ~a) | b, Iff: lambda a, b: full & ~(a ^ b)}
@@ -244,11 +264,9 @@ def _folded(f, sem):
 
 
 def _walked(f, semantics):
-    """f's extension on a new ``semantics()``, walked while f is uncompiled
-    and checked against a fold over f's node array on another."""
-    assert _uncompiled(f)
+    """f's extension on a new ``semantics()``, checked against a fold over f
+    on another."""
     walked = checker.evaluate(f, semantics())
-    assert _uncompiled(f)  # the walk built no array
     assert walked == _folded(f, semantics())
     return walked
 
@@ -306,80 +324,46 @@ def test_walk_matches_the_array_loop(name):
         f = gen_formula(rng, ("p", "q", "r"), m.alphabet,
                         lang=lang or (Language.PDL, Language.BOX_NEXT)[i % 2],
                         allow_seq=not subset, allow_tests=tests)
-        fresh = _fresh(f)
-        assert fresh == f
         if name == "truth-table" and len(_opaque_leaves(f)) > 10:
             continue
-        _walked(fresh, lambda: semantics(m, f))
+        _walked(f, lambda: semantics(m, f))
         checked += 1
-        guarded += any(cls is ProgramTest for cls, _, _ in compile(f))
+        guarded += any(type(node) is ProgramTest for node in postorder(f))
     assert checked >= 50 and (guarded >= 10 if tests else not guarded)
 
 
-def test_the_audit_walks_its_instances_and_compiles_none(monkeypatch):
+def test_the_audit_builds_only_its_violations(monkeypatch):
     """A passing audit builds no instance: it judges each one as it is
-    drawn.  A failing one builds each violation once, as a fresh root judged
-    once, and nothing compiles it.  Memo callers and shifting semantics
-    compile nothing either, nor does the parser."""
-    instances, judged = [], {}  # judged: id -> (root, uncompiled when judged)
+    drawn.  A failing one builds each violation once, as a root judged
+    once."""
+    instances, judged = [], {}  # judged: id -> the roots evaluated under it
     real_evaluate, real_instantiate = checker.evaluate, harness.instantiate_scheme
     monkeypatch.setattr(checker, "evaluate", lambda f, *args: judged.setdefault(
-        id(f), (f, _uncompiled(f))) and real_evaluate(f, *args))
+        id(f), []).append(f) or real_evaluate(f, *args))
     monkeypatch.setattr(harness, "instantiate_scheme",
                         lambda *args: instances.append(real_instantiate(*args)) or instances[-1])
     for system in ("SPDL0", "SPDL0_SEQ", "DTEL"):
         assert harness.audit(system, GenConfig(seed=7, max_points=4), 4).ok
     assert instances == []
+    judged.clear()  # test-program guards were evaluated; a dtl model has none
     rep = harness.audit("SPDL0_SEQ", GenConfig(seed=3, max_points=4, model_class="dtl"), 40)
     assert len(rep.violations) == len(instances) > 0
     assert [v.formula for v in rep.violations] == list(map(format_formula, instances))
-    # both hold their nodes, so no id is reused while they are compared; the
-    # printer compiles each violation only after it is judged
-    assert all(judged[id(f)] == (f, True) for f in instances)
-
-    m = gen_model(GenConfig(seed=7, max_points=4, model_class="subset"), 1)
-    memo_caller = parse("K (p -> O[a] box q)")
-    checker.SubsetEvaluator(m).extension(memo_caller, m.space.full)
-    shifting = parse("O[a] (p & ~q)")
-    checker.evaluate(shifting, checker.SubsetEvaluator(m), m.space.full)
-    network = parse("<a> p | [a] q")
-    checker.evaluate(network, build_network_space(
-        gen_model(GenConfig(seed=7, max_points=3, model_class="pdl_serial"), 1), 1), 1)
-    memo_judge = parse("box p -> K q")
-    checker.evaluate(memo_judge, checker.ScenarioJudge(m), 0, {})
-    assert all(map(_uncompiled, (memo_caller, shifting, network, memo_judge)))
+    # both hold their nodes, so no id is reused while they are compared
+    assert all(len(judged[id(f)]) == 1 and judged[id(f)][0] is f for f in instances)
+    assert len(judged) == len(instances)
 
 
-def test_a_subset_memo_serves_only_its_own_formula_object():
-    """Equal formulas built apart get memos of their own.  Each copy below is
-    dropped as soon as it is judged, so a memo shared by equality would read
-    node ids that later copies reuse; the evaluator keeps every formula it
-    memoizes alive instead."""
-    for i in range(20):
-        m = gen_model(GenConfig(seed=11, max_points=4, model_class="subset"), i)
-        f = gen_formula(_derived_rng(11, 3, i), ("p", "q"), m.alphabet,
-                        lang=Language.K_BOX_NEXT, allow_seq=False, allow_tests=True)
-        text, opens = format_formula(f), m.space.opens_sorted()
-        want = [checker.SubsetEvaluator(m).extension(f, u) for u in opens]
-        ev = checker.SubsetEvaluator(m)
-        assert [ev.extension(f, u) for u in opens] == want
-        for _ in range(3):
-            assert [ev.extension(parse(text), u) for u in opens] == want
-        held = [g for g, _ in ev._memos.values()]
-        assert len(held) == 1 + 3 * len(opens) and held[0] is f and all(g == f for g in held)
-        assert all(id(g) == key for key, (g, _) in ev._memos.items())
-
-
-def test_language_and_depth_checks_compile_nothing(monkeypatch, capsys, tmp_path):
+def test_language_and_depth_checks_walk_nothing(monkeypatch, capsys, tmp_path):
     """Each node's languages and modal depth are set when it is built, so
     neither the parse -> check path of ``transform --check`` nor a test
-    program's fragment check builds a node array."""
-    compiled = []
-    real = formula.compile
+    program's fragment check lists a formula's nodes."""
+    walked = []
+    real = formula.postorder
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "topodyn"]:
         for name, value in list(vars(module).items()):
             if value is real:
-                monkeypatch.setattr(module, name, lambda f: compiled.append(f) or real(f))
+                monkeypatch.setattr(module, name, lambda f: walked.append(f) or real(f))
     model = tmp_path / "serial.json"
     model.write_text(json.dumps({
         "type": "pdl", "points": 2, "serial": True,
@@ -388,8 +372,8 @@ def test_language_and_depth_checks_compile_nothing(monkeypatch, capsys, tmp_path
     }))
     code = cli.main(["transform", "-m", str(model), "--depth", "2",
                      "--check", "p; <a>p -> [b]<a>p"])
-    assert code == 0 and json.loads(capsys.readouterr().out)["preservation"]["ok"]
-    assert compiled == []
+    assert code == 0 and json.loads(capsys.readouterr().out)["preservation"]["checked"] == 10
+    assert walked == []
     test = ProgramTest(parse("box p"))
     assert in_language(test, Language.BOX_NEXT) and modal_depth(test) == 0
-    assert compiled == []
+    assert walked == []

@@ -38,7 +38,6 @@ from topodyn.formula import (
     Seq,
     Top,
     atoms,
-    compile,
     expand_duals,
     fold,
     format_formula,
@@ -49,6 +48,7 @@ from topodyn.formula import (
     modal_depth,
     parse,
     parse_program,
+    postorder,
     program_depth,
     program_names,
     substitute,
@@ -305,7 +305,7 @@ def test_test_program_depth_is_body_depth():
 
 
 def _depth_step(node, kids):
-    """Modal depth as a fold over the node array: the reference definition."""
+    """Modal depth as a fold: the reference definition."""
     if type(node) is Atomic:
         return 1
     if type(node) is Seq or type(node) in MODAL:
@@ -315,9 +315,9 @@ def _depth_step(node, kids):
 
 def _assert_facts(f):
     """The modal depth, languages and AST depth f's constructor set are those
-    the reference folds over f's node array give."""
+    the reference folds over f's nodes give."""
     assert modal_depth(f) == fold(f, _depth_step)
-    langs = reduce(and_, [cls._langs for cls, _, _ in compile(f)])
+    langs = reduce(and_, [node._langs for node in postorder(f)])
     for lang in Language:
         assert in_language(f, lang) is bool(langs & _BIT[lang])
     assert f._height == fold(f, lambda node, kids: 1 + max(kids, default=0))
@@ -329,7 +329,7 @@ def test_constructors_set_the_folded_facts():
     drawn = [gen_formula(rng, ("p", "q", "r"), ("a", "b"), modal_budget=4, size_budget=8,
                          lang=langs[i % 3], allow_seq=True, allow_tests=True)
              for i in range(600)]
-    kinds = {cls for f in drawn for cls, _, _ in compile(f)}
+    kinds = {type(node) for f in drawn for node in postorder(f)}
     assert {Seq, ProgramTest, Diamond, Next, Know} <= kinds
     parsed = [parse(format_formula(f)) for f in drawn] + [parse(text) for text in (
         "<a;b;?(p)>q", "O[a;?(box p & O[b] q)] K r", "((p)) <-> [a](q -> <b;a>top)",
@@ -340,7 +340,7 @@ def test_constructors_set_the_folded_facts():
         substitute(f, swap), expand_duals(f), formula_from_json(formula_to_json(f)),
     )] + [translate_pdl(f) for f in drawn if in_language(f, Language.PDL)]
     for f in drawn:
-        for _, _, node in compile(f):  # every subterm, programs and test bodies too
+        for node in postorder(f):  # every subterm, programs and test bodies too
             _assert_facts(node)
     for f in parsed + rebuilt:
         _assert_facts(f)

@@ -18,11 +18,11 @@ from topodyn.formula import (
     MODAL,
     Language,
     atoms,
-    compile,
     format_formula,
     in_language,
     modal_depth,
     parse,
+    postorder,
 )
 from topodyn.frameprops import is_continuous, is_open_map, is_serial
 from topodyn.harness import (
@@ -406,7 +406,7 @@ def test_kept_semantics_matches_a_fresh_one(model_class):
         programs = set()
         for j in range(20):  # 200 formulas per class
             f = gen_formula(rng, ("p", "q"), model.alphabet, lang=langs[j % len(langs)])
-            programs |= {_program_key(node.prog) for cls, _, node in compile(f) if cls in MODAL}
+            programs |= {_program_key(node.prog) for node in postorder(f) if type(node) in MODAL}
             assert evaluate(f, judge) == fresh(model, f), (i, j)
             assert _global_failure(model, f, judge) == _global_failure(model, f)
         assert sorted(interpreted, key=repr) == sorted(programs, key=repr)

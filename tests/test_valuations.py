@@ -13,7 +13,7 @@ import pytest
 
 from topodyn import checker
 from topodyn.checker import SubsetEvaluator, failures, valuation_chunks
-from topodyn.formula import And, Atom, Not, Or, atoms, compile, parse, program_names
+from topodyn.formula import And, Atom, Not, Or, atoms, parse, postorder, program_names
 from topodyn.formula import Test as ProgramTest
 from topodyn.harness import _global_failure, _map_condition, search_countermodel
 from topodyn.models import DTModel, PDLModel, SubsetModel
@@ -146,7 +146,7 @@ def test_every_block_agrees_with_one_model_path(monkeypatch, model_class, text):
                         first = model, _global_failure(model, f)
         assert next(stream, None) is None
     assert same_result(search_countermodel(f, 3, model_class), first)
-    assert (max(groups, default=0) >= 2) == any(cls is ProgramTest for cls, _, _ in compile(f))
+    assert (max(groups, default=0) >= 2) == any(type(node) is ProgramTest for node in postorder(f))
 
 
 @pytest.mark.parametrize("model_class, text", [
