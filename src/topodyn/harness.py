@@ -8,13 +8,14 @@ and then fall back to constructive families rather than spinning forever.
 
 from __future__ import annotations
 
+import _random
 import bisect
 import itertools
 import random
 import time
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache, partial, reduce
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import checker
@@ -85,17 +86,27 @@ class GenConfig:
     max_attempts: int = 10_000
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _mix(x: int, salt: int) -> int:
+    """splitmix64's step, salted, and its finalizer."""
+    x = (x + 0x9E3779B97F4A7C15 + salt) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ x >> 31
+
+
+def _stream_key(seed: int, *salt: int) -> int:
+    """The key of (seed, *salt): ``_mix`` applied to the seed alone, then
+    once more per salt added, so that neighbouring keys such as (s + 1, i)
+    and (s, i + 1) give unrelated streams."""
+    return reduce(_mix, (0, *salt), seed & _MASK64)
+
+
 def _derived_rng(seed: int, *salt: int) -> random.Random:
-    """The stream of (seed, *salt): splitmix64's step and finalizer applied
-    to the seed alone, then once more per salt added, so that neighbouring
-    keys such as (s + 1, i) and (s, i + 1) give unrelated streams."""
-    x = seed & 0xFFFFFFFFFFFFFFFF
-    for s in (0, *salt):
-        x = (x + 0x9E3779B97F4A7C15 + s) & 0xFFFFFFFFFFFFFFFF
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        x ^= x >> 31
-    return random.Random(x)
+    """The stream of (seed, *salt): a generator seeded with its key."""
+    return random.Random(_stream_key(seed, *salt))
 
 
 # --- random pieces -----------------------------------------------------------
@@ -259,6 +270,8 @@ class _Grammar:
     ``_masks`` judges it.  Programs and test bodies are always nodes."""
 
     def __init__(self, atom_names, programs, lang, allow_seq, allow_tests):
+        if not atom_names:  # a leaf would be drawn from nothing
+            raise ValueError("formulas are drawn over at least one atom")
         self.tables = _KIND_TABLES[lang] if programs else (_KIND_TABLES[lang][0],) * 2
         self.allow_seq = allow_seq
         self.allow_tests = allow_tests and lang is not Language.PDL
@@ -288,18 +301,21 @@ class _Grammar:
                     return make(self.formula(rng, alg, modal_budget, size))
                 prog, cost = self.program(rng, modal_budget, size_budget)
                 return make(prog, self.formula(rng, alg, modal_budget - cost, size))
-        return alg.top if rng.random() < 0.08 else rng.choice(alg.atoms)
+        if rng.random() < 0.08:
+            return alg.top
+        atoms = alg.atoms  # drawn as random.choice draws, without the call
+        return atoms[rng._randbelow(len(atoms))]
 
     def program(
         self, rng: random.Random, modal_budget: int, size_budget: int
     ) -> tuple[Program, int]:
-        programs = self.programs
+        programs, below = self.programs, rng._randbelow  # random.choice's draw
         if self.allow_seq and modal_budget >= 2 and programs and rng.random() < 0.25:
-            return Seq(rng.choice(programs), rng.choice(programs)), 2
+            return Seq(programs[below(len(programs))], programs[below(len(programs))]), 2
         if self.allow_tests and modal_budget >= 1 and rng.random() < 0.15:
             body = self.tests.formula(rng, self.tests.nodes, modal_budget - 1, size_budget // 2)
             return Test(body), max(modal_depth(body), 1)
-        return rng.choice(programs), 1
+        return programs[below(len(programs))], 1
 
 
 # --- audits ---------------------------------------------------------------------
@@ -378,35 +394,65 @@ def _judge(model: Model) -> checker._Semantics:
 
 def _masks(judge: checker._Semantics, atoms: Sequence[Atom]) -> _Algebra:
     """The algebra of the judge's masks: ``checker.CONNECTIVES``, and the
-    judge's ``modal`` on a stand-in node of each modality and program."""
+    judge's ``modal`` on a stand-in node of each modality and program.  Each
+    modality remembers its values for the model, by body mask and, for one
+    with a program, by the program's ``checker._program_key``, under which
+    the judge interprets it; a refusal is raised again at each call."""
     full, modal = judge.full(0), judge.modal
     ops = {kind: partial(op, full) for kind, op in checker.CONNECTIVES.items()}
     for kind in (Int, Cl, Know, KHat):
-        ops[kind] = lambda body, node=kind(TOP): modal(node, body, 0)
+        ops[kind] = _remembered(modal, kind(TOP))
     for kind in MODAL:
-        ops[kind] = lambda prog, body, kind=kind: modal(kind(prog, TOP), body, 0)
+        ops[kind] = _remembered_with_program(modal, kind)
     return _Algebra(full, tuple(judge.atom(a, 0) for a in atoms), ops)
 
 
+def _remembered(modal: Callable, node: Node) -> Callable[[int], int]:
+    memo: dict[int, int] = {}
+
+    def op(body: int) -> int:
+        got = memo.get(body)
+        if got is None:
+            got = memo[body] = modal(node, body, 0)
+        return got
+    return op
+
+
+def _remembered_with_program(modal: Callable, kind: type) -> Callable[[Program, int], int]:
+    memo: dict[tuple, int] = {}
+    program_key = checker._program_key
+
+    def op(prog: Program, body: int) -> int:
+        key = (program_key(prog), body)
+        got = memo.get(key)
+        if got is None:  # a stand-in: modal reads only its class and program
+            got = memo[key] = modal(kind(prog, TOP), body, 0)
+        return got
+    return op
+
+
 @cache
-def _template(template: Formula) -> tuple[list[Node], list[str]]:
-    """A scheme template's nodes in post-order and the atoms it reads, in
-    name order: read once per template, as the templates are constants."""
-    return postorder(template), sorted(formula_atoms(template))
+def _template(template: Formula) -> tuple[list[tuple[type, tuple[int, ...], Node]], list[str]]:
+    """A scheme template's plan, its nodes in post-order as (class, positions
+    of the children in the plan, node), and the atoms it reads, in name
+    order: made once per template, as the templates are constants."""
+    nodes = postorder(template)
+    at = {id(node): i for i, node in enumerate(nodes)}
+    plan = [(type(node), tuple([at[id(k)] for k in node.children]), node) for node in nodes]
+    return plan, sorted(formula_atoms(template))
 
 
 def _apply(template: Formula, formulas: dict, programs: dict[str, Program], alg: _Algebra):
     """The template's value in alg, its atoms read as formulas' values and its
     atomic programs as programs' nodes; over nodes, ``instantiate_scheme``."""
-    vals: dict = {}
-    for node in _template(template)[0]:
-        cls, kids = type(node), node.children
+    vals: list = []
+    for cls, kids, node in _template(template)[0]:
         if kids:
-            val = (Seq if cls is Seq else alg.ops[cls])(*[vals[id(k)] for k in kids])
+            val = (Seq if cls is Seq else alg.ops[cls])(*[vals[i] for i in kids])
         else:  # a formula or program variable, or top
             val = (formulas[node.name] if cls is Atom else
                    programs[node.name] if cls is Atomic else alg.top)
-        vals[id(node)] = val
+        vals.append(val)
     return val
 
 
@@ -414,9 +460,11 @@ def _instance(rng: random.Random, grammar: _Grammar, template: Optional[Formula]
               alg: _Algebra) -> tuple[Formula, dict, dict]:
     """(template, formula variables, program variables) of an instance, in
     draw order: a CPL (None) template, the program variables, then a formula
-    in alg for each atom the template reads, in name order."""
-    template = template or rng.choice(_CPL_TEMPLATES)
-    programs = {v: rng.choice(grammar.programs) for v in ("pi", "pi1", "pi2")}
+    in alg for each atom the template reads, in name order.  Each pick is
+    ``random.choice``'s draw."""
+    below, steps = rng._randbelow, grammar.programs
+    template = template or _CPL_TEMPLATES[below(len(_CPL_TEMPLATES))]
+    programs = {v: steps[below(len(steps))] for v in ("pi", "pi1", "pi2")}
     formulas = {v: grammar.formula(rng, alg, 3, 4) for v in _template(template)[1]}
     return template, formulas, programs
 
@@ -449,10 +497,14 @@ def audit(
     collect global-truth failures.  Each model's instances are judged on one
     ``_judge`` of it.
 
-    Instance k of a trial draws from its own stream, ``_derived_rng(seed,
-    trial, k)``, and is judged as it is drawn, as masks.  One that fails, or
-    that the judge refuses, is drawn again from a fresh copy of its stream
-    as a tree for ``_global_failure`` to find its witness or error."""
+    Instance k of a trial, the i-th of scheme j with k = j * instances + i,
+    draws from its own stream, that of ``_derived_rng(seed, trial, k)``: one
+    generator is reseeded with the stream's key, (seed, trial) being mixed
+    once per trial.  It is judged as it is drawn, as masks.  One that fails,
+    or that the judge refuses, is drawn again from its stream, reseeded, as
+    a tree for ``_global_failure`` to find its witness or error."""
+    if not 0 <= cfg.seed <= _MASK64:
+        raise ValueError(f"audit seeds run from 0 to 2**64 - 1, not {cfg.seed}")
     system = get_system(system_name)
     model_class = cfg.model_class or _DEFAULT_CLASS[system.name]
     if not 1 <= cfg.num_programs <= len(_PROGRAM_NAMES):
@@ -460,12 +512,12 @@ def audit(
     run_cfg = replace(cfg, model_class=model_class)
     lang = system.language
     wanted = set(schemes) if schemes is not None else None
-    # a trial's instances, in order
-    plan = [(name, t) for name, t in (("CPL", None), *system.schemes)
-            if wanted is None or name in wanted for _ in range(instances)]
+    chosen = [(name, t) for name, t in (("CPL", None), *system.schemes)
+              if wanted is None or name in wanted]
 
     start = time.perf_counter()
     violations: list[AuditViolation] = []
+    rng, reseed = random.Random(0), _random.Random.seed
     for trial in range(trials):
         model = gen_model(run_cfg, trial)
         judge = _judge(model)
@@ -474,27 +526,30 @@ def audit(
         # the grammar gen_formula draws from; _instance draws its program leaves
         grammar = _grammar(tuple(cfg.atoms), tuple(model.alphabet), lang, allow_seq, allow_tests)
         masks, full = _masks(judge, grammar.atoms), judge.full(0)
-        for k, (name, template) in enumerate(plan):
-            try:
-                drawn = _instance(_derived_rng(cfg.seed, trial, k), grammar, template, masks)
-                if not full & ~_apply(*drawn, masks):
-                    continue
-            except ValueError:
-                pass
-            drawn = _instance(_derived_rng(cfg.seed, trial, k), grammar, template, grammar.nodes)
-            inst = instantiate_scheme(*drawn)
-            witness = _global_failure(model, inst, judge)
-            if witness is not None:
-                scenario = witness.to_json() if isinstance(witness, Scenario) else None
-                violations.append(AuditViolation(
-                    trial, name, format_formula(inst), model_to_json(model),
-                    witness if isinstance(witness, int) else None, scenario))
+        prefix = _stream_key(cfg.seed, trial)
+        for j, (name, template) in enumerate(chosen):
+            for k in range(j * instances, (j + 1) * instances):
+                key = _mix(prefix, k)
+                reseed(rng, key)
+                try:
+                    if not full & ~_apply(*_instance(rng, grammar, template, masks), masks):
+                        continue
+                except ValueError:
+                    pass
+                reseed(rng, key)
+                inst = instantiate_scheme(*_instance(rng, grammar, template, grammar.nodes))
+                witness = _global_failure(model, inst, judge)
+                if witness is not None:
+                    scenario = witness.to_json() if isinstance(witness, Scenario) else None
+                    violations.append(AuditViolation(
+                        trial, name, format_formula(inst), model_to_json(model),
+                        witness if isinstance(witness, int) else None, scenario))
     return AuditReport(
         system=system.name,
         model_class=model_class,
         trials=trials,
         instances=instances,
-        checked=trials * len(plan),
+        checked=trials * len(chosen) * max(instances, 0),
         violations=violations,
         elapsed=time.perf_counter() - start,
     )

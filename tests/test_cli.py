@@ -774,6 +774,26 @@ def test_audit_rejects_program_counts_out_of_range(capsys, programs):
     assert code == 2 and out == "" and _one_line_error(err) and "programs" in err
 
 
+def test_audit_refuses_a_seed_outside_64_bits():
+    """A seed is mixed as 64 bits, so one outside 0 <= seed < 2**64 would
+    print the bytes of another seed; it is refused instead."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def audit(seed):
+        argv = ["audit", "--system", "SPDL0_SEQ", "--model-class", "dtl", "--trials", "3",
+                "--seed", str(seed)]
+        return subprocess.run([sys.executable, "-m", "topodyn", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    for seed in (2**64 + 5, -(2**64) + 5, -1, 2**64):
+        proc = audit(seed)
+        assert (proc.returncode, proc.stdout) == (2, ""), seed
+        assert _one_line_error(proc.stderr) and str(seed) in proc.stderr
+    last = audit(2**64 - 1)
+    assert last.returncode in (0, 1) and json.loads(last.stdout)["checked"] == 3 * 4 * 3
+
+
 def test_transform_builds_the_network_space_once(capsys, pdl_file, monkeypatch):
     from topodyn import transform
 

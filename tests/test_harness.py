@@ -1,7 +1,11 @@
 """Seeded generators, randomized audits, bounded countermodel search."""
 
+import _random
 import hashlib
 import json
+import random
+import re
+import tracemalloc
 
 import pytest
 
@@ -16,7 +20,15 @@ from topodyn.checker import (
 )
 from topodyn.formula import (
     MODAL,
+    Atom,
+    Atomic,
+    Cl,
+    Int,
+    KHat,
+    Know,
     Language,
+    Seq,
+    TOP,
     atoms,
     format_formula,
     in_language,
@@ -24,6 +36,7 @@ from topodyn.formula import (
     parse,
     postorder,
 )
+from topodyn.formula import Test as ProgramTest
 from topodyn.frameprops import is_continuous, is_open_map, is_serial
 from topodyn.harness import (
     MODEL_CLASSES,
@@ -41,6 +54,8 @@ from topodyn.harness import (
     _instance,
     _judge,
     _masks,
+    _mix,
+    _stream_key,
 )
 from topodyn.models import (
     DTModel,
@@ -154,6 +169,13 @@ def test_gen_formula_respects_budget_and_language():
                             lang=lang, allow_seq=lang is Language.PDL)
             assert in_language(f, lang)
             assert modal_depth(f) <= 2
+
+
+def test_gen_formula_needs_an_atom():
+    """A leaf is drawn as ``random.choice`` draws, which from no atoms would
+    loop for ever from CPython 3.11 on; the grammar refuses instead."""
+    with pytest.raises(ValueError, match="at least one atom"):
+        gen_formula(random.Random(0), (), ("a",))
 
 
 # --- audits ------------------------------------------------------------------------
@@ -357,6 +379,89 @@ def test_every_algebra_draws_what_the_node_one_does(system, model_class, seed):
             assert mask == evaluate(inst, judge)
             failing += bool(full & ~mask)
     assert (failing > 0) is unsound
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+def test_a_reseeded_generator_draws_the_derived_stream(seed):
+    """The audit reseeds one generator per instance with the key of (seed,
+    trial) mixed once more with the position k; a failing instance's redraw
+    relies on that being the stream of ``_derived_rng(seed, trial, k)``."""
+    rng = random.Random(0)
+    for trial in (0, 1, 7, 1000):
+        prefix = _stream_key(seed, trial)
+        for k in (0, 1, 2, 13, 89):
+            key = _mix(prefix, k)
+            assert key == _stream_key(seed, trial, k)
+            _random.Random.seed(rng, key)
+            fresh = _derived_rng(seed, trial, k)
+            assert [rng.getrandbits(64) for _ in range(64)] == \
+                [fresh.getrandbits(64) for _ in range(64)], (trial, k)
+
+
+def _bodies(full: int):
+    """Every mask within full."""
+    m = 0
+    while True:
+        yield m
+        if m == full:
+            return
+        m = (m - full) & full
+
+
+@pytest.mark.parametrize("model_class", ["dtl", "pdl_serial", "subset"])
+def test_each_remembered_modality_is_the_judges(model_class):
+    """Each modality of the mask algebra gives what the judge's ``modal``
+    gives on a fresh semantics and stand-in, for every body mask of a small
+    model, when first asked and when remembered, and for an equal program
+    built anew; a refused modality is refused at every call."""
+    def small(m):  # three points, and at most 5 opens: box is not the identity
+        return m.n == 3 and (model_class == "pdl_serial" or len(m.space.opens_sorted()) <= 5)
+
+    def programs():
+        a, b = (Atomic(name) for name in model.alphabet)
+        if model_class != "subset":
+            return [a, b, Seq(a, b)]
+        guard = ProgramTest(Int(Atom("p")))
+        return [a, guard, Seq(b, guard)]
+
+    def refused(op, fresh, *args) -> bool:
+        try:
+            want = fresh()
+        except ValueError as exc:
+            for _ in range(2):
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    op(*args)
+            return True
+        assert [op(*args), op(*args)] == [want, want], args
+        return False
+
+    cfg = GenConfig(seed=3, max_points=3, model_class=model_class)
+    model = next(m for i in range(200) if small(m := gen_model(cfg, i)))
+    masks, progs = _masks(_judge(model), ()), programs() + programs()
+    refusals = 0
+    for body in _bodies(masks.top):
+        for kind in (Int, Cl, Know, KHat):
+            refusals += refused(masks.ops[kind],
+                                lambda: _judge(model).modal(kind(TOP), body, 0), body)
+        for kind in MODAL:
+            for prog in progs:
+                refusals += refused(masks.ops[kind],
+                                    lambda: _judge(model).modal(kind(prog, TOP), body, 0),
+                                    prog, body)
+    assert refusals  # every class refuses some modality
+
+
+def test_audit_holds_no_list_of_its_instances():
+    """A trial's instances are walked by position, not listed first."""
+    audit("SPDL0", GenConfig(seed=0), trials=0, instances=1)  # the system, cached
+    tracemalloc.start()
+    try:
+        rep = audit("SPDL0", GenConfig(seed=0), trials=0, instances=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.checked == 0 and rep.instances == 10**5
+    assert peak < 2**20
 
 
 def test_audit_violations_reverify():
