@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from itertools import islice
 from operator import is_
 from typing import Callable, Mapping, TypeVar
 
@@ -429,17 +430,21 @@ format_program = format_formula
 
 _RESERVED = {"box", "dia", "top"}
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<name>[a-z][a-z0-9_]*)
-      | (?P<upper>Khat|K|O)
-      | (?P<op><->|->|[~&|<>\[\]();?])
-    """,
-    re.VERBOSE,
-)
+# one token per match, after any blanks: a name, an operator, or any other
+# character, which is an error
+_TOKEN_RE = re.compile(r"\s*([a-z][a-z0-9_]*|<->|->|Khat|[KO~&|<>\[\]();?]|\S)")
+# the kind of every token with a fixed spelling or of one character: a
+# one-letter name's is ``name``, any other's itself; longer names are not listed
+_KINDS = {tok: tok for tok in ("<->", "->", "Khat", "K", "O", *"~&|<>[]();?", *_RESERVED)}
+_KINDS.update((c, "name") for c in "abcdefghijklmnopqrstuvwxyz")
 
 _PREFIX_TOKENS = {"~": Not, "box": Int, "dia": Cl, "K": Know, "Khat": KHat}
 _MODAL_TOKENS = {"<": (Diamond, ">"), "[": (BoxPdl, "]"), "O": (Next, "]")}
+# connective -> (binding level, class, whether it associates to the left),
+# read off the printer's table so that both agree
+_BINARY_TOKENS = {sym.strip(): (prec, cls, right > left)
+                  for cls, (sym, prec, left, right) in _INFIX.items()}
+_NO_LINKS = (0,) * len(_BINARY_TOKENS)  # one count per level
 
 
 def _error_at(text: str, pos: int, message: str, cls: type = ParseError) -> ParseError:
@@ -447,23 +452,27 @@ def _error_at(text: str, pos: int, message: str, cls: type = ParseError) -> Pars
     return cls(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, value, offset) per token, ending with an eof token."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise _error_at(text, pos, f"unexpected character {text[pos]!r}")
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            if kind in ("upper", "op") or kind == "name" and value in _RESERVED:
-                kind = value
-            tokens.append((kind, value, pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
+def _offset(text: str, k: int) -> int:
+    """Offset in text of its token k, found by scanning again; past the last
+    token, the end of the text (where the eof token is)."""
+    m = next(islice(_TOKEN_RE.finditer(text), k, None), None)
+    return len(text) if m is None else m.start(1)
+
+
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and the values of the tokens of text, each list ending with
+    the eof token's; a name's kind is ``name``."""
+    values = _TOKEN_RE.findall(text)
+    kinds = list(map(_KINDS.get, values))
+    if None in kinds:  # a longer name, or a character that starts no token
+        for k, value in enumerate(values):
+            if kinds[k] is None:
+                if len(value) == 1:
+                    raise _error_at(text, _offset(text, k), f"unexpected character {value!r}")
+                kinds[k] = "name"
+    kinds.append("eof")
+    values.append("")
+    return kinds, values
 
 
 _TOO_DEEP = f"formula nests deeper than {MAX_NESTING} levels"
@@ -478,146 +487,134 @@ def _chain_cap(links: int) -> None:
 
 class _Parser:
     """Recursive descent that recurses only into brackets, whose nesting it
-    caps; operator chains are parsed by loops, which refuse a chain as soon as
-    it alone nests deeper than the cap.  Each production returns a plain node,
-    which knows its own AST depth, and ``finish`` caps the root's."""
+    caps: a bracket level costs three frames (``formula``, ``unary``,
+    ``bracketed``).  Within a level, ``formula`` reduces the binary
+    connectives in one precedence loop and ``unary`` gathers the prefix
+    operators in another; each refuses a chain as soon as it alone nests
+    deeper than the cap.  Each production returns a plain node, which knows
+    its own AST depth, and ``finish`` caps the root's.  Tokens carry no
+    offsets: an error scans the text again for its token's."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.kinds, self.values = _tokenize(text)
+        self.pos = 0  # index of the next token
         self.depth = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+    def error(self, k: int, message: str, cls: type = ParseError) -> ParseError:
+        return _error_at(self.text, _offset(self.text, k), message, cls)
 
-    def at(self, kind: str) -> bool:
-        return self.tokens[self.pos][0] == kind
+    def unexpected(self, what: str) -> ParseError:
+        got = self.values[self.pos] or "end of input"
+        return self.error(self.pos, f"expected {what}, found {got!r}")
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
+    def expect(self, kind: str, what: str) -> None:
+        if self.kinds[self.pos] != kind:
+            raise self.unexpected(what)
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok[0] != kind:
-            got = tok[1] or "end of input"
-            raise _error_at(self.text, tok[2], f"expected {what}, found {got!r}")
-        return self.advance()
 
     def bracketed(self, inner: Callable[[], T], close: str) -> T:
         """Parse inside an already consumed opening bracket, up to ``close``."""
-        pos = self.peek()[2]
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise _error_at(self.text, pos, f"brackets nest deeper than {MAX_NESTING} levels")
+            raise self.error(self.pos, f"brackets nest deeper than {MAX_NESTING} levels")
         result = inner()
         self.expect(close, f"'{close}'")
         self.depth -= 1
         return result
 
-    def right_chain(self, operand: Callable[[], Node], op: str, cls: type) -> Node:
-        parts = [operand()]
-        while self.at(op):
-            self.advance()
-            _chain_cap(len(parts))
-            parts.append(operand())
-        f = parts.pop()
-        while parts:
-            f = cls(parts.pop(), f)
-        return f
-
     def formula(self) -> Formula:
-        return self.right_chain(self.implication, "<->", Iff)
-
-    def implication(self) -> Formula:
-        return self.right_chain(self.disjunction, "->", Implies)
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        links = 0
-        while self.at("|"):
-            self.advance()
-            links += 1
-            _chain_cap(links)
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        links = 0
-        while self.at("&"):
-            self.advance()
-            links += 1
-            _chain_cap(links)
-            f = And(f, self.unary())
-        return f
+        """Unary operands joined by ``& | -> <->``: a connective first reduces
+        the pending ones that bind tighter, and a left-associative one those
+        of its own level."""
+        kinds = self.kinds
+        operands = [self.unary()]
+        pending: list[tuple[int, type, bool]] = []  # connectives not yet reduced
+        links = list(_NO_LINKS)  # per level, connectives of the chain open there
+        while True:
+            op = _BINARY_TOKENS.get(kinds[self.pos])
+            if op is None:
+                break
+            self.pos += 1
+            level = op[0]
+            while pending and (pending[-1][0] > level or pending[-1][0] == level and op[2]):
+                right = operands.pop()
+                operands[-1] = pending.pop()[1](operands[-1], right)
+            links[level + 1:] = _NO_LINKS[level + 1:]  # the tighter chains ended
+            links[level] += 1
+            _chain_cap(links[level])
+            pending.append(op)
+            operands.append(self.unary())
+        while pending:
+            right = operands.pop()
+            operands[-1] = pending.pop()[1](operands[-1], right)
+        return operands[0]
 
     def unary(self) -> Formula:
+        """Prefix operators and modalities, then an atom, ``top`` or a
+        bracketed formula."""
+        kinds = self.kinds
         wrappers: list[tuple[type, Program | None]] = []  # (class, its program)
         while True:
             _chain_cap(len(wrappers))
-            kind = self.peek()[0]
-            if kind in _PREFIX_TOKENS:
-                self.advance()
-                wrappers.append((_PREFIX_TOKENS[kind], None))
+            kind = kinds[self.pos]
+            cls = _PREFIX_TOKENS.get(kind)
+            if cls is not None:
+                self.pos += 1
+                wrappers.append((cls, None))
                 continue
-            if kind not in _MODAL_TOKENS:
+            modal = _MODAL_TOKENS.get(kind)
+            if modal is None:
                 break
-            self.advance()
+            self.pos += 1
             if kind == "O":
                 self.expect("[", "'[' after 'O'")
-            cls, close = _MODAL_TOKENS[kind]
+            cls, close = modal
             wrappers.append((cls, self.bracketed(self.program, close)))
-        f = self.primary()
+        if kind == "name":
+            f = Atom(self.values[self.pos])
+            self.pos += 1
+        elif kind == "top":
+            f = Top()
+            self.pos += 1
+        elif kind == "(":
+            self.pos += 1
+            f = self.bracketed(self.formula, ")")
+        else:
+            raise self.unexpected("a formula")
         for cls, prog in reversed(wrappers):
             f = cls(f) if prog is None else cls(prog, f)
         return f
 
-    def primary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "top":
-            self.advance()
-            return Top()
-        if kind == "name":
-            self.advance()
-            return Atom(value)
-        if kind == "(":
-            self.advance()
-            return self.bracketed(self.formula, ")")
-        got = value or "end of input"
-        raise _error_at(self.text, pos, f"expected a formula, found {got!r}")
-
     def program(self) -> Program:
         p = self.program_term()
         links = 0
-        while self.at(";"):
-            self.advance()
+        while self.kinds[self.pos] == ";":
+            self.pos += 1
             links += 1
             _chain_cap(links)
             p = Seq(p, self.program_term())
         return p
 
     def program_term(self) -> Program:
-        kind, value, pos = self.peek()
+        pos = self.pos
+        kind = self.kinds[pos]
         if kind == "name":
-            self.advance()
-            return Atomic(value)
+            self.pos += 1
+            return Atomic(self.values[pos])
         if kind == "?":
-            self.advance()
+            self.pos += 1
             self.expect("(", "'(' after '?'")
             body = self.bracketed(self.formula, ")")
             try:
                 return Test(body)
             except FragmentViolation as exc:
                 message = exc.args[0].split(" (line")[0]
-                raise _error_at(self.text, pos, message, FragmentViolation) from None
+                raise self.error(pos, message, FragmentViolation) from None
         if kind == "(":
-            self.advance()
+            self.pos += 1
             return self.bracketed(self.program, ")")
-        got = value or "end of input"
-        raise _error_at(self.text, pos, f"expected a program, found {got!r}")
+        raise self.unexpected("a program")
 
     def finish(self, rule: Callable[[], Node]) -> Node:
         """Run rule over the whole text; a call stack too deep for it is an input error."""
@@ -625,9 +622,8 @@ class _Parser:
             node = rule()
         except RecursionError:
             raise ParseError("brackets nest too deeply to parse at this call depth") from None
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise _error_at(self.text, tok[2], f"unexpected trailing input {tok[1]!r}")
+        if self.kinds[self.pos] != "eof":
+            raise self.error(self.pos, f"unexpected trailing input {self.values[self.pos]!r}")
         if node._height > MAX_NESTING:
             raise ParseError(_TOO_DEEP)
         return node

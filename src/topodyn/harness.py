@@ -76,6 +76,9 @@ _DEFAULT_CLASS = {"SPDL0": "dtl", "SPDL0_SEQ": "dtl_open", "DTEL": "subset"}
 _PROGRAM_NAMES = ("a", "b", "c", "d", "e")
 
 
+_MASK64 = (1 << 64) - 1
+
+
 @dataclass(frozen=True)
 class GenConfig:
     seed: int
@@ -85,8 +88,10 @@ class GenConfig:
     atoms: tuple[str, ...] = ("p", "q", "r")
     max_attempts: int = 10_000
 
-
-_MASK64 = (1 << 64) - 1
+    def __post_init__(self) -> None:
+        # a seed is mixed as 64 bits, so one outside them would alias another
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seeds run from 0 to 2**64 - 1, not {self.seed}")
 
 
 def _mix(x: int, salt: int) -> int:
@@ -503,8 +508,6 @@ def audit(
     once per trial.  It is judged as it is drawn, as masks.  One that fails,
     or that the judge refuses, is drawn again from its stream, reseeded, as
     a tree for ``_global_failure`` to find its witness or error."""
-    if not 0 <= cfg.seed <= _MASK64:
-        raise ValueError(f"audit seeds run from 0 to 2**64 - 1, not {cfg.seed}")
     system = get_system(system_name)
     model_class = cfg.model_class or _DEFAULT_CLASS[system.name]
     if not 1 <= cfg.num_programs <= len(_PROGRAM_NAMES):

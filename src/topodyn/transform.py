@@ -97,9 +97,38 @@ class NetworkSpace:
     def index(self) -> tuple[dict[BoundedNetwork, int], ...]:
         return tuple({net: i for i, net in enumerate(stratum)} for stratum in self.strata)
 
+    @cached_property
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        """Per stratum and root: the mask of that root's cell, its networks."""
+        return tuple(tuple((1 << len(span)) - 1 << span.start for span in by_root)
+                     for by_root in self.spans)
+
+    @cached_property
+    def images(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per stratum d, program and root: the mask over stratum d-1 of the
+        shift image of that root's cell, read off the shift table (stratum 0
+        has none)."""
+        out: list[tuple[tuple[int, ...], ...]] = [()]
+        for rows, by_root in zip(self.shift_index[1:], self.spans[1:]):
+            per_program = []
+            for p in range(len(self.source.alphabet)):
+                per_root = []
+                for span in by_root:
+                    img = 0
+                    for i in span:
+                        img |= 1 << rows[i][p]
+                    per_root.append(img)
+                per_program.append(tuple(per_root))
+            out.append(tuple(per_program))
+        return tuple(out)
+
+    @cached_property
+    def _sizes(self) -> tuple[int, ...]:
+        return tuple(sum(map(len, by_root)) for by_root in self.spans)
+
     def size(self, d: int) -> int:
         """Number of networks in stratum d."""
-        return sum(map(len, self.spans[d]))
+        return self._sizes[d]
 
     def stratum_sizes(self) -> list[int]:
         return [self.size(d) for d in range(self.depth + 1)]
@@ -113,14 +142,14 @@ class NetworkSpace:
     shifts = frozenset({Diamond, BoxPdl})
 
     def full(self, d: int) -> int:
-        return (1 << self.size(d)) - 1
+        return (1 << self._sizes[d]) - 1
 
     def lift(self, states: int, d: int) -> int:
         """The networks of stratum d rooted at the given source states."""
+        cells = self.cells[d]
         m = 0
         for x in iter_points(states):
-            span = self.spans[d][x]
-            m |= (1 << len(span)) - 1 << span.start
+            m |= cells[x]
         return m
 
     def atom(self, node: Node, d: int) -> int:
@@ -134,18 +163,21 @@ class NetworkSpace:
         return d - 1
 
     def modal(self, node: Node, body: int, d: int) -> int:
-        if type(node) is not Diamond and type(node) is not BoxPdl:
+        cls = type(node)
+        if cls is not Diamond and cls is not BoxPdl:
             raise ValueError(f"no network semantics for {format_formula(node)}")
-        p = self.source.alphabet.index(node.prog.name)
-        shifts = self.shift_index[d]
-        bits = format(body, f"0{self.size(d - 1)}b")[::-1]  # bits[j]: network j of d-1
-        passes = any if type(node) is Diamond else all
+        images = self.images[d][self.source.alphabet.index(node.prog.name)]
+        # closure/interior of a shift preimage on a partition topology: a
+        # cell passes if its shift image meets (dually, lies inside) the body
         m = 0
-        # closure/interior of a shift preimage on a partition topology:
-        # a cell passes if some (dually, every) member shifts into the body
-        for span in self.spans[d]:
-            if passes(bits[shifts[i][p]] == "1" for i in span):
-                m |= (1 << len(span)) - 1 << span.start
+        if cls is Diamond:
+            for img, cell in zip(images, self.cells[d]):
+                if img & body:
+                    m |= cell
+        else:
+            for img, cell in zip(images, self.cells[d]):
+                if img & body == img:
+                    m |= cell
         return m
 
 
@@ -232,13 +264,9 @@ def check_shift_openness(space: NetworkSpace) -> list[dict]:
     relational successors of x."""
     failures = []
     for d in range(1, space.depth + 1):
-        shifts = space.shift_index[d]
         for p, name in enumerate(space.source.alphabet):
-            for x, span in enumerate(space.spans[d]):
-                got = 0
-                for i in span:
-                    got |= 1 << shifts[i][p]
-                if got != space.lift(space.source.rel[name][x], d - 1):
+            for x, img in enumerate(space.images[d][p]):
+                if img != space.lift(space.source.rel[name][x], d - 1):
                     failures.append(
                         {"depth": d, "program": name, "root": x}
                     )

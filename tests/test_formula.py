@@ -7,6 +7,7 @@ JSON/CLI surface silently corrupts formulas.
 
 import random
 import re
+import sys
 from functools import reduce
 from operator import and_
 
@@ -130,6 +131,43 @@ def test_parse_errors_carry_position(text):
     assert re.search(r"line \d+, column \d+", str(exc.value))
 
 
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("p &\n  #", "unexpected character '#'", 2, 3),
+        ("p\n\t& q\t$ r", "unexpected character '$'", 2, 6),
+        ("(p &\n\tq  \n", "expected ')', found 'end of input'", 3, 1),
+        ("<a>(p\n\t| q", "expected ')', found 'end of input'", 2, 5),
+        ("p\n  & q  \n\t r ", "unexpected trailing input 'r'", 3, 3),
+        ("(p)\n\t)", "unexpected trailing input ')'", 2, 2),
+    ],
+)
+def test_error_positions_count_lines_and_columns_from_the_text(text, message, line, col):
+    # a tab is one column, and the end of input sits past any trailing blanks
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value) == f"{message} (line {line}, column {col})"
+
+
+@pytest.mark.parametrize("text", [
+    "<a>p & [b]q -> r",
+    "~(p | q) <-> K Khat box dia p",
+    "O[a;?(box p);(b;c)] (p -> q -> r)",
+    "[a]~<b>(p & top) | q & r",
+])
+def test_spacing_between_tokens_does_not_change_the_formula(text):
+    tokens = re.findall(r"[a-z][a-z0-9_]*|<->|->|Khat|\S", text)
+    want = parse(text)
+    for sep in ("", " ", "\n", "\t", " \n\t "):
+        # names and reserved words next to each other need a blank between them
+        glued = tokens[0]
+        for tok in tokens[1:]:
+            glue = sep or (" " if glued[-1].isalnum() and tok[0].isalnum() else "")
+            glued += glue + tok
+        assert parse(f"{sep}{glued}{sep}") == want, repr(glued)
+
+
 CHAINS = {
     "&": (lambda k: " & ".join(["p"] * (k + 1)), "formula"),
     "|": (lambda k: " | ".join(["p"] * (k + 1)), "formula"),
@@ -161,8 +199,12 @@ def test_deep_brackets_deep_in_the_call_stack_are_a_parse_error():
     def nested(frames):
         return nested(frames - 1) if frames else parse(text)
 
+    # leave parse 50 frames: room to reach finish, too few for 100 levels
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
     with pytest.raises(ParseError, match="^brackets nest too deeply to parse at this call depth$"):
-        nested(120)
+        nested(sys.getrecursionlimit() - depth - 50)
 
 
 def test_reserved_words_are_not_atoms():

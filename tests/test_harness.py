@@ -156,6 +156,16 @@ def test_gen_model_classes_deliver_their_contracts():
         assert validate(m) == []
 
 
+@pytest.mark.parametrize("seed", [2**64 + 3, 2**64, -5, -1])
+def test_gen_model_refuses_a_seed_outside_64_bits(seed):
+    """Seeds are mixed as 64 bits: 2**64 + 3 would draw seed 3's models and
+    -5 those of 2**64 - 5, so both are refused before any model is drawn."""
+    with pytest.raises(ValueError, match=rf"^seeds run from 0 to 2\*\*64 - 1, not {seed}$"):
+        gen_model(GenConfig(seed=seed, model_class="pdl_serial"), 1)
+    for edge in (0, 2**64 - 1):
+        assert gen_model(GenConfig(seed=edge, model_class="pdl_serial"), 1).n >= 1
+
+
 def test_gen_model_unknown_class():
     with pytest.raises(ValueError, match="model class"):
         gen_model(GenConfig(seed=1, model_class="euclidean"))

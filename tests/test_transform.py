@@ -352,6 +352,43 @@ def test_modalities_on_strata_past_a_machine_word():
             assert network_extension(space, f, d) == space.lift(src, d)
 
 
+def modal_by_members(space, box, p, body, d):
+    """``[a]`` (box) or ``<a>`` on stratum d from its definition, network by
+    network: a network passes when every (some) network with its root
+    shifts along program p into body."""
+    nets = space.strata[d]
+    into = {}  # root -> whether each network with that root shifts into body
+    for i, net in enumerate(nets):
+        into.setdefault(net.root, []).append(body >> space.shift(d, p, i) & 1)
+    passes = {x: (all if box else any)(bits) for x, bits in into.items()}
+    return sum(1 << i for i, net in enumerate(nets) if passes[net.root])
+
+
+def test_modalities_read_each_cells_shift_image():
+    rng = _derived_rng(29)
+    spaces = [build_network_space(gen_model(GenConfig(
+        seed=303, max_points=4, num_programs=2, model_class="pdl_serial"), i), 2) for i in range(40)]
+    big = PDLModel(4, ("a",), {"a": (0b1111,) * 4}, {"p": 0b0101}, serial_flag=True)
+    spaces.append(build_network_space(big, 6))
+    assert spaces[-1].size(6) == 4 ** 7
+    for space in spaces:
+        assert check_shift_openness(space) == []
+        n = space.source.n
+        for d in range(1, space.depth + 1):
+            size = space.size(d - 1)
+            # dense, sparse and cell-aligned bodies, so that both outcomes occur
+            cells = space.lift(rng.getrandbits(n), d - 1)
+            bodies = [0, space.full(d - 1), rng.getrandbits(size),
+                      rng.getrandbits(size) & rng.getrandbits(size),
+                      rng.getrandbits(size) | rng.getrandbits(size),
+                      cells, cells ^ 1 << rng.randrange(size)]
+            for p, name in enumerate(space.source.alphabet):
+                for body in bodies:
+                    for text, box in ((f"<{name}>p", False), (f"[{name}]p", True)):
+                        got = space.modal(parse(text), body, d)
+                        assert got == modal_by_members(space, box, p, body, d), (text, d)
+
+
 def test_disagreements_are_the_networks_whose_truth_differs(monkeypatch):
     m = PDLModel(3, ("a", "b"), {"a": (0b010, 0b011, 0b011), "b": (0b001, 0b100, 0b110)},
                  {"p": 0b011, "q": 0b100}, serial_flag=True)
