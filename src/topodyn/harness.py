@@ -47,7 +47,6 @@ from .formula import (
     format_formula,
     modal_depth,
     postorder,
-    program_names,
 )
 from .frameprops import is_continuous, is_open_map
 from .models import (
@@ -644,6 +643,39 @@ def _class_models(model_class: str, n: int, progs: tuple[str, ...]) -> Iterator[
                 yield cls(space, progs, maps, {})
 
 
+# Blocks the search judges one at a time on each carrier size (on each space,
+# on subset-space models) before it batches them: a countermodel among them
+# costs no block past it.
+_ALONE = 8
+
+
+def _batches(model_class: str, n: int, progs: tuple[str, ...],
+             names: Sequence[str]) -> Iterator[list[Model]]:
+    """The blocks of ``_class_models`` in order, cut into the batches
+    ``checker.least_failure`` judges: ``_ALONE`` batches of one block, then
+    each batch as many blocks as have been judged so far (8, 16, 32, ...),
+    up to ``checker.batch_room``, so that an early countermodel costs no
+    block past it and a long search few evaluations.  A subset-space batch
+    holds one space's blocks, as the judge's columns are its opens, and
+    each space starts again from one block."""
+    subset = model_class == "subset"
+    batch: list[Model] = []
+    size, room, space, done = 1, 0, None, 0
+    for block in _class_models(model_class, n, progs):
+        if subset and block.space is not space:
+            if batch:
+                yield batch
+            batch, size, room, space, done = [], 1, 0, block.space, 0
+        batch.append(block)
+        if len(batch) == size:
+            yield batch
+            room = room or checker.batch_room(block, names)
+            done += size
+            batch, size = [], min(done if done >= _ALONE else 1, room)
+    if batch:
+        yield batch
+
+
 def search_countermodel(
     f: Formula, bound: int = 4, model_class: str = "dtl"
 ) -> Optional[tuple[Model, Union[int, Scenario]]]:
@@ -662,16 +694,22 @@ def search_countermodel(
     ``pdl_serial`` the same argument runs over tuples of relations under
     every relabelling.  The kept maps of a space, or the kept relations on
     n points, are found once per process, on the search that first reaches
-    them.  ``checker.least_failure`` judges a block's valuations a chunk at
-    a time.  ``_global_failure`` picks the witness."""
+    them.  ``checker.least_failure`` judges a batch of consecutive blocks
+    of one carrier size (``_batches``) in one evaluation, a lane per block
+    and valuation, and names the first failing (block, valuation) pair in
+    that order, a block's valuations being chunked when they alone fill the
+    lanes; so the countermodel is the one a search judging one block at a
+    time finds.  ``_global_failure`` picks the witness."""
     if model_class not in MODEL_CLASSES:
         raise ValueError(f"unknown model class {model_class!r}")
-    names = sorted(formula_atoms(f))
-    progs = tuple(sorted(program_names(f)))
+    nodes = postorder(f)  # one traversal for the atoms and the programs
+    names = sorted({node.name for node in nodes if type(node) is Atom})
+    progs = tuple(sorted({node.name for node in nodes if type(node) is Atomic}))
     for n in range(1, bound + 1):
-        for block in _class_models(model_class, n, progs):
-            found = checker.least_failure(block, f, names)
+        for batch in _batches(model_class, n, progs, names):
+            found = checker.least_failure(batch, f, names)
             if found is not None:
-                model = replace(block, val=checker.valuation(names, n, found[0]))
+                b, v = divmod(found[0], 1 << n * len(names))
+                model = replace(batch[b], val=checker.valuation(names, n, v))
                 return model, _global_failure(model, f)
     return None

@@ -20,7 +20,7 @@ import math
 import pytest
 
 from topodyn import checker, cli, harness
-from topodyn.formula import parse, program_names
+from topodyn.formula import atoms, parse, program_names
 from topodyn.frameprops import is_continuous, is_open_map
 from topodyn.harness import _class_models
 from topodyn.models import PDLModel
@@ -301,16 +301,18 @@ def test_reduced_search_prints_what_the_labelled_one_does(monkeypatch, model_cla
 
 @pytest.mark.parametrize("model_class, text, bound", CORPUS)
 def test_no_block_is_judged_twice(monkeypatch, model_class, text, bound):
-    """The search judges the blocks of ``_class_models`` in order, each once,
-    up to the countermodel's block."""
-    judged = []
-    failures = checker.failures
+    """The search hands ``checker.least_failure`` batches of one carrier
+    size that run through the blocks of ``_class_models`` in order: each
+    block up to the countermodel's is judged once, and past it only the
+    rest of its own batch."""
+    batches = []
+    least_failure = checker.least_failure
 
-    def recording(block, *args):
-        judged.append((block.n, block_key(block)))
-        return failures(block, *args)
+    def recording(batch, *args):
+        batches.append([(block.n, block_key(block)) for block in batch])
+        return least_failure(batch, *args)
 
-    monkeypatch.setattr(checker, "failures", recording)
+    monkeypatch.setattr(checker, "least_failure", recording)
     f = parse(text)
     found = harness.search_countermodel(f, bound, model_class)
     progs = tuple(sorted(program_names(f)))
@@ -318,8 +320,41 @@ def test_no_block_is_judged_twice(monkeypatch, model_class, text, bound):
     expected = []
     for n in range(1, last + 1):
         expected += [(n, block_key(b)) for b in _class_models(model_class, n, progs)]
+    judged = [block for batch in batches for block in batch]
+    assert all(len({n for n, _ in batch}) == 1 for batch in batches)
+    assert judged == expected[:len(judged)]
     if found:
-        # the countermodel's block comes last
-        expected = expected[:expected.index((last, block_key(found[0]))) + 1]
-    assert len(set(judged)) == len(judged) == len(expected)
-    assert judged == expected
+        end = expected.index((last, block_key(found[0]))) + 1
+        # the countermodel's batch is the last, and holds its block
+        assert len(judged) - len(batches[-1]) < end <= len(judged)
+    else:
+        assert len(judged) == len(expected)
+
+
+@pytest.mark.parametrize("chunk_bits", [checker.CHUNK_BITS, 1, 3])
+@pytest.mark.parametrize("model_class, text, bound", CORPUS)
+def test_a_batch_judges_each_block_as_it_would_alone(monkeypatch, chunk_bits, model_class, text,
+                                                     bound):
+    """Block b's lanes of a batch's failures are the block's failures when it
+    is judged alone, on up to 3 points.  Batches start at a carrier's second
+    block here, so that small carriers make some.  At 2**1 lanes every batch
+    is one block, whose valuations come in chunks; at 2**3 a batch fills the
+    lanes and ends inside a space's run of blocks."""
+    monkeypatch.setattr(checker, "CHUNK_BITS", chunk_bits)
+    monkeypatch.setattr(harness, "_ALONE", 1)
+    f = parse(text)
+    names = sorted(atoms(f))
+    progs = tuple(sorted(program_names(f)))
+    for n in range(1, min(bound, 3) + 1):
+        for batch in harness._batches(model_class, n, progs, names):
+            assert len(batch) <= checker.batch_room(batch[0], names)
+            columns = len(batch[0].space.opens) if model_class == "subset" else 1
+            chunks = checker.valuation_chunks(n, names, columns, len(batch))
+            alone_chunks = checker.valuation_chunks(n, names, columns)
+            for (start, width, masks), alone in zip(chunks, alone_chunks, strict=True):
+                assert alone[:2] == (start, width)
+                bad = checker.failures(batch[0], f, masks, width, *batch[1:])
+                lanes, ones = len(batch) * width, (1 << width) - 1
+                for b, block in enumerate(batch):
+                    mine = sum((bad >> x * lanes + b * width & ones) << x * width for x in range(n))
+                    assert mine == checker.failures(block, f, alone[2], width)
