@@ -1,8 +1,9 @@
 """Model checkers for the three semantics, over one evaluator core.
 
-``evaluate`` reads the connectives from ``CONNECTIVES``, in one pass over
-the formula's tree that switches context as it goes.  A semantics supplies
-the rest: ``full(c)``, every point at context ``c``; ``atom(node, c)``;
+``evaluate_all`` reads the connectives from ``CONNECTIVES``, in one pass
+over a list of formulas' trees that switches context as it goes;
+``evaluate`` is its case of one formula.  A semantics supplies the rest:
+``full(c)``, every point at context ``c``; ``atom(node, c)``;
 ``modal(node, body, c)``, a modality applied to its body's extension; and
 ``shifts``, the modalities whose body is read at another context,
 ``step(node, c)``.  Contexts are ints: the scenario set in subset spaces,
@@ -107,20 +108,28 @@ CONNECTIVES = {
 
 
 def evaluate(f: Formula, sem, ctx: int = 0) -> int:
-    """Extension of f at context ctx, by one pass over its tree, children
-    first, without recursion: each (node, context) pair is read once and
-    memoized as ``memo[context][id(node)]``.  A modality in ``sem.shifts``
-    reads its body at ``sem.step(node, c)``: the walk pushes c, the body,
-    then that context, and popping a context switches to it.  A modality's
-    program, test guards included, is left to ``sem.program``.  The memo
-    lives for the call, while f keeps every node alive.
+    """Extension of f at context ctx: ``evaluate_all`` of the one root."""
+    return evaluate_all((f,), sem, ctx)[0]
+
+
+def evaluate_all(fs: Sequence[Formula], sem, ctx: int = 0) -> list[int]:
+    """Extension of each formula of fs at context ctx, in order, by one
+    pass over their trees, roots in order and children first, without
+    recursion: each (node, context) pair is read once and memoized as
+    ``memo[context][id(node)]``, so a subterm the formulas share is judged
+    once per context.  A modality in ``sem.shifts`` reads its body at
+    ``sem.step(node, c)``: the walk pushes c, the body, then that context,
+    and popping a context switches to it.  A modality's program, test
+    guards included, is left to ``sem.program``.  The memo lives for the
+    call, while fs keeps every node alive.
     """
     memo: dict[int, dict[int, int]] = {}
     shifts, atom, modal = sem.shifts, sem.atom, sem.modal
     c, full = ctx, sem.full(ctx)
     done = memo.setdefault(ctx, {})
     last = done  # the memo of the context the last switch left
-    stack: list = [f]
+    stack: list = list(fs)
+    stack.reverse()  # the first root is read first
     push, pop = stack.append, stack.pop
     while stack:
         node = pop()
@@ -164,7 +173,7 @@ def evaluate(f: Formula, sem, ctx: int = 0) -> int:
                     push(body)
             else:
                 raise TypeError(f"not a formula: {node!r}")
-    return done[id(f)]
+    return [done[id(f)] for f in fs]
 
 
 def translate_pdl(f: Formula) -> Formula:

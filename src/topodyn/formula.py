@@ -18,12 +18,15 @@ hashing, most unequal comparisons, ``in_language`` and ``modal_depth`` cost
 O(1) whatever the depth.  ``postorder`` lists a formula's node objects,
 children first, without recursion; the folds below (substitution, printing,
 the JSON view) are one loop over that list, so none of them recurses.
+The parser builds equal subterms once: within one ``parse``, and across
+the formulas ``parse_formulas`` reads with one table, they are one object.
 
 Concrete syntax (ASCII): atoms are ``[a-z][a-z0-9_]*``; ``box``, ``dia`` and
 ``top`` are reserved words.  Unary modalities bind tighter than ``&``, which
 binds tighter than ``|``, then ``->`` (right associative), then ``<->``.
-``;`` in programs is left associative.  Parsed formulas nest at most
-``MAX_NESTING`` levels, counting both AST depth and open brackets.
+``;`` in programs is left associative, and between formulas of a list
+separates them.  Parsed formulas nest at most ``MAX_NESTING`` levels,
+counting both AST depth and open brackets.
 """
 
 from __future__ import annotations
@@ -156,18 +159,6 @@ def _binary_init(self: Node, left: Node, right: Node) -> None:
 
 class Formula(Node):
     __slots__ = ()
-
-    def __invert__(self) -> "Formula":
-        return Not(self)
-
-    def __and__(self, other: "Formula") -> "Formula":
-        return And(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or(self, other)
-
-    def __rshift__(self, other: "Formula") -> "Formula":
-        return Implies(self, other)
 
 
 class Program(Node):
@@ -491,15 +482,26 @@ class _Parser:
     ``bracketed``).  Within a level, ``formula`` reduces the binary
     connectives in one precedence loop and ``unary`` gathers the prefix
     operators in another; each refuses a chain as soon as it alone nests
-    deeper than the cap.  Each production returns a plain node, which knows
-    its own AST depth, and ``finish`` caps the root's.  Tokens carry no
+    deeper than the cap.  Each production returns a node, which knows its
+    own AST depth, and ``root`` caps a root's.  Every node is built through
+    ``table``, keyed by its class and children (a leaf's by its name), so
+    equal subterms parsed with one table are one object.  Tokens carry no
     offsets: an error scans the text again for its token's."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, table: dict):
         self.text = text
         self.kinds, self.values = _tokenize(text)
         self.pos = 0  # index of the next token
         self.depth = 0
+        self.table = table
+
+    def node(self, cls: type, *args) -> Node:
+        """The table's node for cls over args, built the first time asked."""
+        key = (cls, *args)
+        node = self.table.get(key)
+        if node is None:
+            node = self.table[key] = cls(*args)
+        return node
 
     def error(self, k: int, message: str, cls: type = ParseError) -> ParseError:
         return _error_at(self.text, _offset(self.text, k), message, cls)
@@ -539,7 +541,7 @@ class _Parser:
             level = op[0]
             while pending and (pending[-1][0] > level or pending[-1][0] == level and op[2]):
                 right = operands.pop()
-                operands[-1] = pending.pop()[1](operands[-1], right)
+                operands[-1] = self.node(pending.pop()[1], operands[-1], right)
             links[level + 1:] = _NO_LINKS[level + 1:]  # the tighter chains ended
             links[level] += 1
             _chain_cap(links[level])
@@ -547,7 +549,7 @@ class _Parser:
             operands.append(self.unary())
         while pending:
             right = operands.pop()
-            operands[-1] = pending.pop()[1](operands[-1], right)
+            operands[-1] = self.node(pending.pop()[1], operands[-1], right)
         return operands[0]
 
     def unary(self) -> Formula:
@@ -572,10 +574,10 @@ class _Parser:
             cls, close = modal
             wrappers.append((cls, self.bracketed(self.program, close)))
         if kind == "name":
-            f = Atom(self.values[self.pos])
+            f = self.node(Atom, self.values[self.pos])
             self.pos += 1
         elif kind == "top":
-            f = Top()
+            f = self.node(Top)
             self.pos += 1
         elif kind == "(":
             self.pos += 1
@@ -583,7 +585,7 @@ class _Parser:
         else:
             raise self.unexpected("a formula")
         for cls, prog in reversed(wrappers):
-            f = cls(f) if prog is None else cls(prog, f)
+            f = self.node(cls, f) if prog is None else self.node(cls, prog, f)
         return f
 
     def program(self) -> Program:
@@ -593,7 +595,7 @@ class _Parser:
             self.pos += 1
             links += 1
             _chain_cap(links)
-            p = Seq(p, self.program_term())
+            p = self.node(Seq, p, self.program_term())
         return p
 
     def program_term(self) -> Program:
@@ -601,13 +603,13 @@ class _Parser:
         kind = self.kinds[pos]
         if kind == "name":
             self.pos += 1
-            return Atomic(self.values[pos])
+            return self.node(Atomic, self.values[pos])
         if kind == "?":
             self.pos += 1
             self.expect("(", "'(' after '?'")
             body = self.bracketed(self.formula, ")")
             try:
-                return Test(body)
+                return self.node(Test, body)
             except FragmentViolation as exc:
                 message = exc.args[0].split(" (line")[0]
                 raise self.error(pos, message, FragmentViolation) from None
@@ -616,27 +618,54 @@ class _Parser:
             return self.bracketed(self.program, ")")
         raise self.unexpected("a program")
 
-    def finish(self, rule: Callable[[], Node]) -> Node:
-        """Run rule over the whole text; a call stack too deep for it is an input error."""
-        try:
-            node = rule()
-        except RecursionError:
-            raise ParseError("brackets nest too deeply to parse at this call depth") from None
-        if self.kinds[self.pos] != "eof":
+    def root(self, rule: Callable[[], Node], end: str = "eof") -> Node:
+        """Run rule up to an ``end`` token or the end of the text, and cap
+        the AST depth of the node it returns."""
+        node = rule()
+        kind = self.kinds[self.pos]
+        if kind != end and kind != "eof":
             raise self.error(self.pos, f"unexpected trailing input {self.values[self.pos]!r}")
         if node._height > MAX_NESTING:
             raise ParseError(_TOO_DEEP)
         return node
 
+    def roots(self) -> list[Formula]:
+        """The formulas between the ``;`` tokens outside brackets, in order;
+        no formula comes of a blank piece."""
+        kinds, out = self.kinds, []
+        while True:
+            while kinds[self.pos] == ";":
+                self.pos += 1
+            if kinds[self.pos] == "eof":
+                return out
+            out.append(self.root(self.formula, ";"))
+
+    def finish(self, rule: Callable[..., T], *args) -> T:
+        """Run rule over the whole text; a call stack too deep for it is an input error."""
+        try:
+            return rule(*args)
+        except RecursionError:
+            raise ParseError("brackets nest too deeply to parse at this call depth") from None
+
 
 def parse(text: str) -> Formula:
-    p = _Parser(text)
-    return p.finish(p.formula)
+    p = _Parser(text, {})
+    return p.finish(p.root, p.formula)
+
+
+def parse_formulas(text: str, table: dict) -> list[Formula]:
+    """The formulas of a ``;``-separated list, blank pieces skipped; a ``;``
+    inside ``<a;b>`` or ``O[a;?(p)]`` belongs to its program.  Every node is
+    built through table, so equal subterms across the list, and across the
+    lists parsed with one table, are one object.  An error's line and
+    column count from the start of text."""
+    p = _Parser(text, table)
+    return p.finish(p.roots)
 
 
 def parse_program(text: str) -> Program:
-    p = _Parser(text)
-    return p.finish(p.program)
+    p = _Parser(text, {})
+    return p.finish(p.root, p.program)
 
 
 # --- JSON views --------------------------------------------------------------

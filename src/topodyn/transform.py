@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .checker import eval_pdl_relational, evaluate
+from .checker import _Relational, evaluate, evaluate_all
 from .formula import (
     MAX_NESTING,
     Atomic,
@@ -300,12 +300,15 @@ def check_truth_preservation(
     """Compare source truth with network truth at every deepest-stratum
     network, for each formula: the networks that disagree are the bits where
     f's network extension differs from the union of the cells of the roots
-    where f holds in the source.  Pass ``space`` to reuse a space already
-    built from the same model and depth."""
+    where f holds in the source.  Every formula's language and depth are
+    checked first; then one ``evaluate_all`` judges the whole list on the
+    source model and one on the space at ``depth``, so a subterm the
+    formulas share is judged once per semantics and stratum.  Disagreements
+    come in list order.  Pass ``space`` to reuse a space already built from
+    the same model and depth."""
     if space is None:
         space = build_network_space(model, depth, budget)
-    checked = 0
-    disagreements: list[dict] = []
+    formulas = list(formulas)
     for f in formulas:
         if not in_language(f, Language.PDL):
             raise ValueError(f"networks interpret relational formulas only: {format_formula(f)}")
@@ -314,16 +317,18 @@ def check_truth_preservation(
             raise DepthExceeded(
                 f"formula {format_formula(f)} needs depth {need}, space has {depth}"
             )
-        source_ext = eval_pdl_relational(model, f)
-        net_ext = network_extension(space, f, depth)
-        checked += space.size(depth)
+    sources = evaluate_all(formulas, _Relational(model))
+    networks = evaluate_all(formulas, space, depth)
+    disagreements: list[dict] = []
+    for f, source_ext, net_ext in zip(formulas, sources, networks):
         for i in iter_points(space.lift(source_ext, depth) ^ net_ext):
             net = space.strata[depth][i]
             src = bool(source_ext >> net.root & 1)
             disagreements.append({"formula": format_formula(f), "root": net.root,
                                   "network": net.to_json(model.alphabet),
                                   "source": src, "network_truth": not src})
-    return PreservationReport(checked=checked, disagreements=tuple(disagreements))
+    return PreservationReport(checked=len(formulas) * space.size(depth),
+                              disagreements=tuple(disagreements))
 
 
 def network_space_to_json(space: NetworkSpace) -> dict:

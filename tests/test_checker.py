@@ -19,11 +19,13 @@ from topodyn.checker import (
     translate_pdl,
 )
 from topodyn.formula import (
-    FragmentViolation, Know, Language, Node, atoms, format_formula, parse, substitute,
+    FragmentViolation, Know, Language, Node, atoms, format_formula, parse, parse_formulas,
+    postorder, substitute,
 )
 from topodyn.harness import GenConfig, gen_formula, gen_model, _derived_rng
 from topodyn.models import DTModel, PDLModel, Scenario, SubsetModel, validate
 from topodyn.topology import TopoSpace, all_topologies, full_mask, iter_points
+from topodyn.transform import build_network_space
 
 
 # --- relational ------------------------------------------------------------------
@@ -337,6 +339,51 @@ def test_each_distinct_program_is_interpreted_once(monkeypatch, kind, text):
         monkeypatch.setattr(Node, "__eq__", lambda a, b: compared.append(a) or eq(a, b))
         checker.evaluate(parse(text), cls(model))
         assert compared == []
+
+
+# --- a list of formulas in one walk -------------------------------------------------
+
+
+def _shared_lists(seed, count, lang, **options):
+    """Lists of drawn formulas, each printed and parsed back through one
+    table, so that the list's equal subterms are one object."""
+    rng = _derived_rng(seed)
+    for _ in range(count):
+        texts = [format_formula(gen_formula(rng, ("p", "q"), ("a", "b"), lang=lang, **options))
+                 for _ in range(rng.randint(1, 12))]
+        table: dict = {}
+        fs = parse_formulas("; ".join(texts), table)
+        assert [format_formula(f) for f in fs] == texts
+        yield fs, table
+
+
+@pytest.mark.parametrize("model_class, lang, options", [
+    ("pdl_serial", Language.PDL, {}),
+    ("dtl", Language.PDL, {}),
+    ("dtl", Language.BOX_NEXT, {}),
+    ("subset", Language.K_BOX_NEXT, {"allow_tests": True}),
+    ("network", Language.PDL, {"allow_seq": False, "modal_budget": 2}),
+])
+def test_a_list_judged_in_one_walk_is_each_formula_judged_alone(model_class, lang, options):
+    semantics = {"pdl_serial": checker._Relational, "dtl": checker._DynamicTopological,
+                 "subset": SubsetEvaluator}
+    cfg = GenConfig(seed=31, max_points=3, num_programs=2,
+                    model_class="pdl_serial" if model_class == "network" else model_class)
+    shared = 0
+    for i, (fs, table) in enumerate(_shared_lists(31, 60, lang, **options)):
+        model = gen_model(cfg, i)
+        if model_class == "network":
+            space = build_network_space(model, 2)
+            runs = [(lambda: space, 2)]  # the space memoizes no truth
+        elif model_class == "subset":
+            runs = [(lambda: SubsetEvaluator(model), u) for u in model.space.opens_sorted()]
+        else:
+            runs = [(lambda: semantics[model_class](model), 0)]
+        for fresh, ctx in runs:
+            assert checker.evaluate_all(fs, fresh(), ctx) == [
+                checker.evaluate(f, fresh(), ctx) for f in fs]
+        shared += sum(len(postorder(f)) for f in fs) - len(table)
+    assert shared > 0  # the lists do share subterms
 
 
 # --- every scenario at once --------------------------------------------------------

@@ -613,6 +613,23 @@ def _one_line_error(err):
     return err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "-m", "x", "-f", "->"],
+    ["frobnicate"],
+    ["refute", "-f", "p", "--bound", "x"],
+], ids=["option-like value", "unknown command", "not an int"])
+def test_usage_errors_are_one_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and _one_line_error(err)
+
+
+def test_a_check_list_error_counts_from_its_check_text(capsys, pdl_file):
+    code, out, err = run(capsys, ["transform", "-m", pdl_file, "--depth", "1",
+                                  "--check", "zero", "--check", "zero;\n  <rand>"])
+    assert code == 2 and out == "" and _one_line_error(err)
+    assert "(line 2, column 9)" in err
+
+
 @pytest.mark.parametrize("formula", [
     "~" * 3000 + "p",
     "O[" + ";".join(["a"] * 3000) + "] p",

@@ -116,22 +116,40 @@ def test_equal_formulas_hash_and_fold_alike():
         lang = list(Language)[i % 3]
         f = gen_formula(rng, ("p", "q"), ("a", "b"), lang=lang,
                         allow_tests=lang is not Language.PDL)
-        g = parse(format_formula(f))  # the same formula, built separately
+        g = _apart(f)  # the same formula, built separately, sharing no node
         assert f is not g and f == g and hash(f) == hash(g)
         assert formula_to_json(f) == formula_to_json(g)
-        # the drawn formula shares its leaves; the parsed one does not
+        # the drawn formula shares its leaves; the copy does not
         assert set(postorder(f)) == set(postorder(g)) and len(postorder(f)) <= len(postorder(g))
+        # the parser builds each distinct subterm once, so it is listed once
+        parsed = parse(format_formula(f))
+        assert parsed == f and len(postorder(parsed)) == len(set(postorder(f)))
+
+
+def _apart(f):
+    """A copy of f built by the constructors, one node object per position."""
+    if type(f) is Top:
+        return Top()
+    if not f.children:
+        return type(f)(f.name)
+    return type(f)(*map(_apart, f.children))
 
 
 def test_postorder_lists_each_node_object_once_children_first():
     pq = parse("p & q")
-    f = parse("(p & q) | ~(p & q) | O[a;a] (p & q)")
+    text = "(p & q) | ~(p & q) | O[a;a] (p & q)"
+    f = _apart(parse(text))
     nodes = postorder(f)
     assert nodes[-1] is f and len({id(n) for n in nodes}) == len(nodes)
     position = {id(n): i for i, n in enumerate(nodes)}
     assert all(position[id(c)] < i for i, n in enumerate(nodes) for c in n.children)
     # equal subterms built apart are listed apart; one object is listed once
-    assert [n for n in nodes if n == pq] == [f.left.left, f.left.right.body, f.right.body]
+    assert [id(n) for n in nodes if n == pq] == [
+        id(f.left.left), id(f.left.right.body), id(f.right.body)]
+    # the parser builds equal subterms once
+    assert [format_formula(n) for n in postorder(parse(text))] == [
+        "p", "q", "p & q", "~(p & q)", "p & q | ~(p & q)", "a", "a;a", "O[a;a] (p & q)",
+        "p & q | ~(p & q) | O[a;a] (p & q)"]
     shared = Or(pq, Not(pq))
     assert postorder(shared) == [pq.left, pq.right, pq, shared.right, shared]
     assert [format_formula(n) for n in postorder(parse("O[a;b] p"))] == [

@@ -48,6 +48,7 @@ from topodyn.formula import (
     in_language,
     modal_depth,
     parse,
+    parse_formulas,
     parse_program,
     postorder,
     program_depth,
@@ -150,6 +151,65 @@ def test_error_positions_count_lines_and_columns_from_the_text(text, message, li
     assert str(exc.value) == f"{message} (line {line}, column {col})"
 
 
+# --check texts and the formulas each read, as printed: the results of the
+# splitter this parser replaced (bracket counting, then parse per piece).
+# SHAPES fills perfbench's twenty TRANSFORM_SHAPES, bracketed everywhere.
+SHAPES = [
+    "p", "<b> (q)", "~(<a> (p))", "<a> (<a> (p))", "(p <-> <b> (p))", "<b> ((p & p))",
+    "[a] ([b] (<a> (q)))", "(<b> (p) -> <a> (p))", "~([a] (<a> (p)))", "<b> (~([a] (p)))",
+    "(<b> (<b> (q)) -> p)", "[a] ((q <-> [b] (q)))", "([a] (p) -> <a> (<a> (q)))",
+    "<b> ([a] ((p -> q)))", "(p -> ([b] (q) & p))", "[a] ((<a> (p) | [a] (p)))",
+    "~(([a] ([b] (q)) <-> [a] (p)))", "(<a> ([b] ([b] (p))) <-> p)",
+    "<a> (<a> (~([a] (q))))", "((<b> (p) <-> p) <-> [b] (<a> (q)))",
+]
+CHECK_LISTS = [
+    ("p;;q;", ["p", "q"]),
+    ("<a;b>p; q", ["<a;b> p", "q"]),
+    ("O[a;?(box p)] q; p", ["O[a;?(box p)] q", "p"]),
+    ("; p", ["p"]),
+    ("", []),
+    ("  \n ", []),
+    ("; ".join(SHAPES), [
+        "p", "<b> q", "~<a> p", "<a> <a> p", "p <-> <b> p", "<b> (p & p)", "[a] [b] <a> q",
+        "<b> p -> <a> p", "~[a] <a> p", "<b> ~[a] p", "<b> <b> q -> p", "[a] (q <-> [b] q)",
+        "[a] p -> <a> <a> q", "<b> [a] (p -> q)", "p -> [b] q & p", "[a] (<a> p | [a] p)",
+        "~([a] [b] q <-> [a] p)", "<a> [b] [b] p <-> p", "<a> <a> ~[a] q",
+        "(<b> p <-> p) <-> [b] <a> q",
+    ]),
+]
+
+
+@pytest.mark.parametrize("text, printed", CHECK_LISTS)
+def test_a_check_list_reads_as_its_pieces_did(text, printed):
+    fs = parse_formulas(text, {})
+    assert fs == [parse(t) for t in printed]
+    assert [format_formula(f) for f in fs] == printed
+
+
+def test_a_check_list_builds_each_distinct_subterm_once():
+    table: dict = {}
+    fs = parse_formulas("; ".join(SHAPES), table)
+    fs += parse_formulas("<b> q; [a] (q <-> [b] q) & p", table)  # a second --check
+    one: dict = {}  # each node by equality: the first object seen
+    for f in fs:
+        for node in postorder(f):
+            assert one.setdefault(node, node) is node
+    assert fs[1] is fs[20] and fs[11] is fs[21].left
+    assert len(table) == len(one)
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("(p; q)", "expected ')', found ';'", 1, 3),
+    ("p;\n  q &", "expected a formula, found 'end of input'", 2, 6),
+    ("p; (q r)", "expected ')', found 'r'", 1, 7),
+    ("p; q r; s", "unexpected trailing input 'r'", 1, 6),
+])
+def test_check_list_errors_count_from_the_whole_text(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_formulas(text, {})
+    assert str(exc.value) == f"{message} (line {line}, column {col})"
+
+
 @pytest.mark.parametrize("text", [
     "<a>p & [b]q -> r",
     "~(p | q) <-> K Khat box dia p",
@@ -182,10 +242,10 @@ CHAINS = {
 def test_a_chain_is_refused_once_it_alone_passes_the_nesting_cap(op):
     # k operators nest a chain k + 1 levels deep, so MAX_NESTING - 1 of them fit
     chain, rule = CHAINS[op]
-    fits = _Parser(chain(MAX_NESTING - 1))
+    fits = _Parser(chain(MAX_NESTING - 1), {})
     fits.finish(getattr(fits, rule))
     for k in (MAX_NESTING, 100 * MAX_NESTING):
-        parser = _Parser(chain(k))
+        parser = _Parser(chain(k), {})
         with pytest.raises(ParseError, match=f"^formula nests deeper than {MAX_NESTING} levels$"):
             parser.finish(getattr(parser, rule))
         # refused inside the chain loop, long before the end of the input

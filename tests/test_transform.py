@@ -236,6 +236,21 @@ def test_seq_programs_are_rejected():
         network_extension(space, parse("<a;a>p"), 2)
 
 
+def test_the_whole_list_is_checked_before_either_walk():
+    # each first formula would fail its walk (an unknown program on the
+    # source model, a sequence on the networks); the list's language or
+    # depth error is raised first, and neither walk runs; the source walk
+    # reads the whole list before the network walk starts
+    space = build_network_space(TOTAL2, 2)
+    for first in ("<c>p", "<a;a>p"):
+        with pytest.raises(ValueError, match="relational formulas only"):
+            check_truth_preservation(TOTAL2, [parse(first), parse("box p")], 2, space=space)
+        with pytest.raises(DepthExceeded, match="needs depth 3"):
+            check_truth_preservation(TOTAL2, [parse(first), parse("<a><a><a>p")], 2, space=space)
+    with pytest.raises(ValueError, match="unknown program 'c'"):
+        check_truth_preservation(TOTAL2, [parse("<a;a>p"), parse("<c>p")], 2, space=space)
+
+
 def test_foreign_network_is_rejected():
     space = build_network_space(TOTAL2, 1)
     with pytest.raises(ValueError, match="belong"):
@@ -399,15 +414,19 @@ def test_disagreements_are_the_networks_whose_truth_differs(monkeypatch):
     assert len(space.strata[2]) >= 3
     last = len(space.strata[2]) - 1
     flips = {formulas[0]: 1 | 1 << last, formulas[1]: 0b110}
-    exact = transform.network_extension
-    monkeypatch.setattr(transform, "network_extension",
-                        lambda space, f, d: exact(space, f, d) ^ flips[f])
+    exact = transform.evaluate_all
+
+    def flipped(fs, sem, ctx=0):  # the list walk, with the network side's bits flipped
+        exts = exact(fs, sem, ctx)
+        return [ext ^ flips[f] for f, ext in zip(fs, exts)] if sem is space else exts
+
+    monkeypatch.setattr(transform, "evaluate_all", flipped)
     report = check_truth_preservation(m, formulas, 2, space=space)
     # the definition, network by network: its truth against its root's
     want = []
     for f in formulas:
         source_ext = eval_pdl_relational(m, f)
-        net_ext = transform.network_extension(space, f, 2)
+        net_ext = transform.evaluate_all([f], space, 2)[0]
         for i, net in enumerate(space.strata[2]):
             src, lifted = bool(source_ext >> net.root & 1), bool(net_ext >> i & 1)
             if src != lifted:
