@@ -294,6 +294,12 @@ def eval_pdl_relational(model: PDLModel, f: Formula) -> int:
     return evaluate(f, _Relational(model))
 
 
+def eval_pdl_relational_all(model: PDLModel, fs: Sequence[Formula]) -> list[int]:
+    """Extension of each formula of fs as a bitmask, in order, by one
+    ``evaluate_all`` walk, so a subterm the formulas share is judged once."""
+    return evaluate_all(fs, _Relational(model))
+
+
 class _DynamicTopological(_Semantics):
     def modal(self, node: Node, body: int, c: int) -> int:
         cls = type(node)

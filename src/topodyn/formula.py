@@ -35,7 +35,7 @@ import re
 from enum import Enum
 from itertools import islice
 from operator import is_
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Mapping, Optional, TypeVar
 
 MAX_NESTING = 100
 
@@ -484,9 +484,10 @@ class _Parser:
     operators in another; each refuses a chain as soon as it alone nests
     deeper than the cap.  Each production returns a node, which knows its
     own AST depth, and ``root`` caps a root's.  Every node is built through
-    ``table``, keyed by its class and children (a leaf's by its name), so
-    equal subterms parsed with one table are one object.  Tokens carry no
-    offsets: an error scans the text again for its token's."""
+    ``table``, a leaf keyed by its class and name (``leaf``), any other node
+    by its class and its children's ids (``node``), so equal subterms parsed
+    with one table are one object.  Tokens carry no offsets: an error scans
+    the text again for its token's."""
 
     def __init__(self, text: str, table: dict):
         self.text = text
@@ -495,12 +496,22 @@ class _Parser:
         self.depth = 0
         self.table = table
 
-    def node(self, cls: type, *args) -> Node:
-        """The table's node for cls over args, built the first time asked."""
-        key = (cls, *args)
+    def leaf(self, cls: type, *name: str) -> Node:
+        """The table's leaf of class cls (named name, if cls has names)."""
+        key = (cls, *name)
         node = self.table.get(key)
         if node is None:
-            node = self.table[key] = cls(*args)
+            node = self.table[key] = cls(*name)
+        return node
+
+    def node(self, cls: type, a: Node, b: Optional[Node] = None) -> Node:
+        """The table's node of class cls over children a (and b).  They are
+        the table's own nodes, which it keeps alive, so their ids name them
+        and the key hashes no subterm."""
+        key = (cls, id(a)) if b is None else (cls, id(a), id(b))
+        node = self.table.get(key)
+        if node is None:
+            node = self.table[key] = cls(a) if b is None else cls(a, b)
         return node
 
     def error(self, k: int, message: str, cls: type = ParseError) -> ParseError:
@@ -574,10 +585,10 @@ class _Parser:
             cls, close = modal
             wrappers.append((cls, self.bracketed(self.program, close)))
         if kind == "name":
-            f = self.node(Atom, self.values[self.pos])
+            f = self.leaf(Atom, self.values[self.pos])
             self.pos += 1
         elif kind == "top":
-            f = self.node(Top)
+            f = self.leaf(Top)
             self.pos += 1
         elif kind == "(":
             self.pos += 1
@@ -603,7 +614,7 @@ class _Parser:
         kind = self.kinds[pos]
         if kind == "name":
             self.pos += 1
-            return self.node(Atomic, self.values[pos])
+            return self.leaf(Atomic, self.values[pos])
         if kind == "?":
             self.pos += 1
             self.expect("(", "'(' after '?'")

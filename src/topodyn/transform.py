@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .checker import _Relational, evaluate, evaluate_all
+from .checker import eval_pdl_relational_all, evaluate, evaluate_all
 from .formula import (
     MAX_NESTING,
     Atomic,
@@ -301,11 +301,11 @@ def check_truth_preservation(
     network, for each formula: the networks that disagree are the bits where
     f's network extension differs from the union of the cells of the roots
     where f holds in the source.  Every formula's language and depth are
-    checked first; then one ``evaluate_all`` judges the whole list on the
-    source model and one on the space at ``depth``, so a subterm the
-    formulas share is judged once per semantics and stratum.  Disagreements
-    come in list order.  Pass ``space`` to reuse a space already built from
-    the same model and depth."""
+    checked first; then one walk judges the whole list on the source model
+    (``eval_pdl_relational_all``) and one on the space at ``depth``, so a
+    subterm the formulas share is judged once per semantics and stratum.
+    Disagreements come in list order.  Pass ``space`` to reuse a space
+    already built from the same model and depth."""
     if space is None:
         space = build_network_space(model, depth, budget)
     formulas = list(formulas)
@@ -317,7 +317,7 @@ def check_truth_preservation(
             raise DepthExceeded(
                 f"formula {format_formula(f)} needs depth {need}, space has {depth}"
             )
-    sources = evaluate_all(formulas, _Relational(model))
+    sources = eval_pdl_relational_all(model, formulas)
     networks = evaluate_all(formulas, space, depth)
     disagreements: list[dict] = []
     for f, source_ext, net_ext in zip(formulas, sources, networks):

@@ -382,6 +382,9 @@ def test_a_list_judged_in_one_walk_is_each_formula_judged_alone(model_class, lan
         for fresh, ctx in runs:
             assert checker.evaluate_all(fs, fresh(), ctx) == [
                 checker.evaluate(f, fresh(), ctx) for f in fs]
+        if model_class == "pdl_serial":  # the public entry transform judges its source by
+            assert checker.eval_pdl_relational_all(model, fs) == [
+                checker.eval_pdl_relational(model, f) for f in fs]
         shared += sum(len(postorder(f)) for f in fs) - len(table)
     assert shared > 0  # the lists do share subterms
 

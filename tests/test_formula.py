@@ -243,11 +243,11 @@ def test_a_chain_is_refused_once_it_alone_passes_the_nesting_cap(op):
     # k operators nest a chain k + 1 levels deep, so MAX_NESTING - 1 of them fit
     chain, rule = CHAINS[op]
     fits = _Parser(chain(MAX_NESTING - 1), {})
-    fits.finish(getattr(fits, rule))
+    assert fits.finish(fits.root, getattr(fits, rule))._height == MAX_NESTING
     for k in (MAX_NESTING, 100 * MAX_NESTING):
         parser = _Parser(chain(k), {})
         with pytest.raises(ParseError, match=f"^formula nests deeper than {MAX_NESTING} levels$"):
-            parser.finish(getattr(parser, rule))
+            parser.finish(parser.root, getattr(parser, rule))
         # refused inside the chain loop, long before the end of the input
         assert parser.pos <= 2 * MAX_NESTING
 
