@@ -79,7 +79,6 @@ from .proofkit import (
 )
 from .topology import TopoSpace, all_functions, all_topologies
 from .transform import (
-    BoundedNetwork,
     BudgetExceeded,
     DepthExceeded,
     NetworkSpace,
@@ -87,7 +86,6 @@ from .transform import (
     build_network_space,
     check_shift_openness,
     check_truth_preservation,
-    eval_network,
     network_extension,
     stratum_counts,
 )

@@ -251,6 +251,7 @@ def _cmd_frame(args: argparse.Namespace) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
+    _require_counts(args, "--budget")
     model = _load_model(args.model)
     if not isinstance(model, PDLModel):
         raise ValueError("transform starts from a relational model")

@@ -336,38 +336,14 @@ def modal_depth(f: Formula) -> int:
     return f._depth
 
 
-program_depth = modal_depth  # a program's depth is the same measure
-
-
 def atoms(f: Formula) -> frozenset[str]:
     return frozenset(n.name for n in postorder(f) if type(n) is Atom)
-
-
-def program_names(f: Formula) -> frozenset[str]:
-    """Atomic program names occurring anywhere in f, tests included."""
-    return frozenset(n.name for n in postorder(f) if type(n) is Atomic)
 
 
 def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Uniform substitution of atoms.  Reaches into test bodies; substituting
     a knowledge formula into a test raises FragmentViolation, as it must."""
     return fold(f, lambda n, kids: mapping.get(n.name, n) if type(n) is Atom else n.rebuild(kids))
-
-
-def _expand(node: Node, kids: list) -> Node:
-    cls = type(node)
-    if cls is Cl:
-        return Not(Int(Not(kids[0])))
-    if cls is KHat:
-        return Not(Know(Not(kids[0])))
-    if cls is BoxPdl:
-        return Not(Diamond(kids[0], Not(kids[1])))
-    return node.rebuild(kids)
-
-
-def expand_duals(f: Formula) -> Formula:
-    """Rewrite [prog], dia and Khat through their negation duals."""
-    return fold(f, _expand)
 
 
 # --- printer -----------------------------------------------------------------
@@ -681,10 +657,6 @@ def parse_program(text: str) -> Program:
 
 # --- JSON views --------------------------------------------------------------
 
-_CLASSES = {cls._tag: cls for cls in (
-    Atom, Top, Not, And, Or, Implies, Iff, Diamond, BoxPdl, Int, Cl, Know, KHat, Next,
-    Atomic, Seq, Test,
-)}
 _JSON_NAMES = {"prog": "program"}  # JSON keys that differ from field names
 
 
@@ -699,18 +671,3 @@ def formula_to_json(f: Node) -> dict:
         return out
 
     return fold(f, visit)
-
-
-def _from_json(obj: dict, kind: type) -> Node:
-    cls = _CLASSES.get(obj.get("type"))
-    if cls is None or not issubclass(cls, kind):
-        raise ValueError(f"unknown {kind.__name__.lower()} node: {obj.get('type')!r}")
-    if cls is Atom or cls is Atomic:
-        return cls(obj["name"])
-    wanted = [Program if field == "prog" or cls is Seq else Formula for field in cls._fields]
-    return cls(*[_from_json(obj[_JSON_NAMES.get(f, f)], w) for f, w in zip(cls._fields, wanted)])
-
-
-def formula_from_json(obj: dict) -> Formula:
-    return _from_json(obj, Formula)
-

@@ -31,7 +31,6 @@ from .formula import (
     ParseError,
     Program,
     fold,
-    format_formula,
     in_language,
     parse,
     parse_program,
@@ -398,19 +397,3 @@ def derivation_from_json(obj: object) -> Derivation:
             raise ValueError(f"unknown justification: {by!r}")
         steps.append(Step(f, just))
     return Derivation(system=system, steps=tuple(steps))
-
-
-def derivation_to_json(derivation: Derivation) -> dict:
-    steps = []
-    for step in derivation.steps:
-        by = step.by
-        if isinstance(by, AxiomStep):
-            raw: dict = {"axiom": by.name}
-        elif isinstance(by, MPStep):
-            raw = {"mp": [by.antecedent, by.implication]}
-        elif isinstance(by, NecStep):
-            raw = {"nec": {"mod": by.mod, "from": by.source}}
-        else:
-            raw = {"mon": {"prog": by.prog, "from": by.source}}
-        steps.append({"formula": format_formula(step.formula), "by": raw})
-    return {"system": derivation.system, "steps": steps}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .checker import eval_pdl_relational_all, evaluate, evaluate_all
 from .formula import (
@@ -47,32 +47,6 @@ class DepthExceeded(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class BoundedNetwork:
-    root: int
-    children: tuple["BoundedNetwork", ...]  # one per program, alphabet order
-
-    @property
-    def depth(self) -> int:
-        return 0 if not self.children else 1 + self.children[0].depth
-
-    def label(self, word: Sequence[int]) -> int:
-        """State assigned to a program word, given as alphabet indices."""
-        node = self
-        for i in word:
-            node = node.children[i]
-        return node.root
-
-    def to_json(self, alphabet: Sequence[str]) -> dict:
-        out: dict = {"root": self.root}
-        if self.children:
-            out["children"] = {
-                name: child.to_json(alphabet)
-                for name, child in zip(alphabet, self.children)
-            }
-        return out
-
-
 @dataclass(eq=False)
 class NetworkSpace:
     source: PDLModel
@@ -82,20 +56,6 @@ class NetworkSpace:
     shift_index: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
     # per stratum and root: that root's networks, a contiguous run (roots ascending)
     spans: tuple[tuple[range, ...], ...] = field(repr=False)
-
-    @cached_property
-    def strata(self) -> tuple[tuple[BoundedNetwork, ...], ...]:
-        """The networks as trees, built bottom-up from the rows on first read."""
-        strata = [tuple(BoundedNetwork(x, ()) for x in range(self.source.n))]
-        for rows, by_root in zip(self.shift_index[1:], self.spans[1:]):
-            below = strata[-1]
-            strata.append(tuple(BoundedNetwork(x, tuple(below[j] for j in rows[i]))
-                                for x, span in enumerate(by_root) for i in span))
-        return tuple(strata)
-
-    @cached_property
-    def index(self) -> tuple[dict[BoundedNetwork, int], ...]:
-        return tuple({net: i for i, net in enumerate(stratum)} for stratum in self.strata)
 
     @cached_property
     def cells(self) -> tuple[tuple[int, ...], ...]:
@@ -132,10 +92,6 @@ class NetworkSpace:
 
     def stratum_sizes(self) -> list[int]:
         return [self.size(d) for d in range(self.depth + 1)]
-
-    def shift(self, d: int, prog_index: int, i: int) -> int:
-        """Index in stratum d-1 of the shift of network i of stratum d."""
-        return self.shift_index[d][i][prog_index]
 
     # the network semantics checker.evaluate reads; a node's context is its stratum
 
@@ -250,14 +206,6 @@ def network_extension(space: NetworkSpace, f: Formula, d: int) -> int:
     return evaluate(f, space, d)
 
 
-def eval_network(space: NetworkSpace, f: Formula, net: BoundedNetwork) -> bool:
-    d = net.depth
-    i = space.index[d].get(net) if d <= space.depth else None
-    if i is None:
-        raise ValueError("network does not belong to this space")
-    return bool(network_extension(space, f, d) >> i & 1)
-
-
 def check_shift_openness(space: NetworkSpace) -> list[dict]:
     """Shift images of basis cells must be unions of cells one stratum down:
     the image of the cell of root x is exactly the union of the cells of the
@@ -304,8 +252,10 @@ def check_truth_preservation(
     checked first; then one walk judges the whole list on the source model
     (``eval_pdl_relational_all``) and one on the space at ``depth``, so a
     subterm the formulas share is judged once per semantics and stratum.
-    Disagreements come in list order.  Pass ``space`` to reuse a space
-    already built from the same model and depth."""
+    Disagreements come in list order, each naming its network by ``depth``,
+    ``index`` and ``root``, as the strata of ``network_space_to_json`` do.
+    Pass ``space`` to reuse a space already built from the same model and
+    depth."""
     if space is None:
         space = build_network_space(model, depth, budget)
     formulas = list(formulas)
@@ -322,11 +272,10 @@ def check_truth_preservation(
     disagreements: list[dict] = []
     for f, source_ext, net_ext in zip(formulas, sources, networks):
         for i in iter_points(space.lift(source_ext, depth) ^ net_ext):
-            net = space.strata[depth][i]
-            src = bool(source_ext >> net.root & 1)
-            disagreements.append({"formula": format_formula(f), "root": net.root,
-                                  "network": net.to_json(model.alphabet),
-                                  "source": src, "network_truth": not src})
+            root = next(x for x, span in enumerate(space.spans[depth]) if i in span)
+            src = bool(source_ext >> root & 1)
+            disagreements.append({"formula": format_formula(f), "depth": depth, "index": i,
+                                  "root": root, "source": src, "network_truth": not src})
     return PreservationReport(checked=len(formulas) * space.size(depth),
                               disagreements=tuple(disagreements))
 

@@ -9,12 +9,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import topodyn
 from topodyn import topology
 from topodyn.cli import _dumps, build_parser, main
 from topodyn.formula import MAX_NESTING, parse
@@ -270,6 +272,33 @@ def test_frame_scheme_refuses_a_subset_model_without_programs(capsys, tmp_path, 
         code, out, err = run(capsys, ["frame", "-m", path, "--prop", "openness", "--scheme"])
         assert code == 2 and out == "" and _one_line_error(err)
         assert "--scheme needs a dynamic-topological model" in err
+
+
+# --- the package ------------------------------------------------------------------
+
+
+def test_public_names_are_pinned():
+    # a public name leaves or joins the package only by an edit to this list
+    names = sorted(name for name, value in vars(topodyn).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == [
+        "And", "AnnouncementResult", "Atom", "Atomic", "BoxPdl", "BudgetExceeded",
+        "CONTINUITY", "Cl", "DTEL", "DTModel", "DepthExceeded", "Derivation", "Diamond",
+        "Formula", "FragmentViolation", "FrameReport", "GenConfig", "Iff", "Implies", "Int",
+        "KHat", "Know", "Language", "NetworkSpace", "Next", "NonSerialModel", "Not",
+        "OPENNESS", "Or", "PDLModel", "ParseError", "Program", "SERIALITY", "SPDL0",
+        "SPDL0_SEQ", "Scenario", "Seq", "SubsetEvaluator", "SubsetModel", "Test", "Top",
+        "TopoSpace", "Violation", "all_functions", "all_topologies", "announce", "audit",
+        "build_continuity_countermodel", "build_network_space", "build_openness_countermodel",
+        "check_derivation", "check_shift_openness", "check_test_announcement_identity",
+        "check_truth_preservation", "derivation_from_json", "eval_dtl", "eval_pdl_relational",
+        "eval_subset", "format_formula", "format_program", "gen_formula", "gen_model",
+        "get_system", "image", "in_language", "is_continuous", "is_open_map", "is_serial",
+        "is_tautology", "match_axiom", "match_scheme", "modal_depth", "model_from_json",
+        "model_to_json", "network_extension", "parse", "parse_program", "program_function",
+        "search_countermodel", "state_extension", "stratum_counts", "substitute",
+        "translate_pdl", "validate", "validates_scheme",
+    ]
 
 
 # --- transform --------------------------------------------------------------------
@@ -566,6 +595,9 @@ def test_max_points_cap_comes_before_building(capsys, monkeypatch, tmp_path, mod
     (["audit", "--system", "SPDL0", "--trials", "2", "--instances", "-2"], "--instances"),
     (["audit", "--system", "SPDL0", "--trials", "2", "--instances", "0"], "--instances"),
     (["audit", "--system", "SPDL0", "--trials", "2", "--points", "0"], "--points"),
+    # every stratum holds at least one network; refused before the model is read
+    (["transform", "-m", "unread.json", "--depth", "1", "--budget", "0"], "--budget"),
+    (["transform", "-m", "unread.json", "--depth", "1", "--budget", "-3"], "--budget"),
 ])
 def test_counts_below_one_are_usage_errors(capsys, argv, option):
     code, out, err = run(capsys, argv)

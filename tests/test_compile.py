@@ -20,9 +20,15 @@ from topodyn.formula import (
     And,
     Atom,
     Atomic,
+    BoxPdl,
+    Cl,
+    Diamond,
     Formula,
     Iff,
     Implies,
+    Int,
+    KHat,
+    Know,
     Language,
     Next,
     Not,
@@ -31,7 +37,6 @@ from topodyn.formula import (
     TOP,
     Top,
     atoms,
-    expand_duals,
     fold,
     format_formula,
     format_program,
@@ -218,6 +223,22 @@ def test_subset_memo_is_reused_across_scenarios():
     assert first == again == fresh
     # the evaluator's program table serves every later call: nothing new is interpreted
     assert ev._programs == interpreted
+
+
+def _expand(node, kids):
+    cls = type(node)
+    if cls is Cl:
+        return Not(Int(Not(kids[0])))
+    if cls is KHat:
+        return Not(Know(Not(kids[0])))
+    if cls is BoxPdl:
+        return Not(Diamond(kids[0], Not(kids[1])))
+    return node.rebuild(kids)
+
+
+def expand_duals(f):
+    """Rewrite [prog], dia and Khat through their negation duals."""
+    return fold(f, _expand)
 
 
 @pytest.mark.parametrize("model_class", ["dtl", "subset"])

@@ -25,6 +25,7 @@ from topodyn.formula import (
     BoxPdl,
     Cl,
     Diamond,
+    Formula,
     FragmentViolation,
     Iff,
     Implies,
@@ -36,14 +37,13 @@ from topodyn.formula import (
     Not,
     Or,
     ParseError,
+    Program,
     Seq,
     Top,
     atoms,
-    expand_duals,
     fold,
     format_formula,
     format_program,
-    formula_from_json,
     formula_to_json,
     in_language,
     modal_depth,
@@ -51,13 +51,14 @@ from topodyn.formula import (
     parse_formulas,
     parse_program,
     postorder,
-    program_depth,
-    program_names,
     substitute,
 )
 from topodyn.formula import Test as ProgramTest
-from topodyn.formula import _BIT, _Parser
+from topodyn.formula import _BIT, _JSON_NAMES, _Parser
 from topodyn.harness import gen_formula
+
+from test_compile import expand_duals
+from test_valuations import program_names
 
 
 # --- concrete syntax ----------------------------------------------------------
@@ -394,11 +395,11 @@ def test_modal_depth_values():
 
 
 def test_modal_depth_matches_seq_expansion():
-    assert modal_depth(parse("O[a] O[b] p")) == program_depth(parse_program("a;b"))
+    assert modal_depth(parse("O[a] O[b] p")) == modal_depth(parse_program("a;b"))
 
 
 def test_test_program_depth_is_body_depth():
-    assert program_depth(ProgramTest(parse("O[a] p"))) == 1
+    assert modal_depth(ProgramTest(parse("O[a] p"))) == 1
     assert modal_depth(parse("O[?(O[a] p)] q")) == 1
     assert modal_depth(parse("O[?(p)] q")) == 0
 
@@ -505,6 +506,26 @@ def test_expand_duals_recurses():
 
 
 # --- JSON codecs ----------------------------------------------------------------
+
+_CLASSES = {cls._tag: cls for cls in (
+    Atom, Top, Not, And, Or, Implies, Iff, Diamond, BoxPdl, Int, Cl, Know, KHat, Next,
+    Atomic, Seq, ProgramTest,
+)}
+
+
+def _from_json(obj, kind):
+    cls = _CLASSES.get(obj.get("type"))
+    if cls is None or not issubclass(cls, kind):
+        raise ValueError(f"unknown {kind.__name__.lower()} node: {obj.get('type')!r}")
+    if cls is Atom or cls is Atomic:
+        return cls(obj["name"])
+    wanted = [Program if field == "prog" or cls is Seq else Formula for field in cls._fields]
+    return cls(*[_from_json(obj[_JSON_NAMES.get(f, f)], w) for f, w in zip(cls._fields, wanted)])
+
+
+def formula_from_json(obj):
+    """A formula from ``formula_to_json``'s view, the round trip's other half."""
+    return _from_json(obj, Formula)
 
 
 @given(_ast_formulas(Language.K_BOX_NEXT))

@@ -20,7 +20,7 @@ import math
 import pytest
 
 from topodyn import checker, cli, harness
-from topodyn.formula import atoms, parse, program_names
+from topodyn.formula import atoms, parse
 from topodyn.frameprops import is_continuous, is_open_map
 from topodyn.harness import _class_models
 from topodyn.models import PDLModel
@@ -32,7 +32,7 @@ from topodyn.topology import (
     representative_topologies,
 )
 
-from test_valuations import first_failure, labelled_blocks
+from test_valuations import first_failure, labelled_blocks, program_names
 
 
 def relabel_masks(table, p):

@@ -3,7 +3,7 @@
 import pytest
 
 from topodyn.checker import SubsetEvaluator, eval_pdl_relational
-from topodyn.formula import parse, parse_program
+from topodyn.formula import format_formula, parse, parse_program
 from topodyn.harness import GenConfig, gen_model
 from topodyn.proofkit import (
     DTEL,
@@ -17,7 +17,6 @@ from topodyn.proofkit import (
     Step,
     check_derivation,
     derivation_from_json,
-    derivation_to_json,
     get_system,
     instantiate_scheme,
     is_tautology,
@@ -318,6 +317,23 @@ def test_monotonicity_needs_an_implication():
 
 
 # --- JSON ------------------------------------------------------------------------------
+
+
+def derivation_to_json(derivation):
+    """The document ``derivation_from_json`` reads, the round trip's other half."""
+    steps = []
+    for step in derivation.steps:
+        by = step.by
+        if isinstance(by, AxiomStep):
+            raw: dict = {"axiom": by.name}
+        elif isinstance(by, MPStep):
+            raw = {"mp": [by.antecedent, by.implication]}
+        elif isinstance(by, NecStep):
+            raw = {"nec": {"mod": by.mod, "from": by.source}}
+        else:
+            raw = {"mon": {"prog": by.prog, "from": by.source}}
+        steps.append({"formula": format_formula(step.formula), "by": raw})
+    return {"system": derivation.system, "steps": steps}
 
 
 @pytest.mark.parametrize("derivation", [BOX_DIST, KNOW_FACTIVE, SEQ_HALF, MON_EXAMPLE, NEC_CHAIN])

@@ -16,14 +16,12 @@ from topodyn.formula import Language, format_formula, modal_depth, parse
 from topodyn.harness import GenConfig, gen_formula, gen_model, _derived_rng
 from topodyn.models import PDLModel, SubsetModel, model_from_json, validate
 from topodyn.transform import (
-    BoundedNetwork,
     BudgetExceeded,
     DepthExceeded,
     NonSerialModel,
     build_network_space,
     check_shift_openness,
     check_truth_preservation,
-    eval_network,
     network_extension,
     network_space_to_json,
     stratum_counts,
@@ -57,32 +55,57 @@ def enumerate_labelings(model: PDLModel, depth: int):
         yield from extend(1, {(): x})
 
 
-def oracle_counts_by_root(model: PDLModel, depth: int):
-    counts = [0] * model.n
+def key(labelling):
+    """A labelling as a hashable, sortable value: its (word, state) pairs in
+    word order, the root's first."""
+    return tuple(sorted(labelling.items()))
+
+
+def oracle_by_root(model: PDLModel, depth: int):
+    """Per root, the keys of its labellings."""
+    runs = [[] for _ in range(model.n)]
     for lab in enumerate_labelings(model, depth):
-        counts[lab[()]] += 1
-    return counts
+        runs[lab[()]].append(key(lab))
+    return runs
 
 
-def derived_tables(space):
-    """``shift_index`` and ``spans`` recomputed from the strata alone: every
-    child is looked up by value one stratum down, and each root's networks
-    are listed by index."""
-    index = [{net: i for i, net in enumerate(stratum)} for stratum in space.strata]
-    shift_index = [()]
-    for d in range(1, len(space.strata)):
-        shift_index.append(tuple(
-            tuple(index[d - 1][child] for child in net.children) for net in space.strata[d]
-        ))
-    spans = tuple(
-        tuple(tuple(i for i, net in enumerate(stratum) if net.root == x)
-              for x in range(space.source.n))
-        for stratum in space.strata
-    )
-    return tuple(shift_index), spans
+def oracle_counts_by_root(model: PDLModel, depth: int):
+    return [len(run) for run in oracle_by_root(model, depth)]
+
+
+def assert_runs_are_the_oracles(model: PDLModel, depth: int, runs):
+    """Each root's run lists exactly that root's labellings, each once."""
+    want = oracle_by_root(model, depth)
+    assert len(runs) == len(want)
+    for run, labs in zip(runs, want):
+        assert len(set(run)) == len(run) and sorted(run) == sorted(labs)
+
+
+def read_networks(space):
+    """Every network as a word labelling, per stratum in index order, read
+    straight off the tables: its root from ``spans``, and under program p the
+    labelling of the network one stratum down that its ``shift_index`` row
+    names."""
+    strata = []
+    for d, by_root in enumerate(space.spans):
+        roots = [x for x, span in enumerate(by_root) for _ in span]
+        # the runs, roots ascending, are the stratum's indices in order
+        assert [i for span in by_root for i in span] == list(range(len(roots)))
+        rows = space.shift_index[d] if d else [()] * len(roots)
+        assert len(rows) == len(roots)
+        stratum = []
+        for x, row in zip(roots, rows):
+            lab = {(): x}
+            for p, j in enumerate(row):
+                lab.update(((p,) + w, y) for w, y in strata[d - 1][j].items())
+            stratum.append(lab)
+        strata.append(stratum)
+    return strata
 
 
 TOTAL2 = PDLModel(2, ("a",), {"a": (0b11, 0b11)}, {"p": 0b01}, serial_flag=True)
+UNEVEN3 = PDLModel(3, ("a", "b"), {"a": (0b010, 0b011, 0b011), "b": (0b001, 0b100, 0b110)},
+                   {"p": 0b011, "q": 0b100}, serial_flag=True)
 
 
 # --- counts -----------------------------------------------------------------------
@@ -115,8 +138,8 @@ def test_counts_match_labeling_oracle_exhaustively():
                 assert stratum_counts(m, depth)[depth] == want
                 space = build_network_space(m, depth)
                 got = [0] * m.n
-                for net in space.strata[depth]:
-                    got[net.root] += 1
+                for lab in read_networks(space)[depth]:
+                    got[lab[()]] += 1
                 assert got == want
 
 
@@ -127,19 +150,20 @@ def test_counts_match_labeling_oracle_generated():
 
 
 def test_networks_are_edge_respecting():
-    space = build_network_space(TOTAL2, 2)
-    for net in space.strata[2]:
-        for p, name in enumerate(TOTAL2.alphabet):
-            for w in [(), (p,)]:
-                parent = net.label(w)
-                child = net.label(w + (p,))
-                assert TOTAL2.rel[name][parent] >> child & 1
+    for model in (TOTAL2, UNEVEN3):
+        space = build_network_space(model, 2)
+        for lab in read_networks(space)[2]:
+            assert len(lab) == 1 + len(model.alphabet) + len(model.alphabet) ** 2
+            for w, y in lab.items():
+                if w:
+                    assert model.rel[model.alphabet[w[-1]]][lab[w[:-1]]] >> y & 1
 
 
 def test_networks_are_distinct():
     space = build_network_space(TOTAL2, 2)
-    for stratum in space.strata:
-        assert len(set(stratum)) == len(stratum)
+    for stratum in read_networks(space):
+        keys = [key(lab) for lab in stratum]
+        assert len(set(keys)) == len(keys)
 
 
 # --- semantics ---------------------------------------------------------------------
@@ -149,8 +173,10 @@ def test_atom_truth_is_root_truth():
     space = build_network_space(TOTAL2, 2)
     f = parse("p")
     for d in range(3):
-        for net in space.strata[d]:
-            assert eval_network(space, f, net) == bool(TOTAL2.val["p"] >> net.root & 1)
+        ext = network_extension(space, f, d)
+        for x, span in enumerate(space.spans[d]):
+            for i in span:
+                assert bool(ext >> i & 1) == bool(TOTAL2.val["p"] >> x & 1)
 
 
 def test_modal_truth_matches_source_truth():
@@ -162,9 +188,11 @@ def test_modal_truth_matches_source_truth():
     src_box = eval_pdl_relational(TOTAL2, box)
     assert src_dia == 0b11 and src_box == 0
     for d in (1, 2):
-        for net in space.strata[d]:
-            assert eval_network(space, dia, net) == bool(src_dia >> net.root & 1)
-            assert eval_network(space, box, net) == bool(src_box >> net.root & 1)
+        dia_ext, box_ext = network_extension(space, dia, d), network_extension(space, box, d)
+        for x, span in enumerate(space.spans[d]):
+            for i in span:
+                assert bool(dia_ext >> i & 1) == bool(src_dia >> x & 1)
+                assert bool(box_ext >> i & 1) == bool(src_box >> x & 1)
 
 
 def test_truth_preservation_generated_models():
@@ -187,7 +215,7 @@ def test_preservation_holds_at_intermediate_strata():
     f = parse("<a>(p & <a>~p)")
     src = eval_pdl_relational(TOTAL2, f)
     assert src == 0b11
-    assert network_extension(space, f, 2) == (1 << len(space.strata[2])) - 1
+    assert network_extension(space, f, 2) == (1 << space.size(2)) - 1
 
 
 def test_shift_openness_small_models():
@@ -202,7 +230,7 @@ def test_shift_image_of_cell_by_hand():
     space = build_network_space(TOTAL2, 1)
     got = 0
     for i in space.spans[1][0]:
-        got |= 1 << space.shift(1, 0, i)
+        got |= 1 << space.shift_index[1][i][0]
     assert got == 0b11
 
 
@@ -227,7 +255,7 @@ def test_depth_exceeded():
     with pytest.raises(DepthExceeded, match="depth"):
         network_extension(space, parse("<a><a>p"), 1)
     with pytest.raises(DepthExceeded):
-        eval_network(space, parse("<a>p"), space.strata[0][0])
+        network_extension(space, parse("<a>p"), 0)
 
 
 def test_seq_programs_are_rejected():
@@ -249,28 +277,6 @@ def test_the_whole_list_is_checked_before_either_walk():
             check_truth_preservation(TOTAL2, [parse(first), parse("<a><a><a>p")], 2, space=space)
     with pytest.raises(ValueError, match="unknown program 'c'"):
         check_truth_preservation(TOTAL2, [parse("<a;a>p"), parse("<c>p")], 2, space=space)
-
-
-def test_foreign_network_is_rejected():
-    space = build_network_space(TOTAL2, 1)
-    with pytest.raises(ValueError, match="belong"):
-        eval_network(space, parse("p"), BoundedNetwork(5, ()))
-    # deeper than the space
-    deep = BoundedNetwork(0, (BoundedNetwork(0, (BoundedNetwork(0, ()),)),))
-    with pytest.raises(ValueError, match="belong"):
-        eval_network(space, parse("p"), deep)
-
-
-def test_networks_are_found_by_value():
-    space = build_network_space(TOTAL2, 2)
-
-    def rebuild(net):
-        return BoundedNetwork(net.root, tuple(rebuild(c) for c in net.children))
-
-    for i, net in enumerate(space.strata[2]):
-        copy = rebuild(net)
-        assert copy is not net and copy == net and hash(copy) == hash(net)
-        assert space.index[2][copy] == i
 
 
 # --- JSON --------------------------------------------------------------------------
@@ -307,31 +313,33 @@ SMALL_MODELS = pytest.mark.parametrize("model", [
 
 
 @SMALL_MODELS
-def test_shift_index_and_cells_match_the_strata(model):
+def test_shift_index_and_spans_match_the_oracle(model):
     space = build_network_space(model, 3)
-    # each span, as the tuple of its indices: a root's networks are one run
-    spans = tuple(tuple(tuple(span) for span in by_root) for by_root in space.spans)
-    assert (space.shift_index, spans) == derived_tables(space)
+    for d, stratum in enumerate(read_networks(space)):
+        runs = [[key(stratum[i]) for i in span] for span in space.spans[d]]
+        assert_runs_are_the_oracles(model, d, runs)
 
 
 @SMALL_MODELS
 def test_network_space_json_rebuilds_every_network(model):
     space = build_network_space(model, 3)
     doc = network_space_to_json(space)
-    maps = {name: doc["programs"][name]["map"] for name in model.alphabet}
+    maps = [doc["programs"][name]["map"] for name in model.alphabet]
     roots = [x for stratum in doc["strata"] for x in stratum["roots"]]
 
-    def network(point):
+    def labelling(point):
         # a network is its root plus, per program, the network its shift lands on
-        out = {"root": roots[point]}
-        children = {name: network(m[point]) for name, m in maps.items() if m[point] is not None}
-        if children:
-            out["children"] = children
-        return out
+        lab = {(): roots[point]}
+        for p, m in enumerate(maps):
+            if m[point] is not None:
+                lab.update(((p,) + w, y) for w, y in labelling(m[point]).items())
+        return lab
 
-    for d, stratum in enumerate(space.strata):
-        points = doc["strata"][d]["points"]
-        assert [network(i) for i in points] == [net.to_json(model.alphabet) for net in stratum]
+    for d, stratum in enumerate(doc["strata"]):
+        assert stratum["roots"] == sorted(stratum["roots"])
+        got = [key(labelling(i)) for i in stratum["points"]]
+        assert_runs_are_the_oracles(model, d, [[k for k in got if k[0] == ((), x)]
+                                               for x in range(model.n)])
 
 
 def test_truth_preservation_accepts_a_prebuilt_space():
@@ -340,20 +348,10 @@ def test_truth_preservation_accepts_a_prebuilt_space():
     space = build_network_space(m, 2)
     with_space = check_truth_preservation(m, formulas, 2, space=space)
     assert with_space == check_truth_preservation(m, formulas, 2)
-    assert with_space.ok and with_space.checked == 2 * len(space.strata[2])
+    assert with_space.ok and with_space.checked == 2 * space.size(2)
 
 
 TRANSFORM_CFG_SMALL = GenConfig(seed=44, max_points=3, num_programs=2, model_class="pdl_serial")
-
-
-def test_the_space_builds_no_trees_unless_read():
-    m = gen_model(TRANSFORM_CFG_SMALL, 4)
-    formulas = [parse("<a>p -> [b]q"), parse("[a][b]p | <b>~q")]
-    space = build_network_space(m, 2)
-    network_space_to_json(space)
-    network_extension(space, formulas[1], 2)
-    assert check_truth_preservation(m, formulas, 2, space=space).ok
-    assert "strata" not in vars(space)
 
 
 def test_modalities_on_strata_past_a_machine_word():
@@ -367,16 +365,22 @@ def test_modalities_on_strata_past_a_machine_word():
             assert network_extension(space, f, d) == space.lift(src, d)
 
 
-def modal_by_members(space, box, p, body, d):
-    """``[a]`` (box) or ``<a>`` on stratum d from its definition, network by
-    network: a network passes when every (some) network with its root
-    shifts along program p into body."""
-    nets = space.strata[d]
+def shifts_by_subtree(networks, d, p):
+    """Per network of stratum d, the index one stratum down of its shift
+    along program p: the network labelled as its words under p are."""
+    below = {key(lab): j for j, lab in enumerate(networks[d - 1])}
+    return [below[key({w[1:]: y for w, y in lab.items() if w[:1] == (p,)})]
+            for lab in networks[d]]
+
+
+def modal_by_members(roots, shifts, box, body):
+    """``[a]`` (box) or ``<a>`` from its definition, network by network: a
+    network passes when every (some) network with its root shifts into body."""
     into = {}  # root -> whether each network with that root shifts into body
-    for i, net in enumerate(nets):
-        into.setdefault(net.root, []).append(body >> space.shift(d, p, i) & 1)
+    for x, j in zip(roots, shifts):
+        into.setdefault(x, []).append(body >> j & 1)
     passes = {x: (all if box else any)(bits) for x, bits in into.items()}
-    return sum(1 << i for i, net in enumerate(nets) if passes[net.root])
+    return sum(1 << i for i, x in enumerate(roots) if passes[x])
 
 
 def test_modalities_read_each_cells_shift_image():
@@ -389,7 +393,9 @@ def test_modalities_read_each_cells_shift_image():
     for space in spaces:
         assert check_shift_openness(space) == []
         n = space.source.n
+        networks = read_networks(space)
         for d in range(1, space.depth + 1):
+            roots = [lab[()] for lab in networks[d]]
             size = space.size(d - 1)
             # dense, sparse and cell-aligned bodies, so that both outcomes occur
             cells = space.lift(rng.getrandbits(n), d - 1)
@@ -398,21 +404,21 @@ def test_modalities_read_each_cells_shift_image():
                       rng.getrandbits(size) | rng.getrandbits(size),
                       cells, cells ^ 1 << rng.randrange(size)]
             for p, name in enumerate(space.source.alphabet):
+                shifts = shifts_by_subtree(networks, d, p)
                 for body in bodies:
                     for text, box in ((f"<{name}>p", False), (f"[{name}]p", True)):
                         got = space.modal(parse(text), body, d)
-                        assert got == modal_by_members(space, box, p, body, d), (text, d)
+                        assert got == modal_by_members(roots, shifts, box, body), (text, d)
 
 
 def test_disagreements_are_the_networks_whose_truth_differs(monkeypatch):
-    m = PDLModel(3, ("a", "b"), {"a": (0b010, 0b011, 0b011), "b": (0b001, 0b100, 0b110)},
-                 {"p": 0b011, "q": 0b100}, serial_flag=True)
+    m = UNEVEN3
     formulas = [parse("<a>p -> [b]q"), parse("[a][b]p | <b>~q")]
     space = build_network_space(m, 2)
     assert check_truth_preservation(m, formulas, 2, space=space).ok
-    # the flips below name networks 1, 2 and the last, which must be real ones
-    assert len(space.strata[2]) >= 3
-    last = len(space.strata[2]) - 1
+    # the flips below name networks 0, 1, 2 and the last, which must be real ones
+    assert space.size(2) >= 4
+    last = space.size(2) - 1
     flips = {formulas[0]: 1 | 1 << last, formulas[1]: 0b110}
     exact = transform.evaluate_all
 
@@ -422,16 +428,23 @@ def test_disagreements_are_the_networks_whose_truth_differs(monkeypatch):
 
     monkeypatch.setattr(transform, "evaluate_all", flipped)
     report = check_truth_preservation(m, formulas, 2, space=space)
-    # the definition, network by network: its truth against its root's
+    # the definition, network by network: its truth against its root's, the
+    # root the printed space gives for point index of stratum depth
+    strata = network_space_to_json(space)["strata"]
     want = []
     for f in formulas:
         source_ext = eval_pdl_relational(m, f)
         net_ext = transform.evaluate_all([f], space, 2)[0]
-        for i, net in enumerate(space.strata[2]):
-            src, lifted = bool(source_ext >> net.root & 1), bool(net_ext >> i & 1)
+        for i, root in enumerate(strata[2]["roots"]):
+            src, lifted = bool(source_ext >> root & 1), bool(net_ext >> i & 1)
             if src != lifted:
-                want.append({"formula": format_formula(f), "root": net.root,
-                             "network": net.to_json(m.alphabet),
+                want.append({"formula": format_formula(f), "depth": 2, "index": i, "root": root,
                              "source": src, "network_truth": lifted})
-    assert len(want) == 4 and list(report.disagreements) == want
-    assert report.checked == 2 * len(space.strata[2])
+    assert list(report.disagreements) == want
+    assert [(e["formula"], e["index"]) for e in want] == [
+        (format_formula(formulas[0]), 0), (format_formula(formulas[0]), last),
+        (format_formula(formulas[1]), 1), (format_formula(formulas[1]), 2),
+    ]
+    for e in report.disagreements:
+        assert e["root"] == strata[e["depth"]]["roots"][e["index"]]
+    assert report.checked == 2 * space.size(2)

@@ -13,7 +13,7 @@ import pytest
 
 from topodyn import checker
 from topodyn.checker import SubsetEvaluator, failures, valuation_chunks
-from topodyn.formula import And, Atom, Not, Or, atoms, parse, postorder, program_names
+from topodyn.formula import And, Atom, Atomic, Not, Or, atoms, parse, postorder
 from topodyn.formula import Test as ProgramTest
 from topodyn.harness import _global_failure, _map_condition, search_countermodel
 from topodyn.models import DTModel, PDLModel, SubsetModel
@@ -50,6 +50,11 @@ CORPUS = [(c, f) for c in DT_CLASSES for f in DT_FORMULAS] + [
     ("subset", "O[?(p);a;?(box q)] p -> O[a] p"),
     ("subset", "O[?(O[a] box p)] q -> Khat q"),
 ]
+
+
+def program_names(f):
+    """Atomic program names occurring anywhere in f, tests included."""
+    return frozenset(n.name for n in postorder(f) if type(n) is Atomic)
 
 
 def labelled_blocks(model_class, n, progs):
