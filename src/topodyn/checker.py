@@ -21,24 +21,30 @@ interior is taken in the ambient space, and ``O[prog]`` moves the whole
 scenario along a partial open map.  ``SubsetEvaluator`` reads one open at a
 time, as the context; ``ScenarioJudge`` reads every open at once, with none.
 
-Block- and valuation-parallel: ``failures`` judges a batch of B blocks (a
-space with its program maps, or a tuple of relations) on one carrier under a
-whole chunk of V valuations in one evaluation.  With L = B * V lanes per
-point, bit ``x * L + b * V + v`` of a mask holds the truth at point x of
-block b under valuation v of the chunk, so the connectives stay bitwise and
-each modality works on per-point slices of L bits.  A modality reads rows:
-per point x, the (y, lanes) pairs saying in which lanes x reaches y, through
-a block's map, relation or minimal neighbourhood.  ``some`` ORs ``s[y] &
-lanes`` over a row and ``every`` ANDs ``s[y] | ~lanes``; a single block's
-rows have every lane set.  On subset-space models, whose batch shares one
-space, a slice holds W columns of L lanes, one per open in ``opens_sorted``
-order: bit ``(x * W + j) * L + b * V + v`` holds the truth at (x, opens[j]).
-K ORs the slices and copies the result to every point with one
-multiplication, and ``O[prog]`` reads column j at the column of the image of
-opens[j], which is open since the map is, per group of lanes sharing prog's
-map: a block's lanes, split by a test's guard G_v, where ``O[?phi]`` reads
-column j at the column of opens[j] & G_v.  ``least_failure`` reads the first
-failing (block, valuation) pair and its least point off the masks.
+One class per semantics, block- and valuation-parallel: ``failures``
+judges a batch of B blocks (a space with its program maps, or a tuple of
+relations) on one carrier under a whole chunk of V valuations in one
+evaluation, and a one-model evaluator is a batch of one block under its own
+valuation.  With L = B * V lanes per point, bit ``x * L + b * V + v`` of a
+mask holds the truth at point x of block b under valuation v of the chunk,
+so the connectives stay bitwise and each modality works on per-point slices
+of L bits.  Every program is read as a table of successor masks: a relation
+as given, a map as its graph (bit f(x) at x, none where f is undefined), so
+a map's preimage is the relational diamond.  A modality reads rows: per
+point x, the (y, lanes) pairs saying in which lanes x reaches y, through a
+block's table or minimal neighbourhood.  ``some`` ORs ``s[y] & lanes`` over
+a row and ``every`` ANDs ``s[y] | ~lanes``; with one lane a row is the
+table's mask itself, read by one mask test per point (``topology.meets``
+and ``fits``, which a space's closure and interior run too).  On
+subset-space models, whose batch shares one space, a slice holds W columns
+of L lanes, one per open in ``opens_sorted`` order: bit ``(x * W + j) * L +
+b * V + v`` holds the truth at (x, opens[j]).  K ORs the slices and copies
+the result to every point with one multiplication, and ``O[prog]`` reads
+column j at the column of the image of opens[j], which is open since the
+map is, per group of lanes sharing prog's map: a block's lanes, split by a
+test's guard G_v, where ``O[?phi]`` reads column j at the column of
+opens[j] & G_v.  ``least_failure`` reads the first failing (block,
+valuation) pair and its least point off the masks.
 """
 
 from __future__ import annotations
@@ -84,11 +90,10 @@ from .models import (
     SubsetModel,
     compose,
     image,
-    preimage,
     program_function,
     validate_scenario,
 )
-from .topology import iter_points, points_from_mask
+from .topology import fits, iter_points, meets, points_from_mask
 
 # At most 2**CHUNK_BITS lanes, (block, valuation) pairs times a subset-space
 # model's opens, are judged in one evaluation, which keeps a mask within
@@ -205,70 +210,145 @@ def _program_key(prog: Program):
     return key
 
 
+@cache
+def _members(n: int) -> tuple[tuple[int, ...], ...]:
+    """The points of each subset of n points, indexed by its mask."""
+    return tuple(tuple(iter_points(m)) for m in range(1 << n))
+
+
+@lru_cache(maxsize=4096)
+def _mask_rows(table: tuple[int, ...]) -> Sequence:
+    """The rows of one table of masks in every lane: for each point, every
+    member of its mask."""
+    members = _members(len(table))
+    return tuple([tuple([(y, -1) for y in members[t]]) for t in table])
+
+
+@cache
+def _layout(n: int, count: int, width: int, columns: int) -> tuple[int, range, int, tuple[int, ...]]:
+    """A point's slice, the offsets of the points' slices, every lane of
+    every point, and each block's lanes, for count blocks of ``width``
+    valuations in ``columns`` columns."""
+    lanes = count * width * columns
+    block = (1 << width) - 1
+    return ((1 << lanes) - 1, range(0, n * lanes, lanes), (1 << n * lanes) - 1,
+            tuple([block << b * width for b in range(count)]))
+
+
+def _graph(fn: Sequence[Optional[int]]) -> tuple[int, ...]:
+    """A map as a relation: the successor mask of each point, none where
+    the map is undefined."""
+    return tuple([0 if y is None else 1 << y for y in fn])
+
+
+# A search meets each map of a carrier size on many blocks, and 8192 holds
+# every map on 5 points, partial ones too; a one-model evaluation reads each
+# of its programs once, so it keeps off this cache, which grows only in searches.
+_graphs = lru_cache(maxsize=8192)(_graph)
+
+
 class _Semantics:
-    """One context, every atom as valued, and programs interpreted once each."""
+    """A batch of blocks, the model and then ``more``, on one carrier under
+    a chunk of valuations, in the layout of the module docstring, with each
+    program interpreted once.  ``atoms`` holds each atom's mask as
+    ``valuation_chunks`` lays it out, and the blocks' own valuations are
+    ignored; without it the model is judged under its own valuation, one
+    lane per point, so a mask is a point set.  ``interpret`` reads a program
+    as successor masks per block, and the spaces' neighbourhood rows are
+    made on the first interior or closure."""
 
     shifts: frozenset = frozenset()
 
-    def __init__(self, model):
+    def __init__(self, model, atoms: Optional[dict[str, int]] = None, width: int = 1,
+                 *more, columns: int = 1):
         self.model = model
         self.space = getattr(model, "space", None)
-        self.all = (1 << model.n) - 1
+        self.blocks = (model, *more)
+        self.atoms = model.val if atoms is None else atoms
+        self.ones, self.offsets, self.all, self.lanes = _layout(model.n, len(self.blocks), width, columns)
+        self.nbhds = None
         self._programs: dict = {}  # _program_key -> interpretation
+        if self.ones == 1:  # a row is a table's mask, read by one test per point
+            self.some, self.every = meets, fits
 
     def full(self, c: int) -> int:
         return self.all
 
     def atom(self, node: Node, c: int) -> int:
-        return self.model.val.get(node.name, 0)
+        return self.atoms.get(node.name, 0)
 
-    def program(self, prog: Program) -> tuple:
+    def program(self, prog: Program) -> Sequence:
         key = _program_key(prog)
         got = self._programs.get(key)
         if got is None:
             got = self._programs[key] = self.interpret(prog)
         return got
 
-    def interpret(self, prog: Program) -> tuple[Optional[int], ...]:
-        return program_function(self.model, prog)
+    def interpret(self, prog: Program) -> Sequence:
+        """The rows of prog's map on each block, read as its graph; an
+        atomic program's map is read off the block."""
+        graph = _graph if self.ones == 1 else _graphs
+        name = prog.name if type(prog) is Atomic else None
+        return self.rows([graph(b.fn.get(name) or program_function(b, prog)) for b in self.blocks])
 
-    # point-set operations, replaced by the valuation-parallel semantics
+    def rows(self, tables: list[tuple[int, ...]]) -> Sequence:
+        """The batch's rows of one table of masks per block: per point, the
+        (y, lanes) pairs saying in which lanes it reaches y.  Consecutive
+        blocks with one table object share its lanes (a batch's graphs are
+        cached by value, so equal maps are one object).  With one table, one
+        lane reads the table itself, and more lanes read a row listing its
+        entry's points in every lane."""
+        runs, lanes = [tables[0]], [0]
+        for table, bits in zip(tables, self.lanes):
+            if table is runs[-1]:
+                lanes[-1] |= bits
+            else:
+                runs.append(table)
+                lanes.append(bits)
+        if len(runs) == 1:
+            return runs[0] if self.ones == 1 else _mask_rows(runs[0])
+        members = _members(self.model.n)
+        out = []
+        for column in zip(*runs):
+            row: dict[int, int] = {}
+            for entry, bits in zip(column, lanes):
+                for y in members[entry]:
+                    row[y] = row.get(y, 0) | bits
+            out.append(tuple(row.items()))
+        return out
+
+    def neighbourhoods(self) -> Sequence:
+        self.nbhds = self.rows([b.space.min_nbhds for b in self.blocks])
+        return self.nbhds
 
     def interior(self, m: int) -> int:
-        return self.space.interior(m)
+        return self.every(self.nbhds or self.neighbourhoods(), m)
 
     def closure(self, m: int) -> int:
-        return self.space.closure(m)
+        return self.some(self.nbhds or self.neighbourhoods(), m)
 
-    def preimage(self, fn: tuple[Optional[int], ...], m: int) -> int:
-        return preimage(fn, m)
-
-
-class _Relational(_Semantics):
-    def interpret(self, prog: Program) -> tuple[int, ...]:
-        return _relation(self.model, prog)
-
-    def modal(self, node: Node, body: int, c: int) -> int:
-        if type(node) is not Diamond and type(node) is not BoxPdl:
-            raise ValueError(f"no relational semantics for {format_formula(node)}")
-        # Diamond: some successor in the body; BoxPdl: all of them
-        table = self.program(node.prog)
-        return self.some(table, body) if type(node) is Diamond else self.every(table, body)
-
-    def some(self, table: tuple[int, ...], m: int) -> int:
-        """Points x whose table entry meets m."""
+    def some(self, rows: Sequence, m: int) -> int:
+        """Per lane, the points with some point of their row in m."""
+        ones, offsets = self.ones, self.offsets
+        s = [m >> o & ones for o in offsets]
         r = 0
-        for x, t in enumerate(table):
-            if t & m:
-                r |= 1 << x
+        for o, row in zip(offsets, rows):
+            acc = 0
+            for y, lanes in row:
+                acc |= s[y] & lanes
+            r |= acc << o
         return r
 
-    def every(self, table: tuple[int, ...], m: int) -> int:
-        """Points x whose table entry lies inside m."""
+    def every(self, rows: Sequence, m: int) -> int:
+        """Per lane, the points with every point of their row in m."""
+        ones, offsets = self.ones, self.offsets
+        s = [m >> o & ones for o in offsets]
         r = 0
-        for x, t in enumerate(table):
-            if not t & ~m:
-                r |= 1 << x
+        for o, row in zip(offsets, rows):
+            acc = ones
+            for y, lanes in row:
+                acc &= s[y] | ~lanes
+            r |= acc << o
         return r
 
 
@@ -287,6 +367,18 @@ def _relation(model: PDLModel, prog: Program) -> tuple[int, ...]:
         else:  # the successors of a point's successors
             table = tuple(reduce(or_, [rel[y] for y in iter_points(m)], 0) for m in table)
     return table
+
+
+class _Relational(_Semantics):
+    def interpret(self, prog: Program) -> Sequence:
+        return self.rows([_relation(b, prog) for b in self.blocks])
+
+    def modal(self, node: Node, body: int, c: int) -> int:
+        if type(node) is not Diamond and type(node) is not BoxPdl:
+            raise ValueError(f"no relational semantics for {format_formula(node)}")
+        # Diamond: some successor in the body; BoxPdl: all of them
+        table = self.program(node.prog)
+        return self.some(table, body) if type(node) is Diamond else self.every(table, body)
 
 
 def eval_pdl_relational(model: PDLModel, f: Formula) -> int:
@@ -311,7 +403,7 @@ class _DynamicTopological(_Semantics):
             return self.interior(body)
         if cls is Cl:
             return self.closure(body)
-        pre = self.preimage(self.program(node.prog), body)
+        pre = self.some(self.program(node.prog), body)
         if cls is Next:
             return pre
         return self.closure(pre) if cls is Diamond else self.interior(pre)
@@ -348,10 +440,11 @@ class SubsetEvaluator(_Semantics):
         return u
 
     def atom(self, node: Node, u: int) -> int:
-        return self.model.val.get(node.name, 0) & u
+        return self.atoms.get(node.name, 0) & u
 
     def step(self, node: Node, u: int) -> int:
-        return image(self.program(node.prog), u)
+        """The image of u: its points' successors."""
+        return reduce(or_, map(self.program(node.prog).__getitem__, iter_points(u)), 0)
 
     def modal(self, node: Node, body: int, u: int) -> int:
         cls = type(node)
@@ -370,7 +463,7 @@ class SubsetEvaluator(_Semantics):
         full = self.full(u)
         if cls is Cl:
             return full & ~self.interior(full & ~body)
-        return self.preimage(self.program(node.prog), body) & full
+        return self.some(self.program(node.prog), body) & full
 
     def truth(self, f: Formula, s: Scenario) -> bool:
         validate_scenario(self.model, s)
@@ -395,12 +488,6 @@ def state_extension(model: SubsetModel, f: Formula) -> int:
 
 
 # --- every block and valuation at once -------------------------------------------
-
-
-@cache
-def _members(n: int) -> tuple[tuple[int, ...], ...]:
-    """The points of each subset of n points, indexed by its mask."""
-    return tuple(tuple(iter_points(m)) for m in range(1 << n))
 
 
 def batch_room(model: Model, names: Sequence[str]) -> int:
@@ -471,159 +558,7 @@ def _atom_masks(
     return out
 
 
-# A per-point list of (y, lanes) pairs: y is reached from x in those lanes.
-Rows = Sequence[tuple[tuple[int, int], ...]]
-
-
-@lru_cache(maxsize=4096)
-def _mask_rows(table: tuple[int, ...]) -> Rows:
-    """One block's rows of a table of masks, successors or minimal
-    neighbourhoods: for each point, every member of its mask, in all lanes."""
-    members = _members(len(table))
-    return tuple([tuple([(y, -1) for y in members[t]]) for t in table])
-
-
-@lru_cache(maxsize=4096)
-def _map_rows(fn: tuple[Optional[int], ...]) -> Rows:
-    """One block's rows of a map: for each point, its image, in all lanes."""
-    return tuple([() if y is None else ((y, -1),) for y in fn])
-
-
-@cache
-def _map_targets(n: int) -> dict[Optional[int], tuple[int, ...]]:
-    """The points a map's entry reaches, indexed by the entry."""
-    return {None: (), **{y: (y,) for y in range(n)}}
-
-
-@cache
-def _layout(n: int, count: int, width: int, columns: int) -> tuple[int, range, int, tuple[int, ...]]:
-    """A point's slice, the offsets of the points' slices, every lane of
-    every point, and each block's lanes, for count blocks of ``width``
-    valuations in ``columns`` columns."""
-    lanes = count * width * columns
-    block = (1 << width) - 1
-    return ((1 << lanes) - 1, range(0, n * lanes, lanes), (1 << n * lanes) - 1,
-            tuple([block << b * width for b in range(count)]))
-
-
-class _Parallel:
-    """Mixin that runs a one-model semantics on a batch of blocks under a
-    chunk of valuations.
-
-    The blocks, the model and then ``more``, share its carrier; their
-    valuations are ignored, and ``atoms`` holds each atom's mask in the
-    layout of ``valuation_chunks``, lane ``b * width + v`` of a point's
-    slice being block b under valuation v.  Each operation on point sets
-    works slice by slice, over rows (``Rows``), which ``some`` and ``every``
-    read: a space's neighbourhoods, made once on the first interior or
-    closure, and each program's successors, a map's preimage being ``some``
-    of its rows.  A subclass gives a block's ``table`` for a program and
-    how its rows read (``rows_of``).
-    """
-
-    def __init__(self, model, atoms: dict[str, int], width: int, *more, columns: int = 1):
-        # the base state only: the one-model memo tables go unused
-        _Semantics.__init__(self, model)
-        self.blocks = (model, *more)
-        self.atoms = atoms
-        self.ones, self.offsets, self.all, self.lanes = _layout(model.n, 1 + len(more), width, columns)
-        self.nbhds = None
-
-    def neighbourhoods(self) -> Rows:
-        if len(self.blocks) == 1:
-            self.nbhds = _mask_rows(self.space.min_nbhds)
-        else:
-            self.nbhds = self.rows([b.space.min_nbhds for b in self.blocks], _mask_rows, _members)
-        return self.nbhds
-
-    def rows(self, tables: list[tuple], rows_of, targets) -> Rows:
-        """The rows of a batch of more than one block, from one table per
-        block whose entry at x lists the points ``targets(n)[entry]``.
-        Consecutive blocks with one table object share its lanes, so a batch
-        with one table has that table's rows, ``rows_of(table)``; otherwise a
-        row pairs each point y with the lanes whose entry at x reaches it."""
-        runs, lanes = [], []
-        for table, bits in zip(tables, self.lanes):
-            if runs and runs[-1] is table:
-                lanes[-1] |= bits
-            else:
-                runs.append(table)
-                lanes.append(bits)
-        if len(runs) == 1:
-            return rows_of(runs[0])
-        reach = targets(self.model.n)
-        out = []
-        for column in zip(*runs):
-            row: dict[int, int] = {}
-            for entry, bits in zip(column, lanes):
-                for y in reach[entry]:
-                    row[y] = row.get(y, 0) | bits
-            out.append(tuple(row.items()))
-        return out
-
-    def atom(self, node: Node, c: int) -> int:
-        return self.atoms.get(node.name, 0)
-
-    def slices(self, m: int) -> list[int]:
-        ones = self.ones
-        return [m >> o & ones for o in self.offsets]
-
-    def interpret(self, prog: Program) -> Rows:
-        if len(self.blocks) == 1:
-            return self.rows_of(self.table(self.model, prog))
-        return self.rows([self.table(b, prog) for b in self.blocks], self.rows_of, self.targets)
-
-    def interior(self, m: int) -> int:
-        return self.every(self.nbhds or self.neighbourhoods(), m)
-
-    def closure(self, m: int) -> int:
-        return self.some(self.nbhds or self.neighbourhoods(), m)
-
-    def some(self, rows: Rows, m: int) -> int:
-        """Per lane, the points with some point of their row in m."""
-        ones, offsets = self.ones, self.offsets
-        s = [m >> o & ones for o in offsets]
-        r = 0
-        for o, row in zip(offsets, rows):
-            acc = 0
-            for y, lanes in row:
-                acc |= s[y] & lanes
-            r |= acc << o
-        return r
-
-    def every(self, rows: Rows, m: int) -> int:
-        """Per lane, the points with every point of their row in m."""
-        ones, offsets = self.ones, self.offsets
-        s = [m >> o & ones for o in offsets]
-        r = 0
-        for o, row in zip(offsets, rows):
-            acc = ones
-            for y, lanes in row:
-                acc &= s[y] | ~lanes
-            r |= acc << o
-        return r
-
-    preimage = some
-
-
-class _ParallelRelational(_Parallel, _Relational):
-    table = staticmethod(_relation)
-    rows_of = staticmethod(_mask_rows)
-    targets = staticmethod(_members)
-
-
-class _ParallelDynamicTopological(_Parallel, _DynamicTopological):
-    rows_of = staticmethod(_map_rows)
-    targets = staticmethod(_map_targets)
-
-    @staticmethod
-    def table(model: DTModel, prog: Program) -> tuple[Optional[int], ...]:
-        """prog's map on model: one of its programs is read directly."""
-        fn = model.fn.get(prog.name) if type(prog) is Atomic else None
-        return program_function(model, prog) if fn is None else fn
-
-
-class ScenarioJudge(_Parallel, SubsetEvaluator):
+class ScenarioJudge(SubsetEvaluator):
     """Every scenario of a subset-space model at once, in the layout of the
     module docstring.  Without ``atoms`` it judges the model's own valuation
     (V = 1).  Build one per model, or per batch and chunk, and judge every
@@ -632,14 +567,16 @@ class ScenarioJudge(_Parallel, SubsetEvaluator):
     the columns."""
 
     shifts = frozenset()
+    full, atom = _Semantics.full, _Semantics.atom  # no scenario set: every lane
 
+    # not SubsetEvaluator.__init__: the tracer counts its calls as evaluators
     def __init__(self, model: SubsetModel, atoms: Optional[dict[str, int]] = None,
                  width: int = 1, *more: SubsetModel):
         if more and any(b.space != model.space for b in more):
             raise ValueError("the blocks of a subset-space batch share one space")
         self.opens = opens = model.space.opens_sorted()
         self.column = {u: j for j, u in enumerate(opens)}
-        super().__init__(model, {}, width, *more, columns=len(opens))
+        _Semantics.__init__(self, model, {}, width, *more, columns=len(opens))
         width *= len(self.blocks)  # lanes per column: a block's valuations, per block
         self.width = width
         self.block = block = (1 << width) - 1
@@ -657,8 +594,9 @@ class ScenarioJudge(_Parallel, SubsetEvaluator):
             for a, m in (model.val if atoms is None else atoms).items()
         }
 
-    def full(self, c: int) -> int:
-        return self.all
+    def slices(self, m: int) -> list[int]:
+        ones = self.ones
+        return [m >> o & ones for o in self.offsets]
 
     def interpret(self, prog: Program) -> list[tuple[int, tuple[Optional[int], ...], list]]:
         """Per group of the lanes under which prog is one map (a block's
@@ -729,7 +667,7 @@ def failures(model: Model, f: Formula, atoms: dict[str, int], width: int, *more:
         bad, cols = sem.slices(sem.all & ~evaluate(f, sem)), range(0, len(sem.opens) * lanes, lanes)
         return sum((reduce(or_, [t >> c for c in cols]) & sem.block) << x * lanes
                    for x, t in enumerate(bad))
-    cls = _ParallelRelational if isinstance(model, PDLModel) else _ParallelDynamicTopological
+    cls = _Relational if isinstance(model, PDLModel) else _DynamicTopological
     sem = cls(model, atoms, width, *more)
     return sem.all & ~evaluate(f, sem)
 

@@ -62,6 +62,29 @@ def iter_points(mask: int) -> Iterator[int]:
         x += 1
 
 
+def meets(table: Sequence[int], m: int) -> int:
+    """The points x whose mask ``table[x]`` meets m, one mask test per point:
+    a closure on a space's minimal neighbourhoods, a preimage on a
+    relation's successor masks."""
+    r, bit = 0, 1
+    for t in table:
+        if t & m:
+            r |= bit
+        bit <<= 1
+    return r
+
+
+def fits(table: Sequence[int], m: int) -> int:
+    """The points x whose mask ``table[x]`` lies inside m, one mask test per
+    point: an interior on a space's minimal neighbourhoods."""
+    r, bit, outside = 0, 1, ~m
+    for t in table:
+        if not t & outside:
+            r |= bit
+        bit <<= 1
+    return r
+
+
 def _unions(table: Sequence[int]) -> frozenset[int]:
     """Every union of table entries, the empty one included: the up-sets of
     the table's preorder, each produced once.
@@ -216,19 +239,11 @@ class TopoSpace:
 
     def interior(self, a: int) -> int:
         """Largest open subset: the points whose minimal neighbourhood fits."""
-        m, bit, outside = 0, 1, ~a
-        for u in self.min_nbhds:
-            if not u & outside:
-                m |= bit
-            bit <<= 1
-        return m
+        return fits(self.min_nbhds, a)
 
     def closure(self, a: int) -> int:
-        m = 0
-        for x in range(self.n):
-            if self.min_nbhds[x] & a:
-                m |= 1 << x
-        return m
+        """Least closed superset: the points whose minimal neighbourhood meets a."""
+        return meets(self.min_nbhds, a)
 
     def opens_sorted(self) -> list[int]:
         """Canonical listing: by cardinality, then by mask (colexicographic on

@@ -22,8 +22,8 @@ from topodyn.formula import (
     FragmentViolation, Know, Language, Node, atoms, format_formula, parse, parse_formulas,
     postorder, substitute,
 )
-from topodyn.harness import GenConfig, gen_formula, gen_model, _derived_rng
-from topodyn.models import DTModel, PDLModel, Scenario, SubsetModel, validate
+from topodyn.harness import GenConfig, gen_formula, gen_model, _all_maps, _derived_rng
+from topodyn.models import DTModel, PDLModel, Scenario, SubsetModel, image, preimage, validate
 from topodyn.topology import TopoSpace, all_topologies, full_mask, iter_points
 from topodyn.transform import build_network_space
 
@@ -339,6 +339,29 @@ def test_each_distinct_program_is_interpreted_once(monkeypatch, kind, text):
         monkeypatch.setattr(Node, "__eq__", lambda a, b: compared.append(a) or eq(a, b))
         checker.evaluate(parse(text), cls(model))
         assert compared == []
+
+
+@pytest.mark.parametrize("partial", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_map_is_read_as_its_graph(n, partial):
+    """A map is read as its graph: the successor f(x) at x, none where f is
+    undefined.  On the discrete space every partial map is open, so every
+    map is a program there: one-lane ``O[a]`` is its preimage, on a
+    dynamic-topological model and at the whole carrier of a subset-space
+    one, and a subset-space step from any open is its image."""
+    space = TopoSpace(n, tuple(1 << x for x in range(n)))
+    f = parse("O[a] p")
+    for fn in _all_maps(n, partial):
+        subset = SubsetModel(space, ("a",), {"a": fn}, {})
+        ev = SubsetEvaluator(subset)
+        assert [ev.step(f, u) for u in range(1 << n)] == [image(fn, u) for u in range(1 << n)]
+        for m in range(1 << n):
+            semantics = [SubsetEvaluator(replace(subset, val={"p": m}))]
+            if not partial:
+                semantics.append(checker._DynamicTopological(DTModel(space, ("a",), {"a": fn}, {"p": m})))
+            for sem in semantics:
+                assert sem.ones == 1
+                assert checker.evaluate(f, sem, space.full) == preimage(fn, m), (fn, m)
 
 
 # --- a list of formulas in one walk -------------------------------------------------

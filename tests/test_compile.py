@@ -341,9 +341,9 @@ _CONTEXT_FREE = {
     "relational": ("pdl_serial", Language.PDL, False, lambda m, f: checker._Relational(m)),
     "dynamic-topological": ("dtl", None, False, lambda m, f: checker._DynamicTopological(m)),
     "parallel-relational": ("pdl_serial", Language.PDL, False,
-                            _parallel(checker._ParallelRelational)),
+                            _parallel(checker._Relational)),
     "parallel-dynamic-topological": ("dtl", None, False,
-                                     _parallel(checker._ParallelDynamicTopological)),
+                                     _parallel(checker._DynamicTopological)),
     "scenario-judge": ("subset", Language.K_BOX_NEXT, True,
                        lambda m, f: checker.ScenarioJudge(m)),
     # a test program's image depends on the valuation, so a chunk has none

@@ -578,6 +578,36 @@ def test_search_on_relational_models():
     assert not eval_pdl_relational(model, parse("<a>p -> [a]p")) >> point & 1
 
 
+@pytest.mark.parametrize("system, model_class", [
+    ("SPDL0", "dtl"), ("SPDL0", "dtl_open"), ("SPDL0", "dtl_continuous"),
+    ("SPDL0", "pdl_serial"), ("SPDL0_SEQ", "dtl_open"), ("DTEL", "subset"),
+])
+def test_scheme_templates_have_no_countermodel_up_to_four_points(system, model_class):
+    """Soundness by exhaustion.  Each scheme template is searched as it is:
+    its formula variables range over every valuation and its program
+    variables are the searched programs.  On point semantics (``dtl``
+    classes, ``pdl_serial``) an instance's formulas denote point sets, so
+    this proves every instance on every model of the class up to 4 points.
+    On subset-space models a formula's extension depends on the scenario's
+    open, so for DTEL it is a necessary condition only."""
+    for name, template in get_system(system).schemes:
+        assert search_countermodel(template, bound=4, model_class=model_class) is None, name
+
+
+def test_seq_template_is_refuted_on_dtl():
+    """``Seq`` needs open maps: on ``dtl`` the two-point Sierpinski space
+    with a constant map refutes it."""
+    template = dict(get_system("SPDL0_SEQ").schemes)["Seq"]
+    model, point = search_countermodel(template, bound=4, model_class="dtl")
+    assert model_to_json(model) == {
+        "type": "dtl",
+        "space": {"points": 2, "opens": [[], [1], [0, 1]]},
+        "programs": {"pi1": {"map": [0, 0]}, "pi2": {"map": [0, 1]}},
+        "valuation": {"p": [1]},
+    }
+    assert point == 0
+
+
 def test_search_is_deterministic():
     f = parse("<a;b>p <-> <a><b>p")
     one = search_countermodel(f, bound=3, model_class="dtl")
