@@ -40,8 +40,11 @@ def _max_points() -> int:
 _ascii = json.encoder.encode_basestring_ascii
 
 
-_INT = {int}
 _INT_OR_NULL = {int, type(None)}
+# the JSON text of null and of the small non-negative ints, which make up the
+# transform's map tables, cells and roots: such a list is written by one
+# lookup per item, in C
+_NUMERALS = {None: "null", **{i: int.__repr__(i) for i in range(4096)}}
 
 
 def _dumps(doc) -> str:
@@ -102,12 +105,11 @@ def _dumps(doc) -> str:
                 lead = sep
             append(pad + "}")
         else:
-            kinds = set(map(type, o))
-            if kinds <= _INT_OR_NULL:
+            if set(map(type, o)) <= _INT_OR_NULL:  # no bool, float or int subclass
                 append("[" + inner)
-                if kinds == _INT:
-                    append(sep.join(map(int.__repr__, o)))
-                else:
+                try:
+                    append(sep.join(map(_NUMERALS.__getitem__, o)))
+                except KeyError:  # a number outside the table
                     append(sep.join(["null" if x is None else int.__repr__(x) for x in o]))
             else:
                 lead = "[" + inner
@@ -255,12 +257,14 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     if not isinstance(model, PDLModel):
         raise ValueError("transform starts from a relational model")
+    table: dict = {}  # one node per distinct subterm of the whole list
+    formulas = [f for chunk in args.check or [] for f in parse_formulas(chunk, table)]
+    # a list the space cannot judge is refused before the space is built
+    transform._check_formulas(formulas, args.depth)
     space = transform.build_network_space(model, args.depth, args.budget)
     out: dict = {"network_space": transform.network_space_to_json(space)}
     out["stratum_sizes"] = space.stratum_sizes()
     code = 0
-    table: dict = {}  # one node per distinct subterm of the whole list
-    formulas = [f for chunk in args.check or [] for f in parse_formulas(chunk, table)]
     if formulas:
         report = transform.check_truth_preservation(
             model, formulas, args.depth, args.budget, space=space

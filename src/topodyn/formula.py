@@ -443,6 +443,7 @@ def _tokenize(text: str) -> tuple[list[str], list[str]]:
 
 
 _TOO_DEEP = f"formula nests deeper than {MAX_NESTING} levels"
+_BRACKETS_TOO_DEEP = f"brackets nest deeper than {MAX_NESTING} levels"
 
 
 def _chain_cap(links: int) -> None:
@@ -454,16 +455,17 @@ def _chain_cap(links: int) -> None:
 
 class _Parser:
     """Recursive descent that recurses only into brackets, whose nesting it
-    caps: a bracket level costs three frames (``formula``, ``unary``,
-    ``bracketed``).  Within a level, ``formula`` reduces the binary
-    connectives in one precedence loop and ``unary`` gathers the prefix
-    operators in another; each refuses a chain as soon as it alone nests
-    deeper than the cap.  Each production returns a node, which knows its
-    own AST depth, and ``root`` caps a root's.  Every node is built through
-    ``table``, a leaf keyed by its class and name (``leaf``), any other node
-    by its class and its children's ids (``node``), so equal subterms parsed
-    with one table are one object.  Tokens carry no offsets: an error scans
-    the text again for its token's."""
+    caps: a formula's bracket level costs two frames (``formula`` and
+    ``unary``, which opens a ``(`` itself), and a modality whose program is
+    one name is read without the program rules.  Within a level,
+    ``formula`` reduces the binary connectives in one precedence loop and
+    ``unary`` gathers the prefix operators in another; each refuses a chain
+    as soon as it alone nests deeper than the cap.  Each production returns
+    a node, which knows its own AST depth, and ``root`` caps a root's.
+    Every node is built through ``table``, a leaf keyed by its class and
+    name (``leaf``), any other node by its class and its children's ids
+    (``node``), so equal subterms parsed with one table are one object.
+    Tokens carry no offsets: an error scans the text again for its token's."""
 
     def __init__(self, text: str, table: dict):
         self.text = text
@@ -506,7 +508,7 @@ class _Parser:
         """Parse inside an already consumed opening bracket, up to ``close``."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise self.error(self.pos, f"brackets nest deeper than {MAX_NESTING} levels")
+            raise self.error(self.pos, _BRACKETS_TOO_DEEP)
         result = inner()
         self.expect(close, f"'{close}'")
         self.depth -= 1
@@ -517,13 +519,14 @@ class _Parser:
         the pending ones that bind tighter, and a left-associative one those
         of its own level."""
         kinds = self.kinds
-        operands = [self.unary()]
+        first = self.unary()
+        op = _BINARY_TOKENS.get(kinds[self.pos])
+        if op is None:  # a lone operand
+            return first
+        operands = [first]
         pending: list[tuple[int, type, bool]] = []  # connectives not yet reduced
         links = list(_NO_LINKS)  # per level, connectives of the chain open there
-        while True:
-            op = _BINARY_TOKENS.get(kinds[self.pos])
-            if op is None:
-                break
+        while op is not None:
             self.pos += 1
             level = op[0]
             while pending and (pending[-1][0] > level or pending[-1][0] == level and op[2]):
@@ -534,6 +537,7 @@ class _Parser:
             _chain_cap(links[level])
             pending.append(op)
             operands.append(self.unary())
+            op = _BINARY_TOKENS.get(kinds[self.pos])
         while pending:
             right = operands.pop()
             operands[-1] = self.node(pending.pop()[1], operands[-1], right)
@@ -541,34 +545,52 @@ class _Parser:
 
     def unary(self) -> Formula:
         """Prefix operators and modalities, then an atom, ``top`` or a
-        bracketed formula."""
-        kinds = self.kinds
+        bracketed formula.  A modality's program goes to ``bracketed`` unless
+        it is one name and the brackets nest below the cap."""
+        kinds, values = self.kinds, self.values
         wrappers: list[tuple[type, Program | None]] = []  # (class, its program)
         while True:
-            _chain_cap(len(wrappers))
-            kind = kinds[self.pos]
+            pos = self.pos
+            kind = kinds[pos]
             cls = _PREFIX_TOKENS.get(kind)
             if cls is not None:
-                self.pos += 1
+                self.pos = pos + 1
                 wrappers.append((cls, None))
-                continue
-            modal = _MODAL_TOKENS.get(kind)
-            if modal is None:
-                break
-            self.pos += 1
-            if kind == "O":
-                self.expect("[", "'[' after 'O'")
-            cls, close = modal
-            wrappers.append((cls, self.bracketed(self.program, close)))
+            else:
+                modal = _MODAL_TOKENS.get(kind)
+                if modal is None:
+                    break
+                cls, close = modal
+                if kind == "O":
+                    pos += 1
+                    if kinds[pos] != "[":
+                        self.pos = pos
+                        raise self.unexpected("'[' after 'O'")
+                if (kinds[pos + 1] == "name" and kinds[pos + 2] == close
+                        and self.depth < MAX_NESTING):
+                    self.pos = pos + 3
+                    wrappers.append((cls, self.leaf(Atomic, values[pos + 1])))
+                else:
+                    self.pos = pos + 1
+                    wrappers.append((cls, self.bracketed(self.program, close)))
+            if len(wrappers) >= MAX_NESTING:  # the prefix chain alone is too deep
+                raise ParseError(_TOO_DEEP)
         if kind == "name":
-            f = self.leaf(Atom, self.values[self.pos])
-            self.pos += 1
+            f = self.leaf(Atom, values[pos])
+            self.pos = pos + 1
         elif kind == "top":
             f = self.leaf(Top)
-            self.pos += 1
+            self.pos = pos + 1
         elif kind == "(":
+            self.pos = pos + 1
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise self.error(self.pos, _BRACKETS_TOO_DEEP)
+            f = self.formula()
+            if kinds[self.pos] != ")":
+                raise self.unexpected("')'")
             self.pos += 1
-            f = self.bracketed(self.formula, ")")
+            self.depth -= 1
         else:
             raise self.unexpected("a formula")
         for cls, prog in reversed(wrappers):

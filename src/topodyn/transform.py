@@ -238,6 +238,20 @@ class PreservationReport:
         }
 
 
+def _check_formulas(formulas: list[Formula], depth: int) -> None:
+    """Refuse the first formula outside the relational language or deeper
+    than depth; it reads no model, so a caller may run it before building
+    a space."""
+    for f in formulas:
+        if not in_language(f, Language.PDL):
+            raise ValueError(f"networks interpret relational formulas only: {format_formula(f)}")
+        need = modal_depth(f)  # set when f was built, so no guard here walks f
+        if need > depth:
+            raise DepthExceeded(
+                f"formula {format_formula(f)} needs depth {need}, space has {depth}"
+            )
+
+
 def check_truth_preservation(
     model: PDLModel,
     formulas: Iterable[Formula],
@@ -249,24 +263,18 @@ def check_truth_preservation(
     network, for each formula: the networks that disagree are the bits where
     f's network extension differs from the union of the cells of the roots
     where f holds in the source.  Every formula's language and depth are
-    checked first; then one walk judges the whole list on the source model
-    (``eval_pdl_relational_all``) and one on the space at ``depth``, so a
-    subterm the formulas share is judged once per semantics and stratum.
+    checked first, before a space is built; then one walk judges the whole
+    list on the source model (``eval_pdl_relational_all``) and one on the
+    space at ``depth``, so a subterm the formulas share is judged once per
+    semantics and stratum.
     Disagreements come in list order, each naming its network by ``depth``,
     ``index`` and ``root``, as the strata of ``network_space_to_json`` do.
     Pass ``space`` to reuse a space already built from the same model and
     depth."""
+    formulas = list(formulas)
+    _check_formulas(formulas, depth)
     if space is None:
         space = build_network_space(model, depth, budget)
-    formulas = list(formulas)
-    for f in formulas:
-        if not in_language(f, Language.PDL):
-            raise ValueError(f"networks interpret relational formulas only: {format_formula(f)}")
-        need = modal_depth(f)  # set when f was built, so no guard here walks f
-        if need > depth:
-            raise DepthExceeded(
-                f"formula {format_formula(f)} needs depth {need}, space has {depth}"
-            )
     sources = eval_pdl_relational_all(model, formulas)
     networks = evaluate_all(formulas, space, depth)
     disagreements: list[dict] = []
@@ -294,7 +302,8 @@ def network_space_to_json(space: NetworkSpace) -> dict:
     for p, name in enumerate(model.alphabet):
         table: list[int | None] = [None] * sizes[0]
         for d in range(1, space.depth + 1):
-            table.extend(offsets[d - 1] + row[p] for row in space.shift_index[d])
+            offset = offsets[d - 1]
+            table.extend([offset + row[p] for row in space.shift_index[d]])
         maps[name] = table
     valuation = {}
     for atom, v in sorted(model.val.items()):

@@ -1,5 +1,6 @@
 """Exit codes and JSON output of every CLI subcommand."""
 
+import enum
 import gc
 import hashlib
 import json
@@ -860,6 +861,31 @@ def test_transform_builds_the_network_space_once(capsys, pdl_file, monkeypatch):
     assert code == 0 and json.loads(out)["preservation"]["ok"] and len(built) == 1
 
 
+@pytest.mark.parametrize("check, message", [
+    ("zero; <rand>(one", "expected ')', found 'end of input' (line 1, column 17)"),
+    ("zero; <rand><rand><at>one", "needs depth 3, space has 2"),
+    ("box zero", "networks interpret relational formulas only"),
+], ids=["parse error", "too deep", "not relational"])
+def test_transform_refuses_a_bad_check_list_before_building(capsys, pdl_file, monkeypatch,
+                                                            check, message):
+    from topodyn import transform
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the network space was built for a list it cannot judge")
+
+    monkeypatch.setattr(transform, "build_network_space", refuse)
+    code, out, err = run(capsys, ["transform", "-m", pdl_file, "--depth", "2", "--check", check])
+    assert code == 2 and out == "" and _one_line_error(err) and message in err
+
+
+def test_a_bad_check_list_wins_over_a_budget_the_space_exceeds(capsys, pdl_file):
+    argv = ["transform", "-m", pdl_file, "--depth", "2", "--budget", "3"]
+    code, out, err = run(capsys, [*argv, "--check", "<rand>[at]zero"])
+    assert code == 2 and out == "" and "over the budget of 3" in err
+    code, out, err = run(capsys, [*argv, "--check", "<rand>[at]<rand>zero"])
+    assert code == 2 and out == "" and "needs depth 3, space has 2" in err
+
+
 # --- output bytes -----------------------------------------------------------------
 
 # SHA-256 of each command's stdout followed by its exit code, recorded while the
@@ -991,6 +1017,36 @@ def test_dumps_matches_the_stdlib_on_a_depth_3_network_document():
     space = build_network_space(serial, 3)
     assert space.stratum_sizes() == [3, 5, 15, 125]
     doc = {"network_space": network_space_to_json(space)}
+    same = _dumps(doc) == json.dumps(doc, **_STDLIB)
+    assert same
+
+
+class _Size(enum.IntEnum):
+    SMALL = 1
+    LARGE = 5000
+
+
+@pytest.mark.parametrize("doc", [
+    list(range(4090, 4096)), list(range(4090, 4097)), [4096, 4095], {"a": [4095], "b": [4096]},
+    [-1, 0, 1], [-4096, -4095], [2**70, -(2**70), 10**30],
+    [None, 0, None], [None, 4096, None], [None, -1], [None],
+    [1, True], [False, 0, None], [0, 1.0],
+    [_Size.SMALL], [_Size.LARGE, 1], {"size": _Size.SMALL}, _Size.LARGE,
+    (0, 1, 4095), (None, 4096), [(0, None), (4095, 4096)], {"t": (3, 2, 1)},
+])
+def test_dumps_writes_numbers_as_the_stdlib_does(doc):
+    # lists of ints and nulls go through a table of numerals; a number outside
+    # it, a bool, a float or an int subclass takes the general path
+    assert _dumps(doc) == json.dumps(doc, **_STDLIB)
+
+
+def test_dumps_matches_the_stdlib_on_a_document_past_the_numeral_table():
+    # one program, total on 4 points, at depth 5: 4**6 networks in the last
+    # stratum alone, so maps, cells and roots hold numbers past 4095
+    total = PDLModel(4, ("a",), {"a": (0b1111,) * 4}, {"p": 0b0011}, serial_flag=True)
+    space = build_network_space(total, 5)
+    doc = {"network_space": network_space_to_json(space)}
+    assert doc["network_space"]["space"]["points"] == 5460
     same = _dumps(doc) == json.dumps(doc, **_STDLIB)
     assert same
 

@@ -268,6 +268,41 @@ def test_deep_brackets_deep_in_the_call_stack_are_a_parse_error():
         nested(sys.getrecursionlimit() - depth - 50)
 
 
+def test_a_one_name_modality_is_the_node_its_bracketed_program_gives():
+    # "<a>", "[a]" and "O[a]" are read without the program rules; "(a)"
+    # goes through them, and one table gives both routes the same node
+    table: dict = {}
+    fs = parse_formulas("<a>p; < a >p; <(a)>p; [a]p; [ (a) ]p; O[a]p; O [(a)] p", table)
+    assert fs[0] is fs[1] is fs[2] and fs[3] is fs[4] and fs[5] is fs[6]
+    assert fs[0] == Diamond(Atomic("a"), Atom("p"))
+    assert fs[3] == BoxPdl(Atomic("a"), Atom("p"))
+    assert fs[5] == Next(Atomic("a"), Atom("p"))
+    assert len(table) == 5  # the atom, the program and three modalities
+
+
+@pytest.mark.parametrize("modality", ["<a>", "[a]", "O[a]"])
+def test_a_one_name_modality_at_the_bracket_cap_is_refused(modality):
+    # inside MAX_NESTING brackets the modality's own bracket is one too many
+    opened = 2 if modality == "O[a]" else 1  # tokens of the modality before its name
+    fits = "(" * (MAX_NESTING - 1) + modality + "p" + ")" * (MAX_NESTING - 1)
+    assert parse(fits) == parse(modality + "p")
+    text = "(" * MAX_NESTING + modality + "p" + ")" * MAX_NESTING
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    col = MAX_NESTING + opened + 1
+    assert str(exc.value) == f"brackets nest deeper than {MAX_NESTING} levels (line 1, column {col})"
+
+
+@pytest.mark.parametrize("text, found, line, col", [
+    ("O p", "'p'", 1, 3), ("q |\n  O\tp", "'p'", 2, 5), ("O", "'end of input'", 1, 2),
+    ("~O<a>p", "'<'", 1, 3),
+])
+def test_an_o_without_its_bracket_is_refused_where_the_bracket_should_be(text, found, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == f"expected '[' after 'O', found {found} (line {line}, column {col})"
+
+
 def test_reserved_words_are_not_atoms():
     with pytest.raises(ParseError):
         parse("box & p")
